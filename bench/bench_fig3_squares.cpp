@@ -183,6 +183,6 @@ int main(int argc, char** argv) {
   }
   h.counter("kernels_agree", all_agree ? 1.0 : 0.0);
 
-  std::printf("per-kernel metrics:\n%s", metrics::report_text().c_str());
+  std::printf("per-kernel metrics:\n%s", h.metrics_report().c_str());
   return all_agree ? 0 : 1;
 }

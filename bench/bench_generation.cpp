@@ -18,7 +18,6 @@
 #include "kronlab/gen/random_bipartite.hpp"
 #include "kronlab/gen/rmat.hpp"
 #include "kronlab/kron/stream.hpp"
-#include "kronlab/parallel/metrics.hpp"
 
 using namespace kronlab;
 
@@ -105,6 +104,6 @@ int main(int argc, char** argv) {
               "nonstochastic generators as\nvalidation tools.\n");
 
   std::printf("\n== per-kernel parallel metrics ==\n%s",
-              metrics::report_text().c_str());
+              h.metrics_report().c_str());
   return 0;
 }

@@ -17,7 +17,6 @@
 #include "kronlab/grb/kron.hpp"
 #include "kronlab/grb/ops.hpp"
 #include "kronlab/kron/ground_truth.hpp"
-#include "kronlab/parallel/metrics.hpp"
 
 using namespace kronlab;
 
@@ -122,6 +121,6 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   h.counter("benchmarks_run", static_cast<double>(run));
   std::printf("\n== per-kernel parallel metrics ==\n%s",
-              metrics::report_text().c_str());
+              h.metrics_report().c_str());
   return 0;
 }

@@ -160,6 +160,12 @@ void Harness::fold_registry(bool into_last) {
   }
 }
 
+std::string Harness::metrics_report() {
+  // Same fold as write(), so the JSON written afterwards is unchanged.
+  fold_registry(/*into_last=*/last_.empty());
+  return metrics::report_text(total_, total_counters_);
+}
+
 void Harness::fold_obs_stats() {
   const auto snap = obs::stats_snapshot();
   for (const auto& [name, value] : snap.counters) {

@@ -109,6 +109,10 @@ public:
   /// Record a free-text result (instance name, mode, …).
   void label(const std::string& name, std::string value);
 
+  /// Per-kernel metrics table of the whole run: the folded totals of
+  /// every section plus whatever the live registry still holds.
+  [[nodiscard]] std::string metrics_report();
+
   /// Write BENCH_<name>.json now (idempotent; the destructor then skips).
   /// When --trace was given, also folds the metrics totals into the trace
   /// as counter events and exports the timeline (see the --trace doc).

@@ -13,17 +13,23 @@
 // integer `divisor` so formulas like s_C = ½[...] stay in exact integer
 // arithmetic: the division is applied after the term sum, where the result
 // is provably integral.
+//
+// FactoredMatrix::materialize builds the product CSR directly, in parallel
+// over product rows, with no product-sized intermediate: its memory is the
+// output arrays plus per-factor-row unions of the term rows, which are
+// factor-sized.
 
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "kronlab/common/error.hpp"
 #include "kronlab/grb/csr.hpp"
-#include "kronlab/grb/kron.hpp"
 #include "kronlab/grb/ops.hpp"
 #include "kronlab/grb/vector.hpp"
 #include "kronlab/kron/index_map.hpp"
+#include "kronlab/parallel/parallel_for.hpp"
 
 namespace kronlab::kron {
 
@@ -171,27 +177,113 @@ public:
     return out;
   }
 
-  /// Materialize as a product-sized CSR (validation only).
+  /// Materialize as a product-sized CSR (validation only).  Product row
+  /// γ(i,k) ranges over U_G(i) × U_H(k), the unions of the term rows of the
+  /// left and right factors: a count pass sizes every row, a prefix sum
+  /// places them, and a fill pass writes columns j·n_B + l in sorted
+  /// order.  The stored structure is that of the term-by-term sum
+  /// Σ_s c_s·(G_s ⊗ H_s) under ewise_add: a single term keeps its kron
+  /// structure, stored zeros included, while two or more terms store only
+  /// the entries whose sum is nonzero.
   [[nodiscard]] grb::Csr<count_t> materialize() const {
     KRONLAB_REQUIRE(!terms_.empty(), "cannot materialize empty sum");
-    grb::Csr<count_t> acc =
-        grb::scale(grb::kron(terms_[0].g, terms_[0].h), terms_[0].coeff);
-    for (std::size_t s = 1; s < terms_.size(); ++s) {
-      acc = grb::ewise_add(
-          acc, grb::scale(grb::kron(terms_[s].g, terms_[s].h),
-                          terms_[s].coeff));
+    const RowUnions left = row_unions(&Term::g, /*fold_coeff=*/true);
+    const RowUnions right = row_unions(&Term::h, /*fold_coeff=*/false);
+    const std::size_t nterms = terms_.size();
+    const bool keep_zeros = nterms == 1;
+
+    // Calls emit(column, value) for each stored entry of product row p, in
+    // column order.
+    const auto for_each_entry = [&](index_t p, auto&& emit) {
+      const auto i = static_cast<std::size_t>(alpha(p, n_right_));
+      const auto k = static_cast<std::size_t>(beta(p, n_right_));
+      for (auto a = static_cast<std::size_t>(left.ptr[i]);
+           a < static_cast<std::size_t>(left.ptr[i + 1]); ++a) {
+        const count_t* gv = &left.vals[a * nterms];
+        const index_t base = left.cols[a] * n_right_;
+        for (auto b = static_cast<std::size_t>(right.ptr[k]);
+             b < static_cast<std::size_t>(right.ptr[k + 1]); ++b) {
+          const count_t* hv = &right.vals[b * nterms];
+          count_t v = 0;
+          for (std::size_t s = 0; s < nterms; ++s) v += gv[s] * hv[s];
+          if (keep_zeros || v != 0) emit(base + right.cols[b], v);
+        }
+      }
+    };
+
+    const index_t n = nrows();
+    std::vector<offset_t> row_ptr(static_cast<std::size_t>(n) + 1, 0);
+    parallel_for_dynamic(0, n, [&](index_t p) {
+      offset_t count = 0;
+      for_each_entry(p, [&](index_t, count_t) { ++count; });
+      row_ptr[static_cast<std::size_t>(p) + 1] = count;
+    });
+    for (std::size_t r = 1; r < row_ptr.size(); ++r) {
+      row_ptr[r] += row_ptr[r - 1];
     }
-    if (divisor_ != 1) {
-      for (auto& v : acc.vals()) {
+
+    const auto total = static_cast<std::size_t>(row_ptr.back());
+    std::vector<index_t> col_idx(total);
+    std::vector<count_t> vals(total);
+    parallel_for_dynamic(0, n, [&](index_t p) {
+      auto o = static_cast<std::size_t>(row_ptr[static_cast<std::size_t>(p)]);
+      for_each_entry(p, [&](index_t q, count_t v) {
         KRONLAB_DBG_ASSERT(v % divisor_ == 0,
                            "factored value not divisible — formula bug");
-        v /= divisor_;
-      }
-    }
-    return acc;
+        col_idx[o] = q;
+        vals[o] = v / divisor_;
+        ++o;
+      });
+    });
+    return grb::Csr<count_t>(n, ncols(), std::move(row_ptr),
+                             std::move(col_idx), std::move(vals));
   }
 
 private:
+  /// Per factor row i, the sorted union of the term rows' columns,
+  /// cols[ptr[i], ptr[i+1]).  Union entry a carries every term's value at
+  /// vals[a·#terms + s], 0 where term s stores nothing.
+  struct RowUnions {
+    std::vector<offset_t> ptr;
+    std::vector<index_t> cols;
+    std::vector<count_t> vals;
+  };
+
+  /// Unions of one side's factors (Term::g or Term::h); `fold_coeff`
+  /// multiplies each term's values by its coefficient.  Factor-sized.
+  [[nodiscard]] RowUnions row_unions(grb::Csr<count_t> Term::*side,
+                                     bool fold_coeff) const {
+    const std::size_t nterms = terms_.size();
+    const index_t n = (terms_.front().*side).nrows();
+    RowUnions u;
+    u.ptr.assign(static_cast<std::size_t>(n) + 1, 0);
+    for (index_t i = 0; i < n; ++i) {
+      const std::size_t begin = u.cols.size();
+      for (const Term& t : terms_) {
+        const auto cols = (t.*side).row_cols(i);
+        u.cols.insert(u.cols.end(), cols.begin(), cols.end());
+      }
+      const auto first = u.cols.begin() + static_cast<std::ptrdiff_t>(begin);
+      std::sort(first, u.cols.end());
+      u.cols.erase(std::unique(first, u.cols.end()), u.cols.end());
+      u.vals.resize(u.cols.size() * nterms, 0);
+      for (std::size_t s = 0; s < nterms; ++s) {
+        const auto& m = terms_[s].*side;
+        const count_t coeff = fold_coeff ? terms_[s].coeff : 1;
+        const auto cols = m.row_cols(i);
+        const auto vals = m.row_vals(i);
+        std::size_t a = begin;
+        for (std::size_t e = 0; e < cols.size(); ++e) {
+          while (u.cols[a] != cols[e]) ++a;
+          u.vals[a * nterms + s] = coeff * vals[e];
+        }
+      }
+      u.ptr[static_cast<std::size_t>(i) + 1] =
+          static_cast<offset_t>(u.cols.size());
+    }
+    return u;
+  }
+
   index_t n_left_;
   index_t n_right_;
   count_t divisor_;

@@ -162,7 +162,11 @@ void merge(KernelStats& into, const KernelStats& other) {
 }
 
 std::string report_text() {
-  const auto kernels = snapshot();
+  return report_text(snapshot(), counters_snapshot());
+}
+
+std::string report_text(const std::map<std::string, KernelStats>& kernels,
+                        const std::map<std::string, double>& counters) {
   std::vector<std::pair<std::string, KernelStats>> rows(kernels.begin(),
                                                         kernels.end());
   std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
@@ -185,7 +189,6 @@ std::string report_text() {
     out += line;
   }
   if (rows.empty()) out += "(no kernels recorded)\n";
-  const auto counters = counters_snapshot();
   if (!counters.empty()) {
     out += "counters:\n";
     for (const auto& [name, value] : counters) {

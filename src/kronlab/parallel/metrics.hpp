@@ -125,6 +125,12 @@ void merge(KernelStats& into, const KernelStats& other);
 /// Human-readable table, one kernel per line, sorted by wall time.
 [[nodiscard]] std::string report_text();
 
+/// Same, for explicit kernel and counter snapshots instead of the live
+/// registry.
+[[nodiscard]] std::string report_text(
+    const std::map<std::string, KernelStats>& kernels,
+    const std::map<std::string, double>& counters);
+
 /// Machine-readable dump:
 /// {"kernels": [{"name": ..., ...}, ...], "counters": {...}}.
 /// The "counters" key is present only when at least one counter was

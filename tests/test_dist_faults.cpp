@@ -24,9 +24,12 @@
 #include "kronlab/gen/random_bipartite.hpp"
 #include "kronlab/graph/butterflies.hpp"
 #include "kronlab/kron/ground_truth.hpp"
+#include "support/temp_dir.hpp"
 
 namespace kronlab::dist {
 namespace {
+
+using test_support::TempDir;
 
 /// KRONLAB_FAULT_RATE=high (or a numeric factor) scales the probabilistic
 /// fault plans — the CI release job uses it to stress the retry budget.
@@ -36,14 +39,6 @@ double fault_rate_scale() {
   if (std::string(env) == "high") return 5.0;
   const double v = std::strtod(env, nullptr);
   return v > 0 ? v : 1.0;
-}
-
-std::string fresh_ckpt_dir(const std::string& name) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("kronlab_faults_" + name);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
 }
 
 /// Small retry budget so exhaustion tests finish in milliseconds.
@@ -371,8 +366,9 @@ TEST(Recovery, KillMidGenerationRestoresCheckpointAndVerifies) {
   plan.kill_point = "gen-block";
   plan.kill_hits = 2;
 
+  const TempDir ckpt_dir("faults_restore");
   CheckpointConfig ckpt;
-  ckpt.dir = fresh_ckpt_dir("restore");
+  ckpt.dir = ckpt_dir.path();
   ckpt.interval_left_rows = 1;
 
   ReportCollector collector;
@@ -428,8 +424,9 @@ TEST(Recovery, CorruptCheckpointFallsBackToRegeneration) {
   plan.kill_point = "gen-block";
   plan.kill_hits = 2;
 
+  const TempDir ckpt_dir("faults_corrupt");
   CheckpointConfig ckpt;
-  ckpt.dir = fresh_ckpt_dir("corrupt");
+  ckpt.dir = ckpt_dir.path();
   ckpt.interval_left_rows = 1;
 
   // Run once to produce rank 1's genuine checkpoint, flip one byte of the
@@ -492,8 +489,9 @@ TEST(Recovery, KillAndMessageFaultsCombined) {
   plan.kill_point = "gen-block";
   plan.kill_hits = 2;
 
+  const TempDir ckpt_dir("faults_combined");
   CheckpointConfig ckpt;
-  ckpt.dir = fresh_ckpt_dir("combined");
+  ckpt.dir = ckpt_dir.path();
   ckpt.interval_left_rows = 1;
 
   ReportCollector collector;

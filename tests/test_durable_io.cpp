@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -27,9 +26,12 @@
 #include "kronlab/kron/oracle.hpp"
 #include "kronlab/kron/partition.hpp"
 #include "kronlab/kron/power.hpp"
+#include "support/temp_dir.hpp"
 
 namespace kronlab::io {
 namespace {
+
+using test_support::TempDir;
 
 /// KRONLAB_FAULT_RATE=high (or a numeric factor) scales the fuzz loops —
 /// the CI release job uses it to widen coverage.
@@ -39,14 +41,6 @@ double fault_rate_scale() {
   if (std::string(env) == "high") return 5.0;
   const double v = std::strtod(env, nullptr);
   return v > 0 ? v : 1.0;
-}
-
-std::string fresh_dir(const std::string& name) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("kronlab_durable_" + name);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
 }
 
 /// The product under test: heavy-tail non-bipartite ⊗ bipartite, small
@@ -83,7 +77,8 @@ std::map<std::string, std::string> store_bytes(const std::string& dir) {
 const std::map<std::string, std::string>& reference_store() {
   static const auto ref = [] {
     const auto kp = test_product();
-    const auto dir = fresh_dir("reference");
+    const TempDir tmp("durable_reference");
+    const auto& dir = tmp.path();
     generate_durable(real_file_ops(), kp, test_options(dir));
     return store_bytes(dir);
   }();
@@ -107,7 +102,8 @@ std::vector<std::string> all_fault_points() {
 // Format round trips and corruption detection.
 
 TEST(DurableFormat, SegmentRoundTrip) {
-  const auto dir = fresh_dir("seg_roundtrip");
+  const TempDir tmp("durable_seg_roundtrip");
+  const auto& dir = tmp.path();
   FileOps& ops = real_file_ops();
   SegmentHeader h;
   h.spec_hash = 0xabcdef;
@@ -132,7 +128,8 @@ TEST(DurableFormat, SegmentRoundTrip) {
 }
 
 TEST(DurableFormat, SegmentCorruptionIsTyped) {
-  const auto dir = fresh_dir("seg_corrupt");
+  const TempDir tmp("durable_seg_corrupt");
+  const auto& dir = tmp.path();
   FileOps& ops = real_file_ops();
   SegmentHeader h;
   h.num_edges = 2;
@@ -167,7 +164,8 @@ TEST(DurableFormat, SegmentCorruptionIsTyped) {
 }
 
 TEST(DurableFormat, ManifestRoundTripAndCorruption) {
-  const auto dir = fresh_dir("man_roundtrip");
+  const TempDir tmp("durable_man_roundtrip");
+  const auto& dir = tmp.path();
   FileOps& ops = real_file_ops();
   EXPECT_FALSE(read_manifest(ops, dir).has_value());
   Manifest man;
@@ -215,11 +213,11 @@ bool run_with_kill(const kron::BipartiteKronecker& kp,
 
 TEST(KillResumeMatrix, EveryFaultPointResumesByteIdentical) {
   const auto kp = test_product();
-  int case_id = 0;
   for (const auto& point : all_fault_points()) {
     for (const std::uint64_t hits : {std::uint64_t{1}, std::uint64_t{7}}) {
       SCOPED_TRACE(point + " hits=" + std::to_string(hits));
-      const auto dir = fresh_dir("matrix_" + std::to_string(case_id++));
+      const TempDir tmp("durable_matrix");
+      const auto& dir = tmp.path();
       auto opt = test_options(dir);
       const bool done = run_with_kill(kp, opt, point, hits);
       if (!done) {
@@ -238,7 +236,8 @@ TEST(KillResumeMatrix, RepeatedKillsStillMakeProgress) {
   // terminate and reproduce the reference — the commit protocol
   // guarantees at least one segment of progress per life.
   const auto kp = test_product();
-  const auto dir = fresh_dir("kill_storm");
+  const TempDir tmp("durable_kill_storm");
+  const auto& dir = tmp.path();
   auto opt = test_options(dir);
   int lives = 0;
   for (;; opt.resume = true) {
@@ -255,7 +254,8 @@ TEST(KillResumeMatrix, AdoptionCoversSealToCommitWindow) {
   // sealed segment is NOT in the manifest, and resume must adopt it
   // rather than regenerate (and must stay byte-identical).
   const auto kp = test_product();
-  const auto dir = fresh_dir("adoption");
+  const TempDir tmp("durable_adoption");
+  const auto& dir = tmp.path();
   auto opt = test_options(dir);
   ASSERT_FALSE(run_with_kill(kp, opt, "manifest:write:before", 2));
   opt.resume = true;
@@ -269,7 +269,8 @@ TEST(KillResumeMatrix, TornManifestNeverCommitsPartially) {
   // manifest was already replaced only on rename, so the store either
   // has the previous manifest or none — resume completes either way.
   const auto kp = test_product();
-  const auto dir = fresh_dir("torn_manifest");
+  const TempDir tmp("durable_torn_manifest");
+  const auto& dir = tmp.path();
   auto opt = test_options(dir);
   ASSERT_FALSE(run_with_kill(kp, opt, "manifest:write:torn", 3));
   opt.resume = true;
@@ -286,7 +287,8 @@ TEST(FaultInjection, FailedOpsThrowIoErrorAndStoreStaysResumable) {
        {"segment:sync:before", "manifest:rename:before",
         "segment:write:before"}) {
     SCOPED_TRACE(point);
-    const auto dir = fresh_dir("fail_inject");
+    const TempDir tmp("durable_fail_inject");
+    const auto& dir = tmp.path();
     auto opt = test_options(dir);
     FsFaultPlan plan;
     plan.fail_point = point;
@@ -301,7 +303,8 @@ TEST(FaultInjection, FailedOpsThrowIoErrorAndStoreStaysResumable) {
 
 TEST(FaultInjection, ShortWritesAreLoopedOver) {
   const auto kp = test_product();
-  const auto dir = fresh_dir("short_writes");
+  const TempDir tmp("durable_short_writes");
+  const auto& dir = tmp.path();
   FsFaultPlan plan;
   plan.short_write_cap = 3; // pathological: 3 bytes per write call
   FaultyFileOps faulty(real_file_ops(), plan);
@@ -311,7 +314,8 @@ TEST(FaultInjection, ShortWritesAreLoopedOver) {
 
 TEST(FaultInjection, PointsHitAreRecordedInOrder) {
   const auto kp = test_product();
-  const auto dir = fresh_dir("points_hit");
+  const TempDir tmp("durable_points_hit");
+  const auto& dir = tmp.path();
   FaultyFileOps faulty(real_file_ops(), FsFaultPlan{});
   generate_durable(faulty, kp, test_options(dir));
   const auto& points = faulty.points_hit();
@@ -335,7 +339,8 @@ TEST(TornSegmentFuzz, RandomTailCorruptionIsDetectedOrDiscarded) {
   FileOps& ops = real_file_ops();
   for (int it = 0; it < iters; ++it) {
     SCOPED_TRACE(it);
-    const auto dir = fresh_dir("fuzz");
+    const TempDir tmp("durable_fuzz");
+    const auto& dir = tmp.path();
     auto opt = test_options(dir);
     // Die somewhere mid-run (vary the seal at which death strikes).
     const std::uint64_t hits = 1 + rng.next_below(6);
@@ -441,7 +446,8 @@ TEST(StreamValidation, CleanStreamPassesAndSamplesSublinearly) {
 
 TEST(StreamValidation, VerifyStoreCatchesCommittedCorruption) {
   const auto kp = test_product();
-  const auto dir = fresh_dir("verify_corrupt");
+  const TempDir tmp("durable_verify_corrupt");
+  const auto& dir = tmp.path();
   const auto opt = test_options(dir);
   generate_durable(real_file_ops(), kp, opt);
   EXPECT_NO_THROW((void)verify_store(real_file_ops(), kp, opt));
@@ -458,7 +464,8 @@ TEST(StreamValidation, VerifyStoreCatchesCommittedCorruption) {
 
 TEST(StreamValidation, ResumeAgainstDifferentSpecIsRefused) {
   const auto kp = test_product();
-  const auto dir = fresh_dir("spec_mismatch");
+  const TempDir tmp("durable_spec_mismatch");
+  const auto& dir = tmp.path();
   auto opt = test_options(dir);
   generate_durable(real_file_ops(), kp, opt);
   Rng rng(99);
@@ -517,7 +524,8 @@ TEST(ResumeCursor, ScaleChainCollapseStreamsTheSameProduct) {
 
 TEST(Report, CountersAreConsistent) {
   const auto kp = test_product();
-  const auto dir = fresh_dir("report");
+  const TempDir tmp("durable_report");
+  const auto& dir = tmp.path();
   auto opt = test_options(dir);
   const auto cold = generate_durable(real_file_ops(), kp, opt);
   const kron::PartitionedStream part(kp, opt.shards);

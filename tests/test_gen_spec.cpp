@@ -2,13 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 
 #include "kronlab/gen/canonical.hpp"
 #include "kronlab/gen/spec.hpp"
 #include "kronlab/gen/unicode_like.hpp"
 #include "kronlab/graph/graph.hpp"
+#include "support/temp_dir.hpp"
 
 namespace kronlab::gen {
 namespace {
@@ -60,8 +60,9 @@ TEST(Spec, PropagatesGeneratorValidation) {
 }
 
 TEST(Spec, FileFormsRoundTrip) {
+  const test_support::TempDir tmp("gen_spec");
   // mtx: write a small symmetric adjacency and parse it back.
-  const std::string mtx_path = "/tmp/kronlab_test_spec.mtx";
+  const std::string mtx_path = tmp.file("spec.mtx");
   {
     std::ofstream out(mtx_path);
     out << "%%MatrixMarket matrix coordinate pattern symmetric\n"
@@ -71,9 +72,8 @@ TEST(Spec, FileFormsRoundTrip) {
   }
   const auto a = parse_graph_spec("mtx:" + mtx_path);
   EXPECT_EQ(a, path_graph(3));
-  std::remove(mtx_path.c_str());
 
-  const std::string el_path = "/tmp/kronlab_test_spec.el";
+  const std::string el_path = tmp.file("spec.el");
   {
     std::ofstream out(el_path);
     out << "% two-mode\n1 1\n2 2\n2 1\n";
@@ -81,7 +81,6 @@ TEST(Spec, FileFormsRoundTrip) {
   const auto b = parse_graph_spec("konect:" + el_path);
   EXPECT_EQ(b.nrows(), 4);
   EXPECT_EQ(graph::num_edges(b), 3);
-  std::remove(el_path.c_str());
 
   EXPECT_THROW(parse_graph_spec("mtx:/nonexistent.mtx"), io_error);
   EXPECT_THROW(parse_graph_spec("konect:/nonexistent.el"), io_error);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -10,6 +9,7 @@
 #include "kronlab/gen/random_bipartite.hpp"
 #include "kronlab/gen/unicode_like.hpp"
 #include "kronlab/grb/binary_io.hpp"
+#include "support/temp_dir.hpp"
 
 namespace kronlab::grb {
 namespace {
@@ -38,12 +38,12 @@ TEST(BinaryIo, RoundTripsEmptyAndCanonical) {
 }
 
 TEST(BinaryIo, FileRoundTrip) {
-  const std::string path = "/tmp/kronlab_test_binary.krn";
+  const test_support::TempDir tmp("binary_io");
+  const std::string path = tmp.file("binary.krn");
   Rng rng(4);
   const auto a = gen::preferential_bipartite(8, 8, 20, rng);
   write_binary_file(path, a);
   EXPECT_EQ(read_binary_file(path), a);
-  std::remove(path.c_str());
 }
 
 TEST(BinaryIo, RejectsBadMagic) {
@@ -203,7 +203,8 @@ TEST(Snapshot, RoundTripsMetaAndPayload) {
 }
 
 TEST(Snapshot, FileRoundTripIsAtomic) {
-  const std::string path = "/tmp/kronlab_test_snapshot.ckpt";
+  const test_support::TempDir dir("snapshot");
+  const std::string path = dir.file("snapshot.ckpt");
   Rng rng(10);
   SnapshotEnvelope snap;
   snap.meta = {1, 2, 3};
@@ -214,7 +215,6 @@ TEST(Snapshot, FileRoundTripIsAtomic) {
   const auto back = read_snapshot_file(path);
   EXPECT_EQ(back.meta, snap.meta);
   EXPECT_EQ(back.payload, snap.payload);
-  std::remove(path.c_str());
 }
 
 TEST(Snapshot, MetaCorruptionIsDetected) {

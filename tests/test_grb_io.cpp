@@ -3,13 +3,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "kronlab/grb/io.hpp"
 #include "kronlab/grb/ops.hpp"
+#include "support/temp_dir.hpp"
 
 namespace kronlab::grb {
 namespace {
@@ -180,7 +180,8 @@ TEST(EdgeList, EnforcesVertexIdCap) {
 }
 
 TEST(EdgeList, FileErrorsArePrefixedWithPath) {
-  const std::string path = "/tmp/kronlab_test_badedges.txt";
+  const test_support::TempDir tmp("grb_io");
+  const std::string path = tmp.file("badedges.txt");
   {
     std::ofstream out(path);
     out << "1 2\nnot numeric\n";
@@ -193,7 +194,6 @@ TEST(EdgeList, FileErrorsArePrefixedWithPath) {
     EXPECT_NE(what.find(path), std::string::npos);
     EXPECT_NE(what.find("line 2"), std::string::npos);
   }
-  std::remove(path.c_str());
 }
 
 TEST(EdgeList, RoundTripsThroughWrite) {

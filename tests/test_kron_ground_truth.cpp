@@ -9,6 +9,7 @@
 #include "kronlab/gen/random_bipartite.hpp"
 #include "kronlab/graph/butterflies.hpp"
 #include "kronlab/graph/graph.hpp"
+#include "kronlab/grb/kron.hpp"
 #include "kronlab/grb/ops.hpp"
 #include "kronlab/graph/triangles.hpp"
 #include "kronlab/kron/ground_truth.hpp"
@@ -20,6 +21,21 @@ namespace {
 
 using gen::Adjacency;
 using kron::BipartiteKronecker;
+using kron::FactoredMatrix;
+
+/// The term-by-term composition FactoredMatrix::materialize must reproduce
+/// entry for entry: each term as a scaled product-sized kron, folded with
+/// ewise_add, then divided.
+grb::Csr<count_t> composed_materialize(const FactoredMatrix& f) {
+  const auto& terms = f.terms();
+  auto acc = grb::scale(grb::kron(terms[0].g, terms[0].h), terms[0].coeff);
+  for (std::size_t s = 1; s < terms.size(); ++s) {
+    acc = grb::ewise_add(
+        acc, grb::scale(grb::kron(terms[s].g, terms[s].h), terms[s].coeff));
+  }
+  for (auto& v : acc.vals()) v /= f.divisor();
+  return acc;
+}
 
 // -------------------------------------------------------------------------
 // Def. 8 / Def. 9 linear-algebra formulas vs direct counting on one graph.
@@ -222,6 +238,18 @@ TEST_P(ProductGroundTruthTest, EdgeSquaresRowReduceGivesVertexSquares) {
   EXPECT_EQ(s_from_edges.materialize(), s_direct.materialize());
 }
 
+TEST_P(ProductGroundTruthTest, FusedMaterializeMatchesTermComposition) {
+  // Values and stored structure, on every construction (cases 6, 7 and 9
+  // are seeded random factor pairs): the 4-term ◇_C drops entries that
+  // cancel, the 1-term edge-triangle matrix keeps its kron structure.
+  const auto kp = make_product();
+  const auto squares = kron::edge_squares(kp);
+  EXPECT_EQ(squares.materialize(), composed_materialize(squares));
+  const auto triangles = kron::edge_triangles(kp);
+  ASSERT_EQ(triangles.num_terms(), 1);
+  EXPECT_EQ(triangles.materialize(), composed_materialize(triangles));
+}
+
 INSTANTIATE_TEST_SUITE_P(ProductFamilies, ProductGroundTruthTest,
                          ::testing::Range(0, 10));
 
@@ -248,6 +276,75 @@ TEST(FactoredGroundTruth, ReduceMatchesMaterializedSum) {
     for (const index_t q : c.row_cols(p)) total += em.at(p, q);
   }
   EXPECT_EQ(em.reduce(), total);
+}
+
+// -------------------------------------------------------------------------
+// Fused FactoredMatrix::materialize vs the term-by-term composition.
+
+TEST(FusedMaterialize, DivisorAndMixedSparsity) {
+  // Three terms whose factors have different structures (dense rows,
+  // diagonal, anti-diagonal, an empty row), even coefficients, divisor 2.
+  FactoredMatrix f(3, 2, /*divisor=*/2);
+  f.add_term(+2, grb::Csr<count_t>::from_dense(3, 3, {1, 2, 0,  //
+                                                      0, 0, 0,  //
+                                                      3, 1, 4}),
+             grb::Csr<count_t>::from_dense(2, 2, {1, 1, 0, 5}));
+  f.add_term(-4, grb::Csr<count_t>::identity(3),
+             grb::Csr<count_t>::from_dense(2, 2, {0, 3, 2, 0}));
+  f.add_term(+6, grb::Csr<count_t>::from_dense(3, 3, {0, 0, 7,  //
+                                                      0, 1, 0,  //
+                                                      2, 0, 0}),
+             grb::Csr<count_t>::from_dense(2, 2, {2, 0, 0, 1}));
+  const auto fused = f.materialize();
+  EXPECT_EQ(fused, composed_materialize(f));
+  for (index_t p = 0; p < f.nrows(); ++p) {
+    for (index_t q = 0; q < f.ncols(); ++q) {
+      EXPECT_EQ(fused.at(p, q), f.at(p, q)) << "(" << p << "," << q << ")";
+    }
+  }
+}
+
+TEST(FusedMaterialize, CancellingTermsAreDropped) {
+  // B − B' cancels exactly where B' repeats B's value; a third term only
+  // partly overlaps the survivors.
+  const auto a = grb::Csr<count_t>::from_dense(2, 2, {1, 2, 3, 0});
+  const auto b = grb::Csr<count_t>::from_dense(3, 3, {1, 1, 0,  //
+                                                      0, 2, 1,  //
+                                                      4, 0, 1});
+  const auto b_part = grb::Csr<count_t>::from_dense(3, 3, {1, 0, 0,  //
+                                                           0, 2, 0,  //
+                                                           4, 0, 5});
+  FactoredMatrix f(2, 3);
+  f.add_term(+1, a, b);
+  f.add_term(-1, a, b_part);
+  f.add_term(+1, grb::Csr<count_t>::identity(2), b_part);
+  EXPECT_EQ(f.materialize(), composed_materialize(f));
+
+  FactoredMatrix all_cancel(2, 3);
+  all_cancel.add_term(+3, a, b);
+  all_cancel.add_term(-3, a, b);
+  const auto zero = all_cancel.materialize();
+  EXPECT_EQ(zero, composed_materialize(all_cancel));
+  EXPECT_EQ(zero.nnz(), 0);
+}
+
+TEST(FusedMaterialize, SingleTermKeepsKronStructure) {
+  // One term is stored as its kron structure, zero values included.
+  const grb::Csr<count_t> g(2, 2, {0, 2, 3}, {0, 1, 1}, {1, 0, 2});
+  FactoredMatrix f(2, 2);
+  f.add_term(+1, g, grb::Csr<count_t>::identity(2));
+  const auto fused = f.materialize();
+  EXPECT_EQ(fused, composed_materialize(f));
+  EXPECT_EQ(fused.nnz(), 6);
+
+  FactoredMatrix zero_coeff(2, 2);
+  zero_coeff.add_term(0, g, grb::Csr<count_t>::identity(2));
+  EXPECT_EQ(zero_coeff.materialize(), composed_materialize(zero_coeff));
+  EXPECT_EQ(zero_coeff.materialize().nnz(), 6);
+}
+
+TEST(FusedMaterialize, EmptySumIsRejected) {
+  EXPECT_THROW((void)FactoredMatrix(2, 3).materialize(), invalid_argument);
 }
 
 // -------------------------------------------------------------------------
