@@ -41,6 +41,10 @@ Rules (regex/AST-lite over comment- and string-stripped source):
                      funnels, checker findings) carries
                      `kronlab-lint: allow(obs-log)` with a why.
                      src/kronlab/obs/log.cpp (the sink itself) is exempt.
+  tmp-path           No literal `"/tmp` path in tests/: a fixed path under
+                     /tmp is shared by every test process, so cases collide
+                     under `ctest -j` and across repeats.  Take a private
+                     directory from tests/support/temp_dir.hpp (TempDir).
 
 Escape hatch: a finding whose line (or the line above it) contains
 `kronlab-lint: allow(<rule-id>)` is suppressed; the comment should say why.
@@ -347,6 +351,25 @@ def rule_obs_log(rel: str, stripped: list[str]):
             yield idx, "obs-log", message
 
 
+TMP_LITERAL_RE = re.compile(r'"/tmp')
+
+
+def rule_tmp_path(rel: str, raw_lines: list[str], stripped: list[str]):
+    if not rel.replace("\\", "/").startswith("tests/"):
+        return
+    for idx, raw in enumerate(raw_lines, 1):
+        code = stripped[idx - 1]
+        for m in TMP_LITERAL_RE.finditer(raw):
+            # Stripping keeps a literal's opening quote in place and blanks
+            # comments, so a quote surviving at this column opens a string.
+            if m.start() < len(code) and code[m.start()] == '"':
+                yield idx, "tmp-path", (
+                    'literal "/tmp path in a test — parallel and repeated '
+                    "runs collide on it; use a TempDir "
+                    "(tests/support/temp_dir.hpp)"
+                )
+
+
 def lint_file(path: Path, rel: str) -> list[Finding]:
     try:
         raw = path.read_text(encoding="utf-8", errors="replace")
@@ -374,6 +397,7 @@ def lint_file(path: Path, rel: str) -> list[Finding]:
     collect(rule_durable_io(rel, raw_lines, stripped))
     collect(rule_dist_send(rel, stripped))
     collect(rule_obs_log(rel, stripped))
+    collect(rule_tmp_path(rel, raw_lines, stripped))
     return findings
 
 

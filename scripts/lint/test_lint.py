@@ -8,7 +8,8 @@ Covers:
   * each fixture, linted directly, exits non-zero;
   * the real tree exits zero (the invariants hold on HEAD);
   * the compile-database entry point works when a build dir exists;
-  * the allow() escape hatch suppresses only the named rule.
+  * the allow() escape hatch suppresses only the named rule;
+  * tmp-path is scoped to tests/ and to string literals.
 """
 
 from __future__ import annotations
@@ -159,6 +160,30 @@ class TestRuleInteractions(unittest.TestCase):
             )
             r = run_lint(str(p), "--root", str(REPO))
             self.assertEqual(r.returncode, 0, msg=r.stdout + r.stderr)
+
+
+class TestTmpPathRule(unittest.TestCase):
+    """tmp-path flags a "/tmp literal in tests/ only, and only inside a
+    string: comments that mention /tmp paths stay quiet."""
+
+    def findings(self, rel: str):
+        sys.path.insert(0, str(SCRIPT_DIR))
+        import kronlab_lint
+
+        return kronlab_lint.lint_file(FIXTURES / "tmp_path.cpp", rel)
+
+    def test_fires_once_on_the_unmarked_literal(self):
+        hits = [f for f in self.findings("tests/test_tmp.cpp")
+                if f.rule == "tmp-path"]
+        self.assertEqual(len(hits), 1, msg=[str(f) for f in hits])
+        line = (FIXTURES / "tmp_path.cpp").read_text().splitlines()[
+            hits[0].line - 1]
+        self.assertIn("rule fires", line)
+
+    def test_scoped_to_tests(self):
+        self.assertEqual(
+            [f for f in self.findings("src/kronlab/io/x.cpp")
+             if f.rule == "tmp-path"], [])
 
 
 class TestAnalyzerSelfTest(unittest.TestCase):

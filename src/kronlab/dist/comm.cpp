@@ -50,6 +50,8 @@ struct Mailbox {
   };
   std::vector<Delayed> delayed GUARDED_BY(mutex);
   std::uint64_t delivery_count GUARDED_BY(mutex) = 0;
+  // Any-sender receives scan senders round-robin from here.
+  index_t next_sender GUARDED_BY(mutex) = 0;
 };
 
 struct Runtime {
@@ -179,15 +181,23 @@ struct Runtime {
     return dead[static_cast<std::size_t>(r)].load(std::memory_order_acquire);
   }
 
-  /// First non-empty queue on `tag` (any sender), or nullptr.  On a hit,
-  /// `*from` names the sender.
+  /// Non-empty queue on `tag` (any sender), or nullptr.  On a hit,
+  /// `*from` names the sender.  Senders are scanned round-robin, starting
+  /// after the last one served, so a sender with a steady backlog cannot
+  /// starve higher-numbered ones (their replies would miss deadlines).
   static std::deque<Message>* find_on_tag(Mailbox& box, int tag,
                                           index_t* from)
       REQUIRES(box.mutex) {
-    for (auto& [key, q] : box.queues) {
-      if (key.second == tag && !q.empty()) {
-        *from = key.first;
-        return &q;
+    const auto split = box.queues.lower_bound({box.next_sender, tag});
+    for (const auto& [first, last] :
+         {std::pair(split, box.queues.end()),
+          std::pair(box.queues.begin(), split)}) {
+      for (auto it = first; it != last; ++it) {
+        if (it->first.second == tag && !it->second.empty()) {
+          *from = it->first.first;
+          box.next_sender = *from + 1;
+          return &it->second;
+        }
       }
     }
     return nullptr;
@@ -219,7 +229,8 @@ struct Runtime {
     // Give up early when the sender is dead: nothing new can arrive, so
     // waiting out the rest of the deadline only stalls the caller's retry
     // loop (mark_dead wakes this cv precisely so we notice promptly).
-    bool timed_out = false;
+    // A zero timeout is a poll: never enter the timed wait.
+    bool timed_out = timeout <= std::chrono::milliseconds::zero();
     while (q.empty() && !timed_out && !rank_dead(from)) {
       timed_out = box.cv.wait_until(box.mutex, deadline);
     }
@@ -240,7 +251,7 @@ struct Runtime {
     MutexLock lock(box.mutex);
     index_t from = -1;
     std::deque<Message>* q = find_on_tag(box, tag, &from);
-    bool timed_out = false;
+    bool timed_out = timeout <= std::chrono::milliseconds::zero();
     while (q == nullptr && !timed_out) {
       timed_out = box.cv.wait_until(box.mutex, deadline);
       q = find_on_tag(box, tag, &from);

@@ -112,11 +112,14 @@ public:
   /// retry that follows).  Returns nullopt *early* — without waiting out
   /// the deadline — once the sender is dead and no message is pending:
   /// nothing new can ever arrive, so retry loops fail over promptly
-  /// instead of burning their full timeout budget per attempt.
+  /// instead of burning their full timeout budget per attempt.  A zero
+  /// timeout is a poll: it never waits, and an empty queue still releases
+  /// the parked messages.
   [[nodiscard]] std::optional<Message> recv_deadline(index_t from, int tag,
                                        std::chrono::milliseconds timeout);
 
   /// Deadline receive from *any* sender on `tag`; returns (from, message).
+  /// Senders with pending messages are served round-robin.
   [[nodiscard]] std::optional<std::pair<index_t, Message>> recv_any(
       int tag, std::chrono::milliseconds timeout);
 

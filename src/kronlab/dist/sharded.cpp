@@ -52,21 +52,26 @@ constexpr std::size_t kCkptMetaWords = 5;
 /// collective order), which sequence-numbers every frame so duplicates
 /// and stragglers from earlier exchanges are absorbed.  The protocol is
 /// row-granular — one REQ and one ROWS frame per ghost row, plus an
-/// epoch-level empty handshake for peers a rank needs nothing from — and
-/// every frame ships through the per-destination Aggregator, which
-/// coalesces frames bound for one rank into batched wire messages.
-/// Epochs are positive, so raw frames never collide with the batch magic.
+/// epoch-level empty handshake for peers a rank needs nothing from, and
+/// ACKs that name the rows (or the handshake) they cover — and every
+/// frame ships through the per-destination Aggregator, which coalesces
+/// frames bound for one rank into batched wire messages.  Epochs are
+/// positive, so raw frames never collide with the batch magic.
 constexpr int kExchTag = 10;
 constexpr word_t kMsgReq = 0;  ///< [epoch, REQ, v] or handshake [epoch, REQ]
 constexpr word_t kMsgRows = 1; ///< [epoch, ROWS, v, deg, cols...] or
                                ///< handshake [epoch, ROWS]
-constexpr word_t kMsgAck = 2;  ///< [epoch, ACK] (peer-level, per epoch)
+constexpr word_t kMsgAck = 2;  ///< [epoch, ACK, key...], key = row id or
+                               ///< kHandshake
+/// Reply-cache and ACK key of the empty handshake (row ids are ≥ 0).
+constexpr index_t kHandshake = -1;
 
 /// Quiescence announcements ride the reliable control channel (negative
 /// tag): a rank that finished its own requests and had its replies acked
 /// may still owe a re-ack for a peer's resend (its last ACK could have
 /// been dropped), so it lingers in the event loop — serving stragglers —
-/// until every live peer has announced DONE.
+/// until every live peer has announced DONE.  A peer's DONE also means it
+/// holds every row it asked for, so it retires any replies still unacked.
 constexpr int kExchCtlTag = -6;
 constexpr word_t kMsgDone = 3; ///< [epoch, DONE]
 
@@ -151,15 +156,26 @@ struct PeerState {
   int req_attempts = 0;
   milliseconds req_timeout{0};
   clock::time_point req_deadline;
-  // Responder side: waiting on this peer's ack of our reply frames.
+  // Responder side: every reply frame served to this peer is cached by
+  // key (row id or kHandshake) and resent until an ACK names it.  The
+  // peer is settled once it has requested at least once and nothing it
+  // was served is unacked — or it is done.  A late request unsettles it.
+  struct Reply {
+    Message frame;
+    bool acked = false;
+  };
+  std::unordered_map<index_t, Reply> reply_cache;
+  std::size_t unacked = 0;
   bool served = false;
-  bool handshake_served = false;
-  bool acked = false;
-  int reply_attempts = 0;
+  int reply_attempts = 0; ///< resend rounds since the last ACK progress
   milliseconds ack_timeout{0};
   clock::time_point ack_deadline;
-  // Row id → cached ROWS frame, for idempotent re-serve and resend.
-  std::unordered_map<index_t, Message> reply_cache;
+  // Announced DONE (so it holds every row it asked for) or died.
+  bool done = false;
+
+  [[nodiscard]] bool settled() const {
+    return done || (served && unacked == 0);
+  }
 };
 
 /// Serialize one owned row as a ROWS frame: [epoch, ROWS, v, deg, cols...].
@@ -232,10 +248,13 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
   agg.flush_all(); // phase boundary: all initial requests posted
 
   std::size_t awaiting_replies = peers.size();
-  std::size_t awaiting_acks = peers.size();
-  bool done_sent = false;
-  std::vector<bool> done_from(peers.size(), false);
+  const auto quiescent = [&] {
+    return awaiting_replies == 0 &&
+           std::all_of(peers.begin(), peers.end(),
+                       [](const PeerState& ps) { return ps.settled(); });
+  };
   std::size_t done_count = 0;
+  bool done_sent = false;
   const auto announce_done = [&] {
     if (done_sent) return;
     for (const auto& ps : peers) {
@@ -245,9 +264,27 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
     }
     done_sent = true;
   };
+  const auto mark_done = [&](PeerState& ps) {
+    if (ps.done) return;
+    ps.done = true;
+    ++done_count;
+  };
+  // Stale-epoch DONEs are stragglers from an earlier exchange: discarded.
+  const auto is_done = [&](const Message& m) {
+    return m.size() >= 2 && m[0] == epoch && m[1] == kMsgDone;
+  };
+  const auto poll_done = [&](PeerState& ps) {
+    while (!ps.done) {
+      const auto d =
+          comm.recv_deadline(ps.rank, kExchCtlTag, milliseconds(0));
+      if (!d) return;
+      if (is_done(*d)) mark_done(ps);
+    }
+  };
 
+  clock::time_point wire_time; // arrival of the wire message in hand
   const auto handle_frame = [&](index_t from, const Message& msg,
-                                std::vector<word_t>& ack_epochs) {
+                                std::vector<Message>& acks) {
     KRONLAB_REQUIRE(msg.size() >= 2, "malformed exchange message");
     const word_t msg_epoch = msg[0];
     const word_t type = msg[1];
@@ -256,34 +293,32 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
     if (type == kMsgReq) {
       KRONLAB_REQUIRE(msg.size() <= 3, "malformed REQ frame");
       if (ps && msg_epoch == epoch) {
-        if (!ps->served) {
-          ps->served = true;
-          ps->ack_timeout = cfg.timeout;
-          ps->ack_deadline = clock::now() + ps->ack_timeout;
-        }
-        if (msg.size() == 2) { // empty handshake: peer needs none of ours
-          if (ps->handshake_served) {
-            ++stats.dup_requests;
-            note_protocol("exchange/dup_request", comm.rank(), from, epoch,
-                          ps->reply_attempts);
+        // The empty handshake means the peer needs none of our rows.
+        const index_t key =
+            msg.size() == 2 ? kHandshake : static_cast<index_t>(msg[2]);
+        KRONLAB_REQUIRE(key == kHandshake || shard.owns(key),
+                        "request routed to wrong owner");
+        ps->served = true;
+        auto [cached, inserted] = ps->reply_cache.try_emplace(key);
+        if (inserted) {
+          cached->second.frame = key == kHandshake
+                                     ? Message{epoch, kMsgRows}
+                                     : build_row_frame(shard, epoch, key);
+          cached->second.acked = ps->done;
+          if (!ps->done && ps->unacked++ == 0) {
+            // First outstanding reply: start the ack clock afresh.
+            ps->reply_attempts = 0;
+            ps->ack_timeout = cfg.timeout;
+            ps->ack_deadline = wire_time + ps->ack_timeout;
           }
-          ps->handshake_served = true;
-          agg.enqueue(from, {epoch, kMsgRows});
         } else {
-          const auto v = static_cast<index_t>(msg[2]);
-          KRONLAB_REQUIRE(shard.owns(v), "request routed to wrong owner");
-          auto [cached, inserted] = ps->reply_cache.try_emplace(v);
-          if (inserted) {
-            cached->second = build_row_frame(shard, epoch, v);
-          } else {
-            // Retried row (the original REQ or our ROWS frame was lost):
-            // re-serve the cached frame idempotently.
-            ++stats.dup_requests;
-            note_protocol("exchange/dup_request", comm.rank(), from, epoch,
-                          ps->reply_attempts);
-          }
-          agg.enqueue(from, Message(cached->second));
+          // Retried request (the original REQ or our ROWS frame was
+          // lost): re-serve the cached frame idempotently.
+          ++stats.dup_requests;
+          note_protocol("exchange/dup_request", comm.rank(), from, epoch,
+                        ps->reply_attempts);
         }
+        agg.enqueue(from, Message(cached->second.frame));
       } else {
         // Straggler from an earlier exchange (or a non-member): serve
         // whatever we still own, stamped with *its* epoch — the sender
@@ -297,22 +332,22 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
       }
     } else if (type == kMsgRows) {
       bool fresh = false;
+      index_t key = kHandshake;
+      if (msg.size() > 2) {
+        KRONLAB_REQUIRE(msg.size() >= 4, "malformed ROWS frame");
+        key = static_cast<index_t>(msg[2]);
+        KRONLAB_REQUIRE(msg.size() == 4 + static_cast<std::size_t>(msg[3]),
+                        "malformed ROWS frame");
+      }
       if (ps && msg_epoch == epoch) {
-        if (msg.size() == 2) { // empty-handshake reply
+        if (key == kHandshake) {
           fresh = !ps->got_rows;
-        } else {
-          KRONLAB_REQUIRE(msg.size() >= 4, "malformed ROWS frame");
-          const auto v = static_cast<index_t>(msg[2]);
-          const auto deg = static_cast<std::size_t>(msg[3]);
-          KRONLAB_REQUIRE(msg.size() == 4 + deg, "malformed ROWS frame");
-          if (ps->pending.erase(v) > 0) {
-            std::vector<index_t> cols(deg);
-            for (std::size_t k = 0; k < deg; ++k) {
-              cols[k] = static_cast<index_t>(msg[4 + k]);
-            }
-            ghost.emplace(v, std::move(cols));
-            fresh = true;
-          }
+        } else if (ps->pending.erase(key) > 0) {
+          ghost.emplace(key, std::vector<index_t>(msg.begin() + 4, msg.end()));
+          fresh = true;
+          // The request deadline detects silence, not a bulk transfer
+          // still streaming in: each fresh row pushes it out.
+          ps->req_deadline = wire_time + ps->req_timeout;
         }
         ps->got_rows = true;
         if (!ps->have_reply && ps->pending.empty()) {
@@ -324,18 +359,38 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
         ++stats.dup_replies;
         note_protocol("exchange/dup_reply", comm.rank(), from, msg_epoch, 0);
       }
-      // Always (re-)ack with the frame's own epoch so a responder stuck
-      // on a lost ack from an earlier exchange can retire it.  Acks are
-      // collected per wire message (below), one per distinct epoch, so a
-      // re-served batch triggers one ack rather than an ack storm.
-      if (std::find(ack_epochs.begin(), ack_epochs.end(), msg_epoch) ==
-          ack_epochs.end()) {
-        ack_epochs.push_back(msg_epoch);
+      // Always (re-)ack, naming the row, with the frame's own epoch so a
+      // responder stuck on a lost ack from an earlier exchange can retire
+      // it.  Acks are collected per wire message (below), one frame per
+      // distinct epoch, so a re-served batch triggers one ack frame rather
+      // than an ack storm.
+      auto ack = std::find_if(acks.begin(), acks.end(), [&](const Message& m) {
+        return m[0] == msg_epoch;
+      });
+      if (ack == acks.end()) {
+        acks.push_back({msg_epoch, kMsgAck});
+        ack = acks.end() - 1;
       }
+      ack->push_back(key);
     } else if (type == kMsgAck) {
-      if (ps && msg_epoch == epoch && ps->served && !ps->acked) {
-        ps->acked = true;
-        --awaiting_acks;
+      KRONLAB_REQUIRE(msg.size() >= 3, "malformed ACK frame");
+      if (ps && msg_epoch == epoch) {
+        bool progress = false;
+        for (std::size_t k = 2; k < msg.size(); ++k) {
+          const auto cached =
+              ps->reply_cache.find(static_cast<index_t>(msg[k]));
+          if (cached != ps->reply_cache.end() && !cached->second.acked) {
+            cached->second.acked = true;
+            --ps->unacked;
+            progress = true;
+          }
+        }
+        if (progress && ps->unacked > 0) {
+          // Acks are still streaming in: the resend budget counts only
+          // rounds without progress.
+          ps->reply_attempts = 0;
+          ps->ack_deadline = wire_time + ps->ack_timeout;
+        }
       }
     } else {
       KRONLAB_REQUIRE(false, "unknown exchange message type");
@@ -345,44 +400,37 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
   // Process one wire message — all frames of a batch, or a lone raw
   // frame — then flush whatever replies/acks it produced.
   const auto handle_wire = [&](index_t from, std::vector<Message>&& frames) {
-    std::vector<word_t> ack_epochs;
-    for (const auto& msg : frames) handle_frame(from, msg, ack_epochs);
-    for (const word_t e : ack_epochs) agg.enqueue(from, {e, kMsgAck});
+    std::vector<Message> acks;
+    wire_time = clock::now();
+    for (const auto& msg : frames) handle_frame(from, msg, acks);
+    for (auto& ack : acks) agg.enqueue(from, std::move(ack));
     agg.flush_all();
   };
 
-  while (awaiting_replies > 0 || awaiting_acks > 0 ||
-         done_count < peers.size()) {
-    if (awaiting_replies == 0 && awaiting_acks == 0) announce_done();
-    for (std::size_t i = 0; i < peers.size(); ++i) {
-      if (done_from[i]) continue;
-      while (const auto d = comm.recv_deadline(peers[i].rank, kExchCtlTag,
-                                               milliseconds(0))) {
-        if (d->size() >= 2 && (*d)[0] == epoch && (*d)[1] == kMsgDone) {
-          done_from[i] = true;
-          ++done_count;
-          break;
-        } // stale epoch: a straggler from an earlier exchange, discard
-      }
-      if (!done_from[i] && !comm.rank_alive(peers[i].rank)) {
-        done_from[i] = true; // a dead peer will never announce
-        ++done_count;
+  for (;;) {
+    const bool lingering = quiescent();
+    if (lingering) {
+      // Locally quiescent: announce, then collect the peers' DONEs.  Until
+      // now a DONE could not end the loop, so it waited queued on the
+      // reliable control channel instead of being polled every iteration.
+      announce_done();
+      for (auto& ps : peers) poll_done(ps);
+    }
+    for (auto& ps : peers) {
+      if (!ps.done && !comm.rank_alive(ps.rank)) {
+        mark_done(ps); // a dead peer will never announce
       }
     }
-    if (awaiting_replies == 0 && awaiting_acks == 0 &&
-        done_count >= peers.size()) {
-      break;
-    }
+    if (done_count == peers.size() && quiescent()) break;
     const auto now = clock::now();
     if (now > hard_deadline) {
       std::string detail;
-      for (std::size_t i = 0; i < peers.size(); ++i) {
-        const auto& ps = peers[i];
+      for (const auto& ps : peers) {
         detail += " peer" + std::to_string(ps.rank) +
                   "[reply=" + std::to_string(ps.have_reply) +
                   ",served=" + std::to_string(ps.served) +
-                  ",acked=" + std::to_string(ps.acked) +
-                  ",done=" + std::to_string(done_from[i] ? 1 : 0) + "]";
+                  ",unacked=" + std::to_string(ps.unacked) +
+                  ",done=" + std::to_string(ps.done) + "]";
       }
       throw timeout_error("ghost-row exchange did not quiesce within the "
                           "retry horizon (rank " +
@@ -394,11 +442,28 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
     auto next = now + cfg.timeout;
     for (const auto& ps : peers) {
       if (!ps.have_reply) next = std::min(next, ps.req_deadline);
-      if (ps.served && !ps.acked) next = std::min(next, ps.ack_deadline);
+      if (!ps.done && ps.unacked > 0) next = std::min(next, ps.ack_deadline);
     }
     if (const auto due = agg.next_deadline()) next = std::min(next, *due);
-    const auto wait = std::chrono::duration_cast<milliseconds>(
+    auto wait = std::chrono::duration_cast<milliseconds>(
         std::max(next - clock::now(), clock::duration::zero()));
+    if (lingering && done_count < peers.size()) {
+      // Lingering: only DONEs — and, under faults, a straggler's retried
+      // request — can still arrive.  Serve queued data frames first;
+      // otherwise block on the control channel of the first peer that
+      // owes DONE, so its arrival ends the wait at once.
+      if (auto got = agg.recv_frames(milliseconds(0))) {
+        handle_wire(got->first, std::move(got->second));
+        continue;
+      }
+      auto& ps = *std::find_if(peers.begin(), peers.end(),
+                               [](const PeerState& p) { return !p.done; });
+      if (const auto d = comm.recv_deadline(ps.rank, kExchCtlTag, wait);
+          d && is_done(*d)) {
+        mark_done(ps);
+      }
+      wait = milliseconds(0);
+    }
     if (auto got = agg.recv_frames(wait)) {
       handle_wire(got->first, std::move(got->second));
       continue;
@@ -432,12 +497,17 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
         ps.req_timeout = backed_off(ps.req_timeout, cfg);
         ps.req_deadline = t + ps.req_timeout;
       }
-      if (ps.served && !ps.acked && t >= ps.ack_deadline) {
+      if (!ps.done && ps.unacked > 0 && t >= ps.ack_deadline) {
+        // A dead peer needs no resend, and neither does one that
+        // announced DONE, whatever ACKs of ours it lost: only here, at an
+        // expired ack deadline, is its control channel read before this
+        // rank is quiescent.
         if (!comm.rank_alive(ps.rank)) {
-          ps.acked = true; // peer died; nobody left to ack
-          --awaiting_acks;
-          continue;
+          mark_done(ps);
+        } else {
+          poll_done(ps);
         }
+        if (ps.done) continue;
         stats.backoff_seconds +=
             static_cast<double>(ps.ack_timeout.count()) / 1e3;
         if (++ps.reply_attempts > cfg.max_retries) {
@@ -449,16 +519,12 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
         ++stats.reply_resends;
         note_protocol("exchange/resend", comm.rank(), ps.rank, epoch,
                       ps.reply_attempts);
-        if (ps.handshake_served) agg.enqueue(ps.rank, {epoch, kMsgRows});
-        for (const auto& [v, frame] : ps.reply_cache) {
-          agg.enqueue(ps.rank, Message(frame));
+        // Resends stay row-granular: only replies the peer has not acked.
+        for (const auto& [key, reply] : ps.reply_cache) {
+          if (!reply.acked) agg.enqueue(ps.rank, Message(reply.frame));
         }
         ps.ack_timeout = backed_off(ps.ack_timeout, cfg);
         ps.ack_deadline = t + ps.ack_timeout;
-      }
-      if (!ps.served && !ps.acked && !comm.rank_alive(ps.rank)) {
-        ps.acked = true; // peer died before ever requesting
-        --awaiting_acks;
       }
     }
     agg.flush_all(); // phase boundary: retry sweep finished

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "kronlab/common/error.hpp"
@@ -144,78 +145,88 @@ private:
 DegreeOrder::DegreeOrder(const Adjacency& a, bool with_entry_map) {
   metrics::KernelScope scope("graph/degree_order");
   const index_t n = a.nrows();
-  orig.resize(static_cast<std::size_t>(n));
-  std::iota(orig.begin(), orig.end(), index_t{0});
-  std::sort(orig.begin(), orig.end(), [&](index_t x, index_t y) {
-    const offset_t dx = a.row_degree(x);
-    const offset_t dy = a.row_degree(y);
-    return dx != dy ? dx > dy : x < y;
-  });
-  rank.resize(static_cast<std::size_t>(n));
-  for (index_t r = 0; r < n; ++r) {
-    rank[static_cast<std::size_t>(orig[static_cast<std::size_t>(r)])] = r;
+  const auto un = static_cast<std::size_t>(n);
+
+  // Ranks by one stable counting sort over degree buckets, highest degree
+  // first: scattering ids in ascending order breaks ties by id — O(n +
+  // max degree), no comparison sort.
+  offset_t max_deg = 0;
+  for (index_t v = 0; v < n; ++v) max_deg = std::max(max_deg, a.row_degree(v));
+  std::vector<index_t> bucket(static_cast<std::size_t>(max_deg) + 2, 0);
+  for (index_t v = 0; v < n; ++v) {
+    ++bucket[static_cast<std::size_t>(max_deg - a.row_degree(v)) + 1];
+  }
+  std::partial_sum(bucket.begin(), bucket.end(), bucket.begin());
+  orig.resize(un);
+  rank.resize(un);
+  for (index_t v = 0; v < n; ++v) {
+    const index_t r =
+        bucket[static_cast<std::size_t>(max_deg - a.row_degree(v))]++;
+    orig[static_cast<std::size_t>(r)] = v;
+    rank[static_cast<std::size_t>(v)] = r;
   }
 
-  std::vector<offset_t> row_ptr(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<offset_t> row_ptr(un + 1, 0);
   for (index_t r = 0; r < n; ++r) {
     row_ptr[static_cast<std::size_t>(r) + 1] =
+        row_ptr[static_cast<std::size_t>(r)] +
         a.row_degree(orig[static_cast<std::size_t>(r)]);
-  }
-  for (index_t r = 0; r < n; ++r) {
-    row_ptr[static_cast<std::size_t>(r) + 1] +=
-        row_ptr[static_cast<std::size_t>(r)];
   }
   const auto nnz = static_cast<std::size_t>(a.nnz());
   std::vector<index_t> col_idx(nnz);
 
-  // Rows of the relabeled matrix are built sorted with a counting-sort
-  // sweep instead of per-row comparison sorts: walking target ranks c in
-  // ascending order and appending c to every row rank[v], v ∈ N(orig[c]),
-  // emits each relabeled row's columns in ascending order — O(nnz), no
-  // sort.
-  std::vector<offset_t> fill(row_ptr.begin(), row_ptr.end() - 1);
+  // Relabeled row r is N(orig[r]) mapped through rank[] and sorted in its
+  // own slice, so rows build independently on the pool.  Rows arrive in
+  // non-increasing degree order, so small fixed chunks keep the hub rows
+  // at the head from landing on one worker.
+  constexpr index_t grain = 256;
+  const auto& arp = a.row_ptr();
   if (!with_entry_map) {
-    for (index_t c = 0; c < n; ++c) {
-      for (const index_t v : a.row_cols(orig[static_cast<std::size_t>(c)])) {
-        col_idx[static_cast<std::size_t>(
-            fill[static_cast<std::size_t>(
-                rank[static_cast<std::size_t>(v)])]++)] = c;
-      }
-    }
+    parallel_for_range_dynamic(
+        0, n,
+        [&](index_t lo, index_t hi) {
+          for (index_t r = lo; r < hi; ++r) {
+            const auto cols = a.row_cols(orig[static_cast<std::size_t>(r)]);
+            index_t* out =
+                col_idx.data() + row_ptr[static_cast<std::size_t>(r)];
+            for (std::size_t e = 0; e < cols.size(); ++e) {
+              out[e] = rank[static_cast<std::size_t>(cols[e])];
+            }
+            std::sort(out, out + cols.size());
+          }
+        },
+        global_pool(), grain);
   } else {
-    // The relabeled entry written for target rank c into row rank[v] is
-    // original entry (v, orig[c]) — the *mirror* of the entry (orig[c], v)
-    // being walked.  The adjacency is structurally symmetric, so mirror
-    // offsets come from one id-order cursor sweep (row v's entries are
-    // met in ascending u as u sweeps ascending), and entry_map needs no
-    // search or sort either.
+    // Sorting (rank, original offset) pairs carries each entry's offset
+    // in row orig[r] along, so entry_map needs no search or mirror sweep.
+    // Ranks within a row are distinct, so the pair order is the rank order.
     entry_map.resize(nnz);
-    std::vector<offset_t> mirror(nnz);
-    const auto& arp = a.row_ptr();
-    std::vector<offset_t> cursor(arp.begin(), arp.end() - 1);
-    for (index_t u = 0; u < n; ++u) {
-      const auto cols = a.row_cols(u);
-      const auto base = static_cast<std::size_t>(arp[static_cast<std::size_t>(u)]);
-      for (std::size_t e = 0; e < cols.size(); ++e) {
-        mirror[base + e] = cursor[static_cast<std::size_t>(cols[e])]++;
-      }
-    }
-    for (index_t c = 0; c < n; ++c) {
-      const index_t u = orig[static_cast<std::size_t>(c)];
-      const auto cols = a.row_cols(u);
-      const auto base = static_cast<std::size_t>(arp[static_cast<std::size_t>(u)]);
-      for (std::size_t e = 0; e < cols.size(); ++e) {
-        const auto q = static_cast<std::size_t>(
-            fill[static_cast<std::size_t>(
-                rank[static_cast<std::size_t>(cols[e])])]++);
-        col_idx[q] = c;
-        entry_map[q] = mirror[base + e];
-      }
-    }
+    using Entry = std::pair<index_t, offset_t>;
+    parallel_for_range_dynamic_scratch(
+        0, n, [](std::size_t) { return std::vector<Entry>(); },
+        [&](std::vector<Entry>& row, index_t lo, index_t hi) {
+          for (index_t r = lo; r < hi; ++r) {
+            const index_t u = orig[static_cast<std::size_t>(r)];
+            const auto cols = a.row_cols(u);
+            const offset_t base = arp[static_cast<std::size_t>(u)];
+            row.resize(cols.size());
+            for (std::size_t e = 0; e < cols.size(); ++e) {
+              row[e] = {rank[static_cast<std::size_t>(cols[e])],
+                        base + static_cast<offset_t>(e)};
+            }
+            std::sort(row.begin(), row.end());
+            const auto out =
+                static_cast<std::size_t>(row_ptr[static_cast<std::size_t>(r)]);
+            for (std::size_t e = 0; e < row.size(); ++e) {
+              col_idx[out + e] = row[e].first;
+              entry_map[out + e] = row[e].second;
+            }
+          }
+        },
+        global_pool(), grain);
   }
-  relabeled =
-      Adjacency(n, n, std::move(row_ptr), std::move(col_idx),
-                std::vector<count_t>(static_cast<std::size_t>(a.nnz()), 1));
+  relabeled = Adjacency(n, n, std::move(row_ptr), std::move(col_idx),
+                        std::vector<count_t>(nnz, 1));
 }
 
 grb::Vector<count_t> vertex_butterflies_blocked(const Adjacency& a) {

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "kronlab/gen/random_bipartite.hpp"
@@ -104,6 +108,118 @@ TEST(DegreeOrder, EntryMapScattersRankEntriesToOriginalOffsets) {
     }
   }
 }
+
+// -------------------------------------------------------------------------
+// Parallel relabel: DegreeOrder builds rows independently on the pool; it
+// must reproduce, array for array, the serial build it replaced (a
+// comparison sort for the ranks plus one counting sweep that emits every
+// relabeled row already sorted, with entry_map from a mirror-cursor pass).
+
+struct SerialOrder {
+  std::vector<index_t> rank, orig;
+  std::vector<offset_t> row_ptr;
+  std::vector<index_t> col_idx;
+  std::vector<offset_t> entry_map;
+};
+
+SerialOrder serial_degree_order(const Adjacency& a, bool with_entry_map) {
+  const index_t n = a.nrows();
+  const auto un = static_cast<std::size_t>(n);
+  SerialOrder o;
+  o.orig.resize(un);
+  std::iota(o.orig.begin(), o.orig.end(), index_t{0});
+  std::sort(o.orig.begin(), o.orig.end(), [&](index_t x, index_t y) {
+    const offset_t dx = a.row_degree(x);
+    const offset_t dy = a.row_degree(y);
+    return dx != dy ? dx > dy : x < y;
+  });
+  o.rank.resize(un);
+  for (index_t r = 0; r < n; ++r) o.rank[o.orig[r]] = r;
+  o.row_ptr.assign(un + 1, 0);
+  for (index_t r = 0; r < n; ++r) {
+    o.row_ptr[r + 1] = o.row_ptr[r] + a.row_degree(o.orig[r]);
+  }
+  const auto nnz = static_cast<std::size_t>(a.nnz());
+  o.col_idx.resize(nnz);
+  std::vector<offset_t> fill(o.row_ptr.begin(), o.row_ptr.end() - 1);
+  const auto& arp = a.row_ptr();
+  std::vector<offset_t> mirror(nnz);
+  if (with_entry_map) {
+    o.entry_map.resize(nnz);
+    std::vector<offset_t> cursor(arp.begin(), arp.end() - 1);
+    for (index_t u = 0; u < n; ++u) {
+      const auto cols = a.row_cols(u);
+      for (std::size_t e = 0; e < cols.size(); ++e) {
+        mirror[static_cast<std::size_t>(arp[u]) + e] = cursor[cols[e]]++;
+      }
+    }
+  }
+  for (index_t c = 0; c < n; ++c) {
+    const index_t u = o.orig[c];
+    const auto cols = a.row_cols(u);
+    for (std::size_t e = 0; e < cols.size(); ++e) {
+      const auto q = static_cast<std::size_t>(fill[o.rank[cols[e]]]++);
+      o.col_idx[q] = c;
+      if (with_entry_map) {
+        o.entry_map[q] = mirror[static_cast<std::size_t>(arp[u]) + e];
+      }
+    }
+  }
+  return o;
+}
+
+std::vector<std::pair<std::string, Adjacency>> relabel_cases() {
+  std::vector<std::pair<std::string, Adjacency>> cases;
+  cases.emplace_back("empty", graph::from_undirected_edges(0, {}));
+  // Every vertex has degree 2 or 3: rank order is decided by ties alone.
+  std::vector<std::pair<index_t, index_t>> ties;
+  for (index_t v = 0; v < 600; ++v) ties.emplace_back(v, (v + 1) % 600);
+  for (index_t v = 0; v < 600; v += 3) ties.emplace_back(v, (v + 300) % 600);
+  cases.emplace_back("ties", graph::from_undirected_edges(600, ties));
+  // Isolated vertices interleaved with a sparse matching.
+  std::vector<std::pair<index_t, index_t>> sparse;
+  for (index_t v = 0; v + 7 < 900; v += 7) sparse.emplace_back(v, v + 5);
+  cases.emplace_back("isolated", graph::from_undirected_edges(900, sparse));
+  // One hub adjacent to everything, over a random sparse remainder.
+  Rng rng(7300);
+  std::vector<std::pair<index_t, index_t>> hub;
+  for (index_t v = 1; v < 1000; ++v) hub.emplace_back(0, v);
+  for (int e = 0; e < 2000; ++e) {
+    const auto x = static_cast<index_t>(1 + rng.next_below(999));
+    const auto y = static_cast<index_t>(1 + rng.next_below(999));
+    if (x != y) hub.emplace_back(x, y);
+  }
+  cases.emplace_back("hub", graph::from_undirected_edges(1000, hub));
+  cases.emplace_back("preferential",
+                     gen::preferential_bipartite(400, 500, 4000, rng));
+  for (int id = 0; id < 6; ++id) {
+    cases.emplace_back("seeded" + std::to_string(id), seeded_graph(id));
+  }
+  return cases;
+}
+
+class DegreeOrderWidthTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(DegreeOrderWidthTest, MatchesSerialCountingSweep) {
+  ThreadPool pool(GetParam());
+  ScopedPoolOverride guard(pool);
+  for (const auto& [name, a] : relabel_cases()) {
+    for (const bool with_entry_map : {false, true}) {
+      const auto want = serial_degree_order(a, with_entry_map);
+      const graph::DegreeOrder got(a, with_entry_map);
+      const std::string where = name + (with_entry_map ? " +map" : "") +
+                                " width " + std::to_string(GetParam());
+      EXPECT_EQ(got.rank, want.rank) << where;
+      EXPECT_EQ(got.orig, want.orig) << where;
+      EXPECT_EQ(got.relabeled.row_ptr(), want.row_ptr) << where;
+      EXPECT_EQ(got.relabeled.col_idx(), want.col_idx) << where;
+      EXPECT_EQ(got.entry_map, want.entry_map) << where;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolWidths, DegreeOrderWidthTest,
+                         ::testing::Values(1, 8));
 
 // -------------------------------------------------------------------------
 // Kernel layer: blocked == reference, bit for bit, at every pool width.

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "kronlab/dist/comm.hpp"
 #include "kronlab/dist/sharded.hpp"
@@ -161,6 +162,51 @@ TEST(Comm, DeadlineExpiryReleasesDelayedMessages) {
       ASSERT_TRUE(got.has_value());
       EXPECT_EQ(*got, (Message{42}));
       EXPECT_EQ(comm.fault_stats().delayed, 1);
+    }
+  });
+}
+
+TEST(Comm, ZeroTimeoutReceiveIsAPollThatStillReleasesDelayed) {
+  // A zero timeout never enters the timed wait, yet an empty queue still
+  // releases parked messages exactly as an expired deadline does: the
+  // first poll (nothing queued on its tag) flushes the parked message and
+  // the second returns it.
+  FaultPlan plan;
+  plan.delay = 1.0;
+  plan.delay_deliveries = 1000; // parked until a receive flushes it
+  run(2, plan, [](Comm& comm) {
+    if (comm.rank() == 0) {
+      comm.send(1, 3, {42});
+      comm.barrier();
+    } else {
+      comm.barrier();
+      EXPECT_FALSE(
+          comm.recv_deadline(0, 4, std::chrono::milliseconds(0)).has_value());
+      const auto got = comm.recv_deadline(0, 3, std::chrono::milliseconds(0));
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(*got, (Message{42}));
+      const auto any = comm.recv_any(3, std::chrono::milliseconds(0));
+      EXPECT_FALSE(any.has_value());
+    }
+  });
+}
+
+TEST(Comm, RecvAnyServesSendersRoundRobin) {
+  // Ranks 0 and 1 each queue three messages for rank 2 before it drains:
+  // an any-sender receive must alternate between them rather than drain
+  // rank 0's backlog first, or a busy low rank starves the others.
+  run(3, [](Comm& comm) {
+    if (comm.rank() < 2) {
+      for (word_t i = 0; i < 3; ++i) comm.send(2, 3, {comm.rank(), i});
+      comm.barrier();
+    } else {
+      comm.barrier();
+      std::vector<index_t> order;
+      while (const auto got = comm.recv_any(3, std::chrono::milliseconds(0))) {
+        EXPECT_EQ(got->second.at(0), got->first);
+        order.push_back(got->first);
+      }
+      EXPECT_EQ(order, (std::vector<index_t>{0, 1, 0, 1, 0, 1}));
     }
   });
 }
