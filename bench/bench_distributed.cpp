@@ -6,16 +6,15 @@
 // the three-way agreement (distributed count == factored ground truth ==
 // serial recount).
 
+#include <stdlib.h> // mkdtemp (POSIX)
+
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "harness/harness.hpp"
-#include "kronlab/common/registry.hpp"
 #include "kronlab/common/timer.hpp"
 #include "kronlab/dist/sharded.hpp"
 #include "kronlab/gen/random_bipartite.hpp"
@@ -26,23 +25,7 @@
 using namespace kronlab;
 
 int main(int argc, char** argv) {
-  // --no-aggregate (this bench only) forces the per-row ghost exchange
-  // for every default-configured run below — the A/B escape hatch.  The
-  // flag is peeled off before parse_args, which exits on unknown args.
-  bool no_aggregate = false;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (i > 0 && std::strcmp(argv[i], "--no-aggregate") == 0) {
-      no_aggregate = true;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  if (no_aggregate) setenv(kronlab::env::kNoAggregate, "1", 1);
-  bench::Harness h("distributed", bench::parse_args(
-                                      static_cast<int>(args.size()),
-                                      args.data()));
-  h.label("aggregation", no_aggregate ? "off (per-row)" : "on");
+  bench::Harness h("distributed", bench::parse_args(argc, argv));
   std::printf("== distributed generation + validated counting ==\n\n");
 
   Rng rng(515);
@@ -104,38 +87,35 @@ int main(int argc, char** argv) {
   h.counter("rank_sweeps_exact", 1.0);
 
   // -------------------------------------------------------------------
-  // Aggregated vs per-row ghost exchange at the highest rank count of the
-  // sweep, clean and under the 3% fault plan.  This is the Grappa
-  // RDMAAggregator story in miniature: identical protocol, identical row
-  // payloads — the only difference is whether frames bound for one rank
-  // coalesce into batched wire messages or each pay their own envelope.
-  const index_t ab_ranks = rank_counts.back();
-  std::printf("\n== aggregated vs per-row ghost exchange (%lld ranks) ==\n\n",
-              static_cast<long long>(ab_ranks));
-  const kron::PartitionedStream ab_ps(kp, ab_ranks);
-  dist::FaultPlan ab_plan;
-  ab_plan.seed = 7;
-  ab_plan.drop = 0.03;
-  ab_plan.duplicate = 0.01;
+  // The aggregated ghost exchange at the highest rank count of the sweep,
+  // clean and under the 3% fault plan, with its batching counters: frames
+  // bound for one rank coalesce into batched wire messages (the Grappa
+  // RDMAAggregator story in miniature).
+  const index_t ex_ranks = rank_counts.back();
+  std::printf("\n== aggregated ghost exchange (%lld ranks) ==\n\n",
+              static_cast<long long>(ex_ranks));
+  const kron::PartitionedStream ex_ps(kp, ex_ranks);
+  dist::FaultPlan ex_plan;
+  ex_plan.seed = 7;
+  ex_plan.drop = 0.03;
+  ex_plan.duplicate = 0.01;
 
-  struct AbResult {
+  struct ExchangeResult {
     double secs = -1.0;
     bool exact = false;
     dist::ExchangeStats xs; // summed across ranks, best rep
   };
-  const auto run_exchange = [&](bool aggregate, bool faulted) {
-    dist::AggregatorOptions opt;
-    opt.enabled = aggregate;
-    AbResult best;
+  const auto run_exchange = [&](bool faulted) {
+    ExchangeResult best;
     for (int rep = 0; rep < 3; ++rep) { // best-of-3 absorbs scheduler noise
       std::mutex mu;
       dist::ExchangeStats sum;
       count_t counted = -1;
       const auto body = [&](dist::Comm& comm) {
-        const auto shard = dist::generate_shard(kp, ab_ps, comm.rank());
+        const auto shard = dist::generate_shard(kp, ex_ps, comm.rank());
         dist::ExchangeStats xs;
         const count_t c =
-            dist::distributed_global_butterflies(comm, shard, {}, &xs, opt);
+            dist::distributed_global_butterflies(comm, shard, {}, &xs);
         const std::lock_guard<std::mutex> lock(mu);
         sum.retries += xs.retries;
         sum.reply_resends += xs.reply_resends;
@@ -146,9 +126,9 @@ int main(int argc, char** argv) {
       };
       Timer t;
       if (faulted) {
-        dist::run(ab_ranks, ab_plan, body);
+        dist::run(ex_ranks, ex_plan, body);
       } else {
-        dist::run(ab_ranks, body);
+        dist::run(ex_ranks, body);
       }
       const double secs = t.seconds();
       if (best.secs < 0 || secs < best.secs) {
@@ -161,44 +141,28 @@ int main(int argc, char** argv) {
   };
 
   const auto edges = static_cast<double>(kp.num_edges());
-  bool ab_exact = true;
-  bool ab_wins = true;
+  bool ex_exact = true;
   for (const bool faulted : {false, true}) {
-    const auto agg = run_exchange(/*aggregate=*/true, faulted);
-    const auto row = run_exchange(/*aggregate=*/false, faulted);
+    const auto agg = run_exchange(faulted);
     const char* kind = faulted ? "faulted" : "clean";
-    const double speedup = agg.secs > 0 ? row.secs / agg.secs : 0.0;
-    std::printf("%-7s: aggregated %s (%s edges/s) | per-row %s "
-                "(%s edges/s) | speedup %.2fx\n",
-                kind, format_duration(agg.secs).c_str(),
-                format_count(static_cast<count_t>(edges / agg.secs)).c_str(),
-                format_duration(row.secs).c_str(),
-                format_count(static_cast<count_t>(edges / row.secs)).c_str(),
-                speedup);
+    std::printf("%-7s: %s (%s edges/s)\n", kind,
+                format_duration(agg.secs).c_str(),
+                format_count(static_cast<count_t>(edges / agg.secs)).c_str());
     std::printf("         %s frames -> %s batches (%s coalesced, %s raw); "
-                "flushes cap/ddl/man=%s/%s/%s; ~%s envelope bytes saved\n",
+                "flushes cap/man=%s/%s\n",
                 format_count(agg.xs.agg.frames_enqueued).c_str(),
                 format_count(agg.xs.agg.batches_sent).c_str(),
                 format_count(agg.xs.agg.rows_coalesced).c_str(),
                 format_count(agg.xs.agg.single_flushes).c_str(),
                 format_count(agg.xs.agg.capacity_flushes).c_str(),
-                format_count(agg.xs.agg.deadline_flushes).c_str(),
-                format_count(agg.xs.agg.manual_flushes).c_str(),
-                format_count(agg.xs.agg.bytes_saved).c_str());
+                format_count(agg.xs.agg.manual_flushes).c_str());
     h.time_value(std::string("exchange_aggregated_") + kind, agg.secs);
-    h.time_value(std::string("exchange_per_row_") + kind, row.secs);
-    h.counter(std::string("agg_speedup_") + kind, speedup);
     h.counter(std::string("agg_edges_per_sec_") + kind,
               agg.secs > 0 ? edges / agg.secs : 0.0);
-    ab_exact = ab_exact && agg.exact && row.exact;
-    ab_wins = ab_wins && agg.secs < row.secs;
+    ex_exact = ex_exact && agg.exact;
   }
-  h.counter("agg_exchange_exact", ab_exact ? 1.0 : 0.0);
-  h.counter("agg_beats_per_row", ab_wins ? 1.0 : 0.0);
-  // The acceptance bar: identical counts in both modes, and aggregation
-  // strictly faster (the observed margin is an order of magnitude, so
-  // this is not a knife-edge comparison).
-  if (!ab_exact || !ab_wins) return 1;
+  h.counter("agg_exchange_exact", ex_exact ? 1.0 : 0.0);
+  if (!ex_exact) return 1;
 
   // -------------------------------------------------------------------
   // Fault-injected recovery: the same pipeline under a hostile network
@@ -208,13 +172,19 @@ int main(int argc, char** argv) {
   std::printf("\n== fault-injected recovery (supervised pipeline) ==\n\n");
 
   const index_t ft_ranks = 4;
-  const auto ckpt_dir =
-      std::filesystem::temp_directory_path() / "kronlab_bench_ckpt";
-  std::filesystem::remove_all(ckpt_dir);
-  std::filesystem::create_directories(ckpt_dir);
+  // A directory of this process's own, so concurrent bench runs never
+  // share or delete each other's checkpoints.
+  std::string ckpt_root = (std::filesystem::temp_directory_path() /
+                           "kronlab_bench_ckpt_XXXXXX")
+                              .string();
+  if (::mkdtemp(ckpt_root.data()) == nullptr) {
+    std::perror("bench_distributed: mkdtemp");
+    return 1;
+  }
   dist::CheckpointConfig ckpt;
-  ckpt.dir = ckpt_dir.string();
+  ckpt.dir = ckpt_root + "/clean";
   ckpt.interval_left_rows = 2;
+  std::filesystem::create_directories(ckpt.dir);
 
   dist::RecoveryReport clean_rep;
   Timer t_clean;
@@ -230,8 +200,8 @@ int main(int argc, char** argv) {
               clean_rep.verified ? "yes" : "NO",
               format_count(clean_rep.checkpoints_written).c_str());
 
-  std::filesystem::remove_all(ckpt_dir);
-  std::filesystem::create_directories(ckpt_dir);
+  ckpt.dir = ckpt_root + "/faulted";
+  std::filesystem::create_directories(ckpt.dir);
   dist::FaultPlan plan;
   plan.seed = 1;
   plan.drop = 0.03;
@@ -248,7 +218,7 @@ int main(int argc, char** argv) {
     if (comm.rank() == 0) rep = r;
   });
   const double fault_s = t_fault.seconds();
-  std::filesystem::remove_all(ckpt_dir);
+  std::filesystem::remove_all(ckpt_root);
 
   std::string dead;
   for (const auto r : rep.dead_ranks) {

@@ -147,23 +147,18 @@ TimingStats Harness::time_value(const std::string& section, double seconds) {
 
 void Harness::fold_registry(bool into_last) {
   const auto snap = metrics::snapshot();
-  const auto counters = metrics::counters_snapshot();
-  if (snap.empty() && counters.empty()) return;
+  if (snap.empty()) return;
   metrics::reset();
   for (const auto& [kernel, stats] : snap) {
     metrics::merge(total_[kernel], stats);
     if (into_last) metrics::merge(last_[kernel], stats);
-  }
-  for (const auto& [name, value] : counters) {
-    total_counters_[name] += value;
-    if (into_last) last_counters_[name] += value;
   }
 }
 
 std::string Harness::metrics_report() {
   // Same fold as write(), so the JSON written afterwards is unchanged.
   fold_registry(/*into_last=*/last_.empty());
-  return metrics::report_text(total_, total_counters_);
+  return metrics::report_text(total_);
 }
 
 void Harness::fold_obs_stats() {
@@ -245,10 +240,9 @@ std::string Harness::to_json() const {
   }
   out += labels_.empty() ? "},\n" : "\n  },\n";
 
-  out += "  \"parallel_metrics\": " +
-         metrics::report_json(last_, last_counters_) + ",\n";
-  out += "  \"parallel_metrics_total\": " +
-         metrics::report_json(total_, total_counters_) + "\n";
+  out += "  \"parallel_metrics\": " + metrics::report_json(last_) + ",\n";
+  out += "  \"parallel_metrics_total\": " + metrics::report_json(total_) +
+         "\n";
   out += "}\n";
   return out;
 }
@@ -264,9 +258,6 @@ void Harness::export_trace() {
                    stats.busy_seconds);
     trace::counter("metrics", trace::intern(kernel + ".calls"),
                    static_cast<double>(stats.calls));
-  }
-  for (const auto& [name, value] : total_counters_) {
-    trace::counter("metrics", trace::intern(name), value);
   }
   const auto events = trace::snapshot();
   try {

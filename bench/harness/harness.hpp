@@ -147,10 +147,6 @@ private:
   std::map<std::string, std::string> labels_;
   std::map<std::string, metrics::KernelStats> last_;  ///< final reps only
   std::map<std::string, metrics::KernelStats> total_; ///< every rep
-  /// Named metrics counters (metrics::counter_add — e.g. the dist
-  /// aggregator's agg_* flush counters), folded like the kernel registry.
-  std::map<std::string, double> last_counters_;
-  std::map<std::string, double> total_counters_;
   std::string trace_dir_;
   bool written_ = false;
 };

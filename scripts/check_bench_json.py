@@ -120,18 +120,6 @@ def check_file(path):
             check_fields(k, KERNEL, where)
             require(k["calls"] >= 1, f"{where}: calls < 1")
             calls[k["name"]] = k["calls"]
-        # Named metrics counters (metrics::counter_add) are optional —
-        # present only when a subsystem published any — but when present
-        # they must be a finite-number map.
-        if "counters" in pm:
-            require(isinstance(pm["counters"], dict),
-                    f"{path}: {field}.counters is not an object")
-            for key, val in pm["counters"].items():
-                where = f"{path}: {field}.counters['{key}']"
-                require(
-                    isinstance(val, (int, float)) and not isinstance(val, bool),
-                    f"{where}: not a number")
-                require(math.isfinite(float(val)), f"{where}: not finite")
     # The final-rep snapshot is a subset of the whole-run total.
     for name, calls in last_calls.items():
         require(name in total_calls,

@@ -15,8 +15,8 @@ What is compared — and why these metrics and not wall times:
   * Within-run ratios (speedups, overhead multipliers) divide two timings
     taken in the same process on the same machine, so they transfer
     between the committing machine and any CI runner.  These carry the
-    tight 15% band: a >15% drop in, say, the aggregated-vs-per-row
-    exchange speedup means the aggregation layer itself regressed.
+    tight 15% band by default: a >15% drop in, say, a blocked-kernel
+    speedup means that kernel itself regressed.
   * Correctness booleans (counts exact, stores bit-identical) must never
     change at all.
   * Absolute throughput (edges/s) does depend on the host, so it gets a
@@ -65,17 +65,12 @@ class Metric:
 # schema itself is check_bench_json.py's job.
 SPECS: dict[str, list[Metric]] = {
     "distributed": [
-        # The tentpole ratio: aggregated vs per-row ghost exchange, same
-        # process, same instance.  A drop means batching stopped paying.
-        Metric("agg_speedup_clean", "higher"),
-        Metric("agg_speedup_faulted", "higher"),
         # Supervised-recovery cost relative to the clean supervised run.
         # Recovery replays generation blocks, so this is timing-noisy:
         # wide band, still catches a recovery path that stops converging.
         Metric("recovery_overhead_x", "lower", rel_tol=0.50),
         Metric("agg_edges_per_sec_clean", "higher", rel_tol=0.50),
         Metric("agg_edges_per_sec_faulted", "higher", rel_tol=0.50),
-        Metric("agg_beats_per_row", "bool"),
         Metric("agg_exchange_exact", "bool"),
         Metric("faulted_run_verified", "bool"),
         Metric("rank_sweeps_exact", "bool"),

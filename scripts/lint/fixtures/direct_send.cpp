@@ -2,9 +2,9 @@
 // LINT-AS: src/kronlab/dist/sharded.cpp
 //
 // Application frames leaving the sharded exchange must go through
-// dist::Aggregator — a direct Comm::send bypasses batching, the flush
-// counters, and the --no-aggregate escape hatch.  Control-channel sends
-// that legitimately stay unaggregated carry an allow marker saying why.
+// dist::Aggregator — a direct Comm::send bypasses batching and the flush
+// counters.  Control-channel sends that legitimately stay unaggregated
+// carry an allow marker saying why.
 // Aggregator method calls and sends from other dist/ files must NOT trip.
 
 struct Comm {

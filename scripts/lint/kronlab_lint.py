@@ -27,9 +27,9 @@ Rules (regex/AST-lite over comment- and string-stripped source):
                      on purpose.
   dist-send          No direct `Comm::send` calls from the sharded exchange
                      (src/kronlab/dist/sharded.cpp): application frames must
-                     route through dist::Aggregator so batching, flush-reason
-                     accounting, and the --no-aggregate escape hatch stay the
-                     single send path.  Control-channel sends that genuinely
+                     route through dist::Aggregator so batching and
+                     flush-reason accounting stay on the single send path.
+                     Control-channel sends that genuinely
                      bypass aggregation carry an explicit
                      `kronlab-lint: allow(dist-send)` with a why.
   obs-log            No ad-hoc printf-family diagnostics: in src/ any

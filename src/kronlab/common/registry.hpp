@@ -45,9 +45,6 @@ inline constexpr const char* kStats = "KRONLAB_STATS";
 /// Structured-log threshold: debug|info|warn|error|off (default info).
 inline constexpr const char* kLog = "KRONLAB_LOG";
 
-/// Disable ghost-row message aggregation (per-row exchange fallback).
-inline constexpr const char* kNoAggregate = "KRONLAB_NO_AGGREGATE";
-
 /// Scale fault-injection probabilities in the fault test suites
 /// (tests read it directly; defined here so the name has one home).
 inline constexpr const char* kFaultRate = "KRONLAB_FAULT_RATE";

@@ -1,46 +1,13 @@
 #include "kronlab/dist/aggregator.hpp"
 
-#include <cstdlib>
 #include <string>
 #include <utility>
 
 #include "kronlab/common/error.hpp"
-#include "kronlab/common/registry.hpp"
 #include "kronlab/obs/stats.hpp"
 #include "kronlab/obs/trace.hpp"
-#include "kronlab/parallel/metrics.hpp"
 
 namespace kronlab::dist {
-
-namespace {
-
-/// Modeled per-wire-message envelope cost, used for the bytes_saved
-/// counter.  In the simulated runtime each Comm::send pays a vector
-/// allocation, a deque node, and a mailbox lock round; in an MPI port it
-/// would be the eager-protocol header plus an injection-rate slot.  64
-/// bytes is the conventional ballpark for both — the counter is a model,
-/// not a measurement, and DESIGN.md §13 says so.
-constexpr count_t kEnvelopeBytes = 64;
-constexpr count_t kWordBytes = static_cast<count_t>(sizeof(word_t));
-
-const char* reason_name(int r) {
-  switch (r) {
-    case 0: return "capacity";
-    case 1: return "deadline";
-    default: return "manual";
-  }
-}
-
-} // namespace
-
-AggregatorOptions AggregatorOptions::from_env() {
-  AggregatorOptions opt;
-  const char* env = std::getenv(kronlab::env::kNoAggregate);
-  if (env != nullptr && env[0] != '\0' && env[0] != '0') {
-    opt.enabled = false;
-  }
-  return opt;
-}
 
 void AggregatorStats::merge(const AggregatorStats& other) {
   frames_enqueued += other.frames_enqueued;
@@ -48,17 +15,11 @@ void AggregatorStats::merge(const AggregatorStats& other) {
   single_flushes += other.single_flushes;
   batches_sent += other.batches_sent;
   capacity_flushes += other.capacity_flushes;
-  deadline_flushes += other.deadline_flushes;
   manual_flushes += other.manual_flushes;
-  bytes_saved += other.bytes_saved;
 }
 
-Aggregator::Aggregator(Comm& comm, int tag, AggregatorOptions opt)
-    : comm_(comm), tag_(tag), opt_(opt),
-      buffers_(static_cast<std::size_t>(comm.size())) {
-  KRONLAB_REQUIRE(opt_.capacity_words > 0,
-                  "aggregator capacity must be positive");
-}
+Aggregator::Aggregator(Comm& comm, int tag)
+    : comm_(comm), tag_(tag), buffers_(static_cast<std::size_t>(comm.size())) {}
 
 Aggregator::~Aggregator() { flush_all(); }
 
@@ -93,23 +54,13 @@ void Aggregator::enqueue(index_t to, Message frame) {
   KRONLAB_REQUIRE(!frame.empty() && frame.front() >= 0,
                   "aggregated frames must start with a non-negative word");
   ++stats_.frames_enqueued;
-  if (!opt_.enabled) {
-    // Escape hatch: the per-row baseline.  Every frame is its own wire
-    // message, accounted as a single flush so the enqueued ==
-    // coalesced + singles invariant holds in both modes.
-    ++stats_.single_flushes;
-    comm_.send(to, tag_, std::move(frame));
-    return;
-  }
   auto& buf = buffers_[static_cast<std::size_t>(to)];
-  if (!buf.frames.empty() &&
-      buf.words + frame.size() > opt_.capacity_words) {
+  if (!buf.frames.empty() && buf.words + frame.size() > kCapacityWords) {
     flush_buffer(to, buf, FlushReason::capacity);
   }
-  if (buf.frames.empty()) buf.oldest = clock::now();
   buf.words += frame.size();
   buf.frames.push_back(std::move(frame));
-  if (buf.words >= opt_.capacity_words) {
+  if (buf.words >= kCapacityWords) {
     flush_buffer(to, buf, FlushReason::capacity);
   }
 }
@@ -118,7 +69,6 @@ void Aggregator::flush_buffer(index_t to, Buffer& buf, FlushReason reason) {
   if (buf.frames.empty()) return;
   switch (reason) {
     case FlushReason::capacity: ++stats_.capacity_flushes; break;
-    case FlushReason::deadline: ++stats_.deadline_flushes; break;
     case FlushReason::manual: ++stats_.manual_flushes; break;
   }
   static obs::Counter& flush_counter = obs::counter("dist/agg_flushes");
@@ -132,11 +82,12 @@ void Aggregator::flush_buffer(index_t to, Buffer& buf, FlushReason reason) {
                       " dest=" + std::to_string(to) +
                       " frames=" + std::to_string(buf.frames.size()) +
                       " words=" + std::to_string(buf.words) + " reason=" +
-                      reason_name(static_cast<int>(reason))));
+                      (reason == FlushReason::capacity ? "capacity"
+                                                       : "manual")));
   }
   if (buf.frames.size() == 1) {
     // A lone frame ships raw — zero framing overhead, byte-identical to
-    // the unaggregated path.
+    // an unbatched send.
     ++stats_.single_flushes;
     comm_.send(to, tag_, std::move(buf.frames.front()));
   } else {
@@ -151,10 +102,6 @@ void Aggregator::flush_buffer(index_t to, Buffer& buf, FlushReason reason) {
     }
     stats_.rows_coalesced += n;
     ++stats_.batches_sent;
-    // n frames in one envelope instead of n: n-1 envelopes saved, minus
-    // the batch header (magic + count + one length word per frame).
-    stats_.bytes_saved +=
-        (n - 1) * kEnvelopeBytes - (2 + n) * kWordBytes;
     comm_.send(to, tag_, std::move(batch));
   }
   buf.frames.clear();
@@ -173,27 +120,6 @@ void Aggregator::flush_all() {
   }
 }
 
-std::optional<Aggregator::clock::time_point> Aggregator::next_deadline()
-    const {
-  std::optional<clock::time_point> next;
-  for (const auto& buf : buffers_) {
-    if (buf.frames.empty()) continue;
-    const auto due = buf.oldest + opt_.deadline;
-    if (!next || due < *next) next = due;
-  }
-  return next;
-}
-
-void Aggregator::poll() {
-  const auto now = clock::now();
-  for (index_t r = 0; r < static_cast<index_t>(buffers_.size()); ++r) {
-    auto& buf = buffers_[static_cast<std::size_t>(r)];
-    if (!buf.frames.empty() && now >= buf.oldest + opt_.deadline) {
-      flush_buffer(r, buf, FlushReason::deadline);
-    }
-  }
-}
-
 std::optional<std::pair<index_t, std::vector<Message>>>
 Aggregator::recv_frames(std::chrono::milliseconds timeout) {
   auto got = comm_.recv_any(tag_, timeout);
@@ -204,26 +130,6 @@ Aggregator::recv_frames(std::chrono::milliseconds timeout) {
   std::vector<Message> one;
   one.push_back(std::move(got->second));
   return std::make_pair(got->first, std::move(one));
-}
-
-void Aggregator::publish_metrics() const {
-  if (!metrics::enabled()) return;
-  metrics::counter_add("agg_frames_enqueued",
-                       static_cast<double>(stats_.frames_enqueued));
-  metrics::counter_add("agg_rows_coalesced",
-                       static_cast<double>(stats_.rows_coalesced));
-  metrics::counter_add("agg_single_flushes",
-                       static_cast<double>(stats_.single_flushes));
-  metrics::counter_add("agg_batches_sent",
-                       static_cast<double>(stats_.batches_sent));
-  metrics::counter_add("agg_capacity_flushes",
-                       static_cast<double>(stats_.capacity_flushes));
-  metrics::counter_add("agg_deadline_flushes",
-                       static_cast<double>(stats_.deadline_flushes));
-  metrics::counter_add("agg_manual_flushes",
-                       static_cast<double>(stats_.manual_flushes));
-  metrics::counter_add("agg_bytes_saved",
-                       static_cast<double>(stats_.bytes_saved));
 }
 
 } // namespace kronlab::dist

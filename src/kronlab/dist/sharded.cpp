@@ -199,8 +199,7 @@ Message build_row_frame(const Shard& shard, word_t epoch, index_t v) {
 std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
     Comm& comm, const Shard& shard, const std::vector<index_t>& members,
     const std::vector<std::vector<index_t>>& needed, word_t epoch,
-    const RetryConfig& cfg, const AggregatorOptions& agg_opt,
-    ExchangeStats& stats) {
+    const RetryConfig& cfg, ExchangeStats& stats) {
   trace::Span exchange_span(
       "dist", "ghost_exchange",
       trace::enabled()
@@ -211,7 +210,7 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
   obs::LatencyScope epoch_latency(epoch_hist);
   obs::StallGuard stall_guard("dist/exchange_epoch");
   std::unordered_map<index_t, std::vector<index_t>> ghost;
-  Aggregator agg(comm, kExchTag, agg_opt);
+  Aggregator agg(comm, kExchTag);
   std::vector<PeerState> peers;
   std::unordered_map<index_t, std::size_t> peer_pos;
   for (std::size_t i = 0; i < members.size(); ++i) {
@@ -437,14 +436,13 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
                           std::to_string(comm.rank()) + ":" + detail + ")");
     }
     // Earliest pending deadline, capped so liveness is re-checked often.
-    // The aggregator's flush deadline caps the wait too, so buffered
-    // frames never outlive their age budget while we block on receive.
+    // Nothing is buffered in the aggregator here: every enqueue above was
+    // followed by a flush_all(), so a blocking receive strands no frame.
     auto next = now + cfg.timeout;
     for (const auto& ps : peers) {
       if (!ps.have_reply) next = std::min(next, ps.req_deadline);
       if (!ps.done && ps.unacked > 0) next = std::min(next, ps.ack_deadline);
     }
-    if (const auto due = agg.next_deadline()) next = std::min(next, *due);
     auto wait = std::chrono::duration_cast<milliseconds>(
         std::max(next - clock::now(), clock::duration::zero()));
     if (lingering && done_count < peers.size()) {
@@ -468,7 +466,6 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
       handle_wire(got->first, std::move(got->second));
       continue;
     }
-    agg.poll(); // flush buffers whose oldest frame aged past the deadline
     // Deadline sweep.
     const auto t = clock::now();
     for (auto& ps : peers) {
@@ -535,7 +532,6 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
   announce_done();
   agg.flush_all(); // drain before folding the flush-reason counters
   stats.agg.merge(agg.stats());
-  agg.publish_metrics();
   return ghost;
 }
 
@@ -587,8 +583,7 @@ Shard generate_shard_checkpointed(Comm& comm,
 
 count_t distributed_global_butterflies(Comm& comm, const Shard& shard,
                                        const RetryConfig& retry,
-                                       ExchangeStats* stats,
-                                       const AggregatorOptions& agg_opt) {
+                                       ExchangeStats* stats) {
   KRONLAB_TRACE_SPAN("dist", "distributed_butterflies");
   const word_t epoch = comm.next_epoch();
   const auto members = comm.live_ranks();
@@ -631,7 +626,7 @@ count_t distributed_global_butterflies(Comm& comm, const Shard& shard,
   // ---- phase 2: fault-tolerant ghost-row exchange ---------------------
   ExchangeStats local_stats;
   const auto ghost = exchange_ghost_rows(comm, shard, members, needed,
-                                         epoch, retry, agg_opt, local_stats);
+                                         epoch, retry, local_stats);
   if (stats) *stats = local_stats;
   // The exchange quiesced, but a member may have died after serving us;
   // the reduction below needs every member, so surface it as a typed
@@ -719,7 +714,7 @@ count_t distributed_ground_truth_squares(
 RecoveryReport supervised_global_butterflies(
     Comm& comm, const kron::BipartiteKronecker& kp,
     const kron::PartitionedStream& ps, const CheckpointConfig& ckpt,
-    const RetryConfig& retry, const AggregatorOptions& agg_opt) {
+    const RetryConfig& retry) {
   KRONLAB_TRACE_SPAN("dist", "supervised_butterflies");
   KRONLAB_REQUIRE(ps.parts() == comm.size(),
                   "partition width must equal the rank count");
@@ -803,7 +798,7 @@ RecoveryReport supervised_global_butterflies(
   // ---- phase 3: resilient exchange + distributed count ----------------
   ExchangeStats xs;
   const count_t counted =
-      distributed_global_butterflies(comm, shard, retry, &xs, agg_opt);
+      distributed_global_butterflies(comm, shard, retry, &xs);
 
   // ---- phase 4: ground-truth self-verification ------------------------
   // The factored oracle (Thms 3–5) is cheap enough to re-evaluate after
@@ -846,12 +841,8 @@ RecoveryReport supervised_global_butterflies(
       comm.allreduce_sum(xs.agg.batches_sent, members);
   report.exchange.agg.capacity_flushes =
       comm.allreduce_sum(xs.agg.capacity_flushes, members);
-  report.exchange.agg.deadline_flushes =
-      comm.allreduce_sum(xs.agg.deadline_flushes, members);
   report.exchange.agg.manual_flushes =
       comm.allreduce_sum(xs.agg.manual_flushes, members);
-  report.exchange.agg.bytes_saved =
-      comm.allreduce_sum(xs.agg.bytes_saved, members);
   report.checkpoints_written =
       comm.allreduce_sum(ckpts_written, members);
   report.checkpoints_restored =

@@ -18,8 +18,8 @@
 //    quiescence, so a dropped final ack cannot strand a peer; the
 //    protocol is row-granular and its frames ship through the
 //    per-destination message aggregator (dist/aggregator.hpp), which
-//    coalesces them into capacity/deadline-flushed batches without
-//    touching the retry semantics;
+//    coalesces them into batches flushed on capacity and at phase
+//    boundaries without touching the retry semantics;
 //  * generation can checkpoint progress through the checksummed snapshot
 //    envelope (grb/binary_io.hpp), and supervised_global_butterflies
 //    reassigns a dead rank's row range to the next surviving rank,
@@ -71,7 +71,7 @@ struct RetryConfig {
 /// exchange is row-granular: dup_requests / dup_replies count duplicate
 /// *row frames* absorbed idempotently (a retried batch contributes one
 /// per already-served row), while retries / reply_resends count per-peer
-/// deadline expiries, exactly as before aggregation.
+/// deadline expiries.
 struct ExchangeStats {
   count_t retries = 0;       ///< request resends after a deadline expired
   count_t reply_resends = 0; ///< reply resends while awaiting an ack
@@ -132,12 +132,10 @@ Shard generate_shard_checkpointed(Comm& comm,
 /// timeout_error when a live peer stops answering within the retry
 /// budget, rank_failed when a peer dies while its rows are still needed.
 /// Row request / reply / ack frames ship through the per-destination
-/// Aggregator (dist/aggregator.hpp); `agg_opt` selects the flush policy
-/// or, with enabled=false (KRONLAB_NO_AGGREGATE), the per-row baseline.
-count_t distributed_global_butterflies(
-    Comm& comm, const Shard& shard, const RetryConfig& retry = {},
-    ExchangeStats* stats = nullptr,
-    const AggregatorOptions& agg_opt = AggregatorOptions::from_env());
+/// Aggregator (dist/aggregator.hpp).
+count_t distributed_global_butterflies(Comm& comm, const Shard& shard,
+                                       const RetryConfig& retry = {},
+                                       ExchangeStats* stats = nullptr);
 
 /// Each rank's share of the *ground-truth* Σ_p s_C(p) over its owned
 /// product rows, evaluated in factor space (no product data touched);
@@ -163,7 +161,6 @@ count_t distributed_ground_truth_squares(
 RecoveryReport supervised_global_butterflies(
     Comm& comm, const kron::BipartiteKronecker& kp,
     const kron::PartitionedStream& ps, const CheckpointConfig& ckpt = {},
-    const RetryConfig& retry = {},
-    const AggregatorOptions& agg_opt = AggregatorOptions::from_env());
+    const RetryConfig& retry = {});
 
 } // namespace kronlab::dist

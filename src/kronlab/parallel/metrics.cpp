@@ -22,7 +22,6 @@ thread_local KernelScope* tl_current = nullptr;
 struct Registry {
   Mutex mu;
   std::map<std::string, KernelStats> kernels GUARDED_BY(mu);
-  std::map<std::string, double> counters GUARDED_BY(mu);
 };
 
 Registry& registry() {
@@ -131,24 +130,10 @@ std::map<std::string, KernelStats> snapshot() {
   return reg.kernels;
 }
 
-void counter_add(const std::string& name, double delta) {
-  if (!enabled()) return;
-  auto& reg = registry();
-  MutexLock lock(reg.mu);
-  reg.counters[name] += delta;
-}
-
-std::map<std::string, double> counters_snapshot() {
-  auto& reg = registry();
-  MutexLock lock(reg.mu);
-  return reg.counters;
-}
-
 void reset() {
   auto& reg = registry();
   MutexLock lock(reg.mu);
   reg.kernels.clear();
-  reg.counters.clear();
 }
 
 void merge(KernelStats& into, const KernelStats& other) {
@@ -161,12 +146,9 @@ void merge(KernelStats& into, const KernelStats& other) {
   into.max_workers = std::max(into.max_workers, other.max_workers);
 }
 
-std::string report_text() {
-  return report_text(snapshot(), counters_snapshot());
-}
+std::string report_text() { return report_text(snapshot()); }
 
-std::string report_text(const std::map<std::string, KernelStats>& kernels,
-                        const std::map<std::string, double>& counters) {
+std::string report_text(const std::map<std::string, KernelStats>& kernels) {
   std::vector<std::pair<std::string, KernelStats>> rows(kernels.begin(),
                                                         kernels.end());
   std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
@@ -189,27 +171,12 @@ std::string report_text(const std::map<std::string, KernelStats>& kernels,
     out += line;
   }
   if (rows.empty()) out += "(no kernels recorded)\n";
-  if (!counters.empty()) {
-    out += "counters:\n";
-    for (const auto& [name, value] : counters) {
-      std::snprintf(line, sizeof line, "  %-32s %14.0f\n", name.c_str(),
-                    value);
-      out += line;
-    }
-  }
   return out;
 }
 
-std::string report_json() {
-  return report_json(snapshot(), counters_snapshot());
-}
+std::string report_json() { return report_json(snapshot()); }
 
 std::string report_json(const std::map<std::string, KernelStats>& kernels) {
-  return report_json(kernels, {});
-}
-
-std::string report_json(const std::map<std::string, KernelStats>& kernels,
-                        const std::map<std::string, double>& counters) {
   std::string out = "{\"kernels\":[";
   bool first = true;
   char buf[384];
@@ -229,19 +196,7 @@ std::string report_json(const std::map<std::string, KernelStats>& kernels,
     first = false;
     out += buf;
   }
-  out += "]";
-  if (!counters.empty()) {
-    out += ",\"counters\":{";
-    first = true;
-    for (const auto& [name, value] : counters) {
-      std::snprintf(buf, sizeof buf, "%s\"%s\":%.6f", first ? "" : ",",
-                    name.c_str(), value);
-      first = false;
-      out += buf;
-    }
-    out += "}";
-  }
-  out += "}";
+  out += "]}";
   return out;
 }
 

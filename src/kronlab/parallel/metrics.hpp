@@ -105,17 +105,7 @@ private:
 /// Snapshot of the registry (kernel name → aggregated stats).
 [[nodiscard]] std::map<std::string, KernelStats> snapshot();
 
-/// Add `delta` to the named process-wide counter.  Counters are the
-/// scalar sibling of KernelStats — subsystems publish event totals (e.g.
-/// the dist aggregator's agg_* flush-reason counters) that the bench
-/// harness folds into kronlab-bench-v1 JSON next to the kernel table.
-/// No-op while recording is off; thread-safe.
-void counter_add(const std::string& name, double delta);
-
-/// Snapshot of the named counters (counter name → value).
-[[nodiscard]] std::map<std::string, double> counters_snapshot();
-
-/// Drop all recorded stats and counters (enabled state is unchanged).
+/// Drop all recorded stats (enabled state is unchanged).
 void reset();
 
 /// Fold `other` into `into` (sums everything, max of max_workers) — used
@@ -125,25 +115,15 @@ void merge(KernelStats& into, const KernelStats& other);
 /// Human-readable table, one kernel per line, sorted by wall time.
 [[nodiscard]] std::string report_text();
 
-/// Same, for explicit kernel and counter snapshots instead of the live
-/// registry.
+/// Same, for an explicit snapshot instead of the live registry.
 [[nodiscard]] std::string report_text(
-    const std::map<std::string, KernelStats>& kernels,
-    const std::map<std::string, double>& counters);
+    const std::map<std::string, KernelStats>& kernels);
 
-/// Machine-readable dump:
-/// {"kernels": [{"name": ..., ...}, ...], "counters": {...}}.
-/// The "counters" key is present only when at least one counter was
-/// recorded, so pre-counter consumers see an unchanged shape.
+/// Machine-readable dump: {"kernels": [{"name": ..., ...}, ...]}.
 [[nodiscard]] std::string report_json();
 
 /// Same, for an explicit snapshot instead of the live registry.
 [[nodiscard]] std::string report_json(
     const std::map<std::string, KernelStats>& kernels);
-
-/// Same, with an explicit counter snapshot.
-[[nodiscard]] std::string report_json(
-    const std::map<std::string, KernelStats>& kernels,
-    const std::map<std::string, double>& counters);
 
 } // namespace kronlab::metrics
