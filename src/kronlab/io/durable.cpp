@@ -55,11 +55,12 @@ std::string shard_prefix(index_t shard) {
   return buf;
 }
 
-/// Write `bytes` to `<final>.tmp`, fsync, and atomically publish it under
-/// `final_name` — the one commit primitive both segments and the
+/// Write `nbytes` to `<final>.tmp`, fsync, and atomically publish it
+/// under `final_name` — the one commit primitive both segments and the
 /// manifest use.
 void write_sealed(FileOps& ops, const std::string& dir,
-                  const std::string& final_name, const std::string& bytes) {
+                  const std::string& final_name, const void* bytes,
+                  std::size_t nbytes) {
   static obs::Histogram& commit_hist = obs::histogram("io/segment_commit");
   obs::LatencyScope commit_latency(commit_hist);
   obs::StallGuard stall_guard("io/segment_commit");
@@ -67,12 +68,42 @@ void write_sealed(FileOps& ops, const std::string& dir,
   const std::string tmp_path = final_path + ".tmp";
   {
     auto f = ops.create(tmp_path);
-    write_all(*f, bytes.data(), bytes.size());
+    write_all(*f, bytes, nbytes);
     f->sync();
     f->close();
   }
   ops.publish(tmp_path, final_path);
 }
+
+/// A segment's three hashes, folded over its payload in one pass: the
+/// payload hash (from the basis), the trailer checksum (continuing from
+/// the header words) and the shard's chain.  They are independent
+/// multiply chains, so the loop costs one multiply latency per word,
+/// not three.
+struct PayloadHashes {
+  std::uint64_t payload = kFnvBasis;
+  std::uint64_t trailer = kFnvBasis;
+  std::uint64_t chain = kFnvBasis;
+};
+
+void fold_payload(const void* data, std::size_t words, PayloadHashes& h) {
+  const auto* at = static_cast<const unsigned char*>(data);
+  std::uint64_t a = h.payload;
+  std::uint64_t b = h.trailer;
+  std::uint64_t c = h.chain;
+  for (std::size_t i = 0; i < words; ++i, at += sizeof(std::uint64_t)) {
+    std::uint64_t w;
+    std::memcpy(&w, at, sizeof w);
+    a = (a ^ w) * kFnvPrime;
+    b = (b ^ w) * kFnvPrime;
+    c = (c ^ w) * kFnvPrime;
+  }
+  h = {a, b, c};
+}
+
+/// Bytes of a segment's header words (between magic and payload).
+constexpr std::size_t kHeaderBytes =
+    (kSegmentHeadWords - 1) * sizeof(std::int64_t);
 
 } // namespace
 
@@ -90,44 +121,50 @@ count_t Manifest::total_edges() const {
   return total;
 }
 
-std::uint64_t write_segment(
-    FileOps& ops, const std::string& dir, const SegmentHeader& header,
-    const std::vector<std::pair<index_t, index_t>>& edges) {
-  KRONLAB_TRACE_SPAN("io", "seal_segment");
-  KRONLAB_REQUIRE(header.num_edges ==
-                      static_cast<count_t>(edges.size()),
-                  "segment header/payload edge count mismatch");
-  std::string bytes(kSegMagic, sizeof kSegMagic);
-  const std::int64_t head[5] = {
-      static_cast<std::int64_t>(header.spec_hash), header.shard,
-      header.seg_index, header.first_edge, header.num_edges};
-  append_words(bytes, head, 5);
-  const std::size_t payload_at = bytes.size();
-  for (const auto& [p, q] : edges) {
-    const std::int64_t rec[2] = {p, q};
-    append_words(bytes, rec, 2);
-  }
-  const std::uint64_t payload_hash =
-      fnv1a64_words(bytes.data() + payload_at, bytes.size() - payload_at);
-  const std::uint64_t full_hash = fnv1a64_words(
-      bytes.data() + sizeof kSegMagic, bytes.size() - sizeof kSegMagic);
-  const auto trailer = static_cast<std::int64_t>(full_hash);
-  append_words(bytes, &trailer, 1);
-  write_sealed(ops, dir, segment_name(header.shard, header.seg_index),
-               bytes);
-  return payload_hash;
+SegmentBuffer::SegmentBuffer(count_t capacity) {
+  words_.reserve(kSegmentHeadWords +
+                 2 * static_cast<std::size_t>(capacity) + 1);
+  words_.resize(kSegmentHeadWords);
+  std::memcpy(words_.data(), kSegMagic, sizeof kSegMagic);
 }
 
-SegmentData read_segment(FileOps& ops, const std::string& path) {
-  KRONLAB_TRACE_SPAN("io", "read_segment");
-  const auto bytes = ops.read_file(path);
-  if (!bytes) throw io_error("durable store: missing segment " + path);
-  if (bytes->size() < sizeof kSegMagic ||
-      std::memcmp(bytes->data(), kSegMagic, sizeof kSegMagic) != 0) {
+std::uint64_t SegmentBuffer::seal(const SegmentHeader& header,
+                                  std::uint64_t& chain) {
+  KRONLAB_TRACE_SPAN("io", "seal_segment");
+  KRONLAB_REQUIRE(words_.size() % 2 == 0 && header.num_edges == num_edges(),
+                  "segment header/payload edge count mismatch");
+  header_ = header;
+  words_[1] = static_cast<std::int64_t>(header.spec_hash);
+  words_[2] = header.shard;
+  words_[3] = header.seg_index;
+  words_[4] = header.first_edge;
+  words_[5] = header.num_edges;
+  PayloadHashes h;
+  h.trailer = fnv1a64_words(&words_[1], kHeaderBytes);
+  h.chain = chain;
+  fold_payload(&words_[kSegmentHeadWords],
+               words_.size() - kSegmentHeadWords, h);
+  words_.push_back(static_cast<std::int64_t>(h.trailer));
+  chain = h.chain;
+  return h.payload;
+}
+
+void publish_segment(FileOps& ops, const std::string& dir,
+                     const SegmentBuffer& seg) {
+  write_sealed(ops, dir,
+               segment_name(seg.header().shard, seg.header().seg_index),
+               seg.data(), seg.size_bytes());
+}
+
+SegmentData decode_segment(std::string bytes, const std::string& path,
+                           std::uint64_t chain) {
+  KRONLAB_TRACE_SPAN("io", "decode_segment");
+  if (bytes.size() < sizeof kSegMagic ||
+      std::memcmp(bytes.data(), kSegMagic, sizeof kSegMagic) != 0) {
     throw validation_error("durable store: " + path +
                            " is not a KRNLSEG1 segment (bad magic)");
   }
-  WordReader r{*bytes, sizeof kSegMagic, path};
+  WordReader r{bytes, sizeof kSegMagic, path};
   SegmentData seg;
   seg.header.spec_hash = static_cast<std::uint64_t>(r.next("spec hash"));
   seg.header.shard = r.next("shard");
@@ -140,27 +177,50 @@ SegmentData read_segment(FileOps& ops, const std::string& path) {
     throw validation_error("durable store: " + path +
                            " has an implausible header (corrupt)");
   }
-  const std::size_t payload_at = r.pos;
-  seg.edges.reserve(static_cast<std::size_t>(seg.header.num_edges));
-  for (count_t e = 0; e < seg.header.num_edges; ++e) {
-    const index_t p = r.next("edge record");
-    const index_t q = r.next("edge record");
-    seg.edges.emplace_back(p, q);
-  }
-  seg.payload_hash = fnv1a64_words(bytes->data() + payload_at, r.pos - payload_at);
-  const auto stored = static_cast<std::uint64_t>(r.next("checksum"));
-  const std::uint64_t computed = fnv1a64_words(
-      bytes->data() + sizeof kSegMagic, r.pos - sizeof(std::int64_t) -
-                                            sizeof kSegMagic);
-  if (stored != computed) {
+  const std::size_t payload_words =
+      2 * static_cast<std::size_t>(seg.header.num_edges);
+  const std::size_t whole =
+      (kSegmentHeadWords + payload_words + 1) * sizeof(std::int64_t);
+  if (bytes.size() < whole) {
     throw validation_error("durable store: " + path +
-                           " fails its FNV-1a checksum (corrupt segment)");
+                           " is truncated (torn segment)");
   }
-  if (r.pos != bytes->size()) {
+  if (bytes.size() > whole) {
     throw validation_error("durable store: " + path +
                            " has trailing garbage past the checksum");
   }
+  PayloadHashes h;
+  h.trailer = fnv1a64_words(bytes.data() + sizeof kSegMagic, kHeaderBytes);
+  h.chain = chain;
+  fold_payload(bytes.data() + r.pos, payload_words, h);
+  r.pos += payload_words * sizeof(std::int64_t);
+  if (static_cast<std::uint64_t>(r.next("checksum")) != h.trailer) {
+    throw validation_error("durable store: " + path +
+                           " fails its FNV-1a checksum (corrupt segment)");
+  }
+  seg.bytes = std::move(bytes);
+  seg.payload_hash = h.payload;
+  seg.chain_hash = h.chain;
   return seg;
+}
+
+SegmentData read_segment(FileOps& ops, const std::string& path,
+                         std::uint64_t chain) {
+  auto bytes = ops.read_file(path);
+  if (!bytes) throw io_error("durable store: missing segment " + path);
+  return decode_segment(std::move(*bytes), path, chain);
+}
+
+void require_committed_at(const SegmentData& seg, const std::string& path,
+                          std::uint64_t spec_hash, index_t shard,
+                          count_t seg_index, count_t first_edge) {
+  if (seg.header.spec_hash != spec_hash || seg.header.shard != shard ||
+      seg.header.seg_index != seg_index ||
+      seg.header.first_edge != first_edge) {
+    throw validation_error("durable store: " + path +
+                           " disagrees with the manifest's committed "
+                           "range (corrupt store)");
+  }
 }
 
 void write_manifest(FileOps& ops, const std::string& dir,
@@ -181,7 +241,7 @@ void write_manifest(FileOps& ops, const std::string& dir,
                                      bytes.size() - sizeof kManMagic);
   const auto trailer = static_cast<std::int64_t>(hash);
   append_words(bytes, &trailer, 1);
-  write_sealed(ops, dir, kManifestName, bytes);
+  write_sealed(ops, dir, kManifestName, bytes.data(), bytes.size());
 }
 
 std::optional<Manifest> read_manifest(FileOps& ops,
@@ -299,18 +359,9 @@ ScanResult scan_store(FileOps& ops, const std::string& dir,
           obs::histogram("io/segment_validate");
       obs::LatencyScope validate_latency(validate_hist);
       const std::string path = dir + "/" + segment_name(s, g);
-      const SegmentData seg = read_segment(ops, path);
-      if (seg.header.spec_hash != expected.spec_hash ||
-          seg.header.shard != s || seg.header.seg_index != g ||
-          seg.header.first_edge != edges) {
-        throw validation_error("durable store: " + path +
-                               " disagrees with the manifest's committed "
-                               "range (corrupt store)");
-      }
-      for (const auto& [p, q] : seg.edges) {
-        const std::int64_t rec[2] = {p, q};
-        chain = fnv1a64_words(rec, sizeof rec, chain);
-      }
+      const SegmentData seg = read_segment(ops, path, chain);
+      require_committed_at(seg, path, expected.spec_hash, s, g, edges);
+      chain = seg.chain_hash;
       edges += seg.header.num_edges;
       ++res.verified_segments;
     }
@@ -331,7 +382,7 @@ ScanResult scan_store(FileOps& ops, const std::string& dir,
       bool ok = true;
       SegmentData seg;
       try {
-        seg = read_segment(ops, path);
+        seg = read_segment(ops, path, prog.chain_hash);
       } catch (const error&) {
         ok = false; // torn or corrupt — regenerate it instead
       }
@@ -349,10 +400,7 @@ ScanResult scan_store(FileOps& ops, const std::string& dir,
         ++res.discarded_files;
         break;
       }
-      for (const auto& [p, q] : seg.edges) {
-        const std::int64_t rec[2] = {p, q};
-        prog.chain_hash = fnv1a64_words(rec, sizeof rec, prog.chain_hash);
-      }
+      prog.chain_hash = seg.chain_hash;
       prog.edges += seg.header.num_edges;
       prog.segments += 1;
       ++res.adopted_segments;

@@ -64,6 +64,7 @@ namespace kronlab::io {
 
 /// FNV-1a offset basis — chain hashes start here.
 inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
 /// Word-folded FNV-1a: one xor-multiply per little-endian int64 word
 /// instead of per byte.  Every durable-store checksum and chain hash
@@ -81,7 +82,7 @@ inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
   for (std::size_t i = 0; i + 8 <= nbytes; i += 8) {
     std::uint64_t w;
     std::memcpy(&w, p + i, 8);
-    h = (h ^ w) * 0x100000001b3ULL;
+    h = (h ^ w) * kFnvPrime;
   }
   return h;
 }
@@ -94,30 +95,96 @@ struct SegmentHeader {
   count_t num_edges = 0;
 };
 
-/// One decoded segment.  `payload_hash` is the FNV-1a over the payload
-/// words alone (the unit the manifest chains).
+/// Words before a KRNLSEG1 payload: the magic and the five header words.
+inline constexpr std::size_t kSegmentHeadWords = 6;
+
+/// One segment's file image, encoded in place: records go straight into
+/// the words publish_segment writes, and the buffer is reused from seal
+/// to seal.
+class SegmentBuffer {
+public:
+  explicit SegmentBuffer(count_t capacity);
+
+  void push(index_t p, index_t q) {
+    words_.push_back(p);
+    words_.push_back(q);
+  }
+
+  [[nodiscard]] count_t num_edges() const {
+    return static_cast<count_t>(words_.size() - kSegmentHeadWords) / 2;
+  }
+
+  /// Stamp `header` (its num_edges must equal num_edges()) and append
+  /// the trailer.  One pass over the records folds the payload hash
+  /// (returned), the trailer checksum, and `chain` — the shard's running
+  /// chain hash, advanced in place.
+  [[nodiscard]] std::uint64_t seal(const SegmentHeader& header,
+                                   std::uint64_t& chain);
+
+  /// The sealed file image.
+  [[nodiscard]] const void* data() const { return words_.data(); }
+  [[nodiscard]] std::size_t size_bytes() const {
+    return words_.size() * sizeof(std::int64_t);
+  }
+  [[nodiscard]] const SegmentHeader& header() const { return header_; }
+
+  /// Drop the records (and trailer), keeping the allocation.
+  void clear() { words_.resize(kSegmentHeadWords); }
+
+private:
+  SegmentHeader header_;
+  std::vector<std::int64_t> words_;
+};
+
+/// One decoded segment.  Holds the file bytes it was read from; the
+/// records are read in place.
 struct SegmentData {
   SegmentHeader header;
-  std::vector<std::pair<index_t, index_t>> edges;
-  std::uint64_t payload_hash = kFnvBasis;
+  std::string bytes;
+  std::uint64_t payload_hash = kFnvBasis; ///< FNV-1a over the payload
+  std::uint64_t chain_hash = kFnvBasis;   ///< caller's chain, advanced
+
+  /// Visit every record in order as fn(p, q).
+  template <typename Fn>
+  void for_each_edge(Fn&& fn) const {
+    const char* at = bytes.data() + kSegmentHeadWords * sizeof(std::int64_t);
+    for (count_t e = 0; e < header.num_edges; ++e) {
+      std::int64_t rec[2];
+      std::memcpy(rec, at, sizeof rec);
+      at += sizeof rec;
+      fn(rec[0], rec[1]);
+    }
+  }
 };
 
 /// Final name of shard `shard`'s segment `seg_index` inside the store
 /// directory ("shard-0003-seg-000042.krnlseg").
 [[nodiscard]] std::string segment_name(index_t shard, count_t seg_index);
 
-/// Write + seal one segment (write-temp → fsync → atomic rename).
-/// Returns the payload FNV-1a.  Throws io_error on any failed step; the
-/// final name is never visible unless every byte is on disk.
-[[nodiscard]] std::uint64_t write_segment(
-    FileOps& ops, const std::string& dir, const SegmentHeader& header,
-    const std::vector<std::pair<index_t, index_t>>& edges);
+/// Publish a sealed buffer as its segment file (write-temp → fsync →
+/// atomic rename).  Throws io_error on any failed step; the final name
+/// is never visible unless every byte is on disk.
+void publish_segment(FileOps& ops, const std::string& dir,
+                     const SegmentBuffer& seg);
 
-/// Read + verify one segment file; throws io_error when the file is
-/// missing/unreadable and validation_error when it is torn or fails its
-/// checksum.
-[[nodiscard]] SegmentData read_segment(FileOps& ops,
-                                       const std::string& path);
+/// Verify and decode one segment file image read from `path` (named in
+/// errors): magic, header plausibility, length and trailer checksum all
+/// checked in one pass that also folds `chain` over the payload.
+/// Throws validation_error when it is torn or fails its checksum.
+[[nodiscard]] SegmentData decode_segment(std::string bytes,
+                                         const std::string& path,
+                                         std::uint64_t chain = kFnvBasis);
+
+/// Read + decode_segment; io_error when the file is missing/unreadable.
+[[nodiscard]] SegmentData read_segment(FileOps& ops, const std::string& path,
+                                       std::uint64_t chain = kFnvBasis);
+
+/// Throw validation_error unless `seg` (read from `path`) sits where a
+/// manifest's committed range puts it: spec hash, shard and index
+/// match, and its first record is `first_edge`.
+void require_committed_at(const SegmentData& seg, const std::string& path,
+                          std::uint64_t spec_hash, index_t shard,
+                          count_t seg_index, count_t first_edge);
 
 /// Per-shard committed state.
 struct ShardProgress {

@@ -5,7 +5,10 @@
 //
 // Everything the durable layer (io/durable.hpp) does to disk goes through
 // a FileOps instance: create-for-write, fsync, atomic publish (rename),
-// remove, list, read.  Production uses RealFileOps (stdio + POSIX fsync);
+// remove, list, read.  Implementations need not be thread-safe: the
+// durable layer runs a store's shards concurrently but makes its FileOps
+// calls (and those on the files they create) one at a time, under one
+// store lock.  Production uses RealFileOps (stdio + POSIX fsync);
 // tests substitute FaultyFileOps, which wraps the real one and injects
 // the filesystem's unkind moments deterministically per seed:
 //
@@ -140,9 +143,12 @@ struct FsFaultPlan {
 
 /// FileOps decorator injecting the plan above.  Classifies files by path:
 /// anything whose basename starts with "MANIFEST" is tagged "manifest",
-/// everything else "segment".  Not thread-safe with concurrent faulted
-/// writers by design — fault matrices are sequential so kills land at a
-/// deterministic instruction boundary.
+/// everything else "segment".  Single-threaded by contract: the durable
+/// layer calls it one call at a time under its store lock, even while
+/// shards generate concurrently, so a kill still lands at one
+/// instruction boundary and nothing touches the store after it.  Which
+/// shard reaches the n-th hit depends on scheduling; the resumed store
+/// does not.
 class FaultyFileOps final : public FileOps {
 public:
   FaultyFileOps(FileOps& inner, FsFaultPlan plan);

@@ -1,11 +1,16 @@
 #include "kronlab/io/stream_gen.hpp"
 
+#include <exception>
+#include <limits>
 #include <utility>
 
+#include "kronlab/common/sync.hpp"
 #include "kronlab/grb/binary_io.hpp" // fnv1a64
 #include "kronlab/obs/log.hpp"
+#include "kronlab/obs/stats.hpp"
 #include "kronlab/obs/trace.hpp"
 #include "kronlab/parallel/metrics.hpp"
+#include "kronlab/parallel/parallel_for.hpp"
 
 namespace kronlab::io {
 
@@ -22,63 +27,129 @@ void hash_factor(std::uint64_t& h, const graph::Adjacency& f) {
               f.col_idx().size() * sizeof(f.col_idx()[0]), h);
 }
 
-/// One shard's segment-buffered durable writer: collects edges, seals a
-/// segment every `segment_edges` records, and commits the manifest after
-/// every seal — the only points at which the store's cursor advances.
-class ShardWriter {
+/// Thrown at a shard's next lock acquisition once a sibling has failed;
+/// the sibling's failure is the one the caller sees.
+struct sibling_failed {};
+
+/// The store as the concurrent shard workers share it.  Every FileOps
+/// call and every touch of the manifest happen under one lock (FileOps
+/// implementations are single-threaded by contract); each shard streams,
+/// validates, encodes and hashes outside it.  The first failure — an
+/// io_error, a validation_error or a simulated kill alike — is recorded
+/// under the lock, so no FileOps call ever follows it.
+class SharedStore {
 public:
-  ShardWriter(FileOps& ops, const std::string& dir, Manifest& man,
-              index_t shard, std::uint64_t spec)
-      : ops_(ops), dir_(dir), man_(man), shard_(shard), spec_(spec) {
-    buf_.reserve(static_cast<std::size_t>(man.segment_edges));
+  SharedStore(FileOps& ops, Manifest man)
+      : ops_(ops), man_(std::move(man)) {}
+
+  /// fn(ops, manifest) under the lock; its failure becomes the first
+  /// failure.  Throws sibling_failed instead once one is recorded.
+  template <typename Fn>
+  decltype(auto) locked(Fn&& fn) {
+    MutexLock lock(mu_);
+    if (failure_) throw sibling_failed{};
+    try {
+      return fn(ops_, man_);
+    } catch (...) {
+      failure_ = std::current_exception();
+      throw;
+    }
   }
 
+  /// body(s) for every shard, concurrently on global_pool(); after the
+  /// join, rethrows the first failure.
+  template <typename Body>
+  void for_each_shard(index_t shards, Body&& body) {
+    parallel_for_dynamic(
+        0, shards,
+        [&](index_t s) {
+          try {
+            locked([](FileOps&, Manifest&) {}); // stop if a sibling failed
+            body(s);
+          } catch (const sibling_failed&) {
+            // Stopped: a sibling's failure is already recorded.
+          } catch (...) {
+            MutexLock lock(mu_);
+            if (!failure_) failure_ = std::current_exception();
+          }
+        },
+        global_pool(), 1);
+    MutexLock lock(mu_);
+    if (failure_) std::rethrow_exception(failure_);
+  }
+
+  /// The committed state, once the shards have joined.
+  [[nodiscard]] Manifest take_manifest() {
+    MutexLock lock(mu_);
+    return std::move(man_);
+  }
+
+private:
+  FileOps& ops_;
+  Mutex mu_;
+  Manifest man_ GUARDED_BY(mu_);
+  std::exception_ptr failure_ GUARDED_BY(mu_);
+};
+
+/// One shard's durable writer: encodes records into a reused segment
+/// buffer, seals one every `segment_edges` records, and commits it and
+/// then the manifest under the store lock — the only points at which
+/// the shard's cursor advances.
+class ShardWriter {
+public:
+  ShardWriter(SharedStore& store, const std::string& dir, index_t shard,
+              std::uint64_t spec, count_t segment_edges, ShardProgress from)
+      : store_(store), dir_(dir), shard_(shard), spec_(spec),
+        segment_edges_(segment_edges), prog_(from), buf_(segment_edges) {}
+
   void push(index_t p, index_t q) {
-    buf_.emplace_back(p, q);
-    if (static_cast<count_t>(buf_.size()) == man_.segment_edges) seal();
+    buf_.push(p, q);
+    if (buf_.num_edges() == segment_edges_) seal();
   }
 
   /// Seal whatever remains (the shard's final, possibly short, segment).
   void finish() {
-    if (!buf_.empty()) seal();
+    if (buf_.num_edges() > 0) seal();
   }
 
   [[nodiscard]] count_t segments_sealed() const { return sealed_; }
 
 private:
   void seal() {
-    auto& prog = man_.shards[static_cast<std::size_t>(shard_)];
     SegmentHeader h;
     h.spec_hash = spec_;
     h.shard = shard_;
-    h.seg_index = prog.segments;
-    h.first_edge = prog.edges;
-    h.num_edges = static_cast<count_t>(buf_.size());
-    const std::uint64_t payload_hash = write_segment(ops_, dir_, h, buf_);
-    for (const auto& [p, q] : buf_) {
-      const std::int64_t rec[2] = {p, q};
-      prog.chain_hash = fnv1a64_words(rec, sizeof rec, prog.chain_hash);
-    }
-    prog.segments += 1;
-    prog.edges += h.num_edges;
+    h.seg_index = prog_.segments;
+    h.first_edge = prog_.edges;
+    h.num_edges = buf_.num_edges();
+    ShardProgress next = prog_;
+    const std::uint64_t payload_hash = buf_.seal(h, next.chain_hash);
+    next.segments += 1;
+    next.edges += h.num_edges;
+    const count_t committed = store_.locked([&](FileOps& ops, Manifest& man) {
+      publish_segment(ops, dir_, buf_);
+      man.shards[static_cast<std::size_t>(shard_)] = next;
+      write_manifest(ops, dir_, man);
+      return man.total_edges();
+    });
+    prog_ = next;
     buf_.clear();
-    write_manifest(ops_, dir_, man_);
     ++sealed_;
     obs::log(obs::LogLevel::debug, "io", "segment_sealed")
         .field("shard", static_cast<std::int64_t>(shard_))
         .field("seg", static_cast<std::int64_t>(h.seg_index))
         .field("edges", static_cast<std::int64_t>(h.num_edges))
         .field("payload_hash", payload_hash);
-    trace::counter("io", "edges_committed",
-                   static_cast<double>(man_.total_edges()));
+    trace::counter("io", "edges_committed", static_cast<double>(committed));
   }
 
-  FileOps& ops_;
+  SharedStore& store_;
   const std::string& dir_;
-  Manifest& man_;
   index_t shard_;
   std::uint64_t spec_;
-  std::vector<std::pair<index_t, index_t>> buf_;
+  count_t segment_edges_;
+  ShardProgress prog_; ///< this shard's committed state
+  SegmentBuffer buf_;
   count_t sealed_ = 0;
 };
 
@@ -98,14 +169,20 @@ std::uint64_t spec_hash(const kron::BipartiteKronecker& kp) {
 
 StreamValidator::StreamValidator(const kron::GroundTruthOracle& oracle,
                                  std::uint64_t seed, std::uint64_t rate)
-    : oracle_(&oracle), seed_(seed), rate_(rate) {
-  KRONLAB_REQUIRE(rate_ >= 1, "sample rate must be >= 1");
+    : oracle_(&oracle), seed_(seed) {
+  KRONLAB_REQUIRE(rate >= 1, "sample rate must be >= 1");
+  threshold_ = std::numeric_limits<std::uint64_t>::max() / rate;
 }
 
 bool StreamValidator::sampled(std::uint64_t x) const {
-  if (rate_ == 1) return true;
+  // splitmix64's finalizer: every output bit depends on every input bit,
+  // so comparing against max/rate keeps 1 in `rate` (all of them at
+  // rate 1) with no division.
   x ^= seed_;
-  return fnv1a64(&x, sizeof x) % rate_ == 0;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  x ^= x >> 31;
+  return x <= threshold_;
 }
 
 void StreamValidator::begin_shard(bool first_row_partial) {
@@ -204,31 +281,44 @@ StreamGenReport generate_durable(FileOps& ops,
   }
 
   const kron::PartitionedStream part(kp, opt.shards);
-  kron::GroundTruthOracle oracle(kp);
-  StreamValidator validator(oracle, opt.sample_seed,
-                            opt.validate ? opt.sample_rate : 1);
+  const kron::GroundTruthOracle oracle(kp);
+  const Manifest start = rep.manifest;
+  for (const auto& prog : start.shards) rep.edges_resumed += prog.edges;
 
-  for (index_t s = 0; s < opt.shards; ++s) {
+  std::vector<StreamGenReport> per_shard(
+      static_cast<std::size_t>(opt.shards));
+  SharedStore store(ops, std::move(rep.manifest));
+  store.for_each_shard(opt.shards, [&](index_t s) {
     KRONLAB_TRACE_SPAN("io", "generate_shard");
-    const count_t cursor =
-        rep.manifest.shards[static_cast<std::size_t>(s)].edges;
+    const ShardProgress& from = start.shards[static_cast<std::size_t>(s)];
     const count_t total = part.entries_of(s);
-    KRONLAB_DBG_ASSERT(cursor <= total, "cursor past the shard's stream");
-    rep.edges_resumed += cursor;
-    if (cursor == total) continue; // shard already complete
-    ShardWriter writer(ops, opt.dir, rep.manifest, s, spec);
-    if (opt.validate) validator.begin_shard(/*first_row_partial=*/cursor > 0);
-    part.for_each_entry_from(s, cursor, [&](index_t p, index_t q) {
+    KRONLAB_DBG_ASSERT(from.edges <= total, "cursor past the shard's stream");
+    if (from.edges == total) return; // shard already complete
+    ShardWriter writer(store, opt.dir, s, spec, opt.segment_edges, from);
+    StreamValidator validator(oracle, opt.sample_seed,
+                              opt.validate ? opt.sample_rate : 1);
+    if (opt.validate) {
+      validator.begin_shard(/*first_row_partial=*/from.edges > 0);
+    }
+    part.for_each_entry_from(s, from.edges, [&](index_t p, index_t q) {
       if (opt.validate) validator.observe(p, q);
       writer.push(p, q);
-      ++rep.edges_written;
     });
     if (opt.validate) validator.end_shard();
     writer.finish();
-    rep.segments_sealed += writer.segments_sealed();
+    auto& mine = per_shard[static_cast<std::size_t>(s)];
+    mine.edges_written = total - from.edges;
+    mine.segments_sealed = writer.segments_sealed();
+    mine.rows_checked = validator.rows_checked();
+    mine.edges_checked = validator.edges_checked();
+  });
+  rep.manifest = store.take_manifest();
+  for (const auto& mine : per_shard) {
+    rep.edges_written += mine.edges_written;
+    rep.segments_sealed += mine.segments_sealed;
+    rep.rows_checked += mine.rows_checked;
+    rep.edges_checked += mine.edges_checked;
   }
-  rep.rows_checked = validator.rows_checked();
-  rep.edges_checked = validator.edges_checked();
   trace::counter("io", "edges_committed",
                  static_cast<double>(rep.manifest.total_edges()));
   return rep;
@@ -246,22 +336,17 @@ VerifyReport verify_store(FileOps& ops,
   if (!man) {
     throw io_error("durable store: " + opt.dir + " has no manifest");
   }
-  Manifest expected;
-  expected.spec_hash = spec_hash(kp);
-  expected.segment_edges = man->segment_edges;
-  expected.shards.resize(man->shards.size());
-  // scan_store re-checksums every committed segment and re-folds the
-  // chains — the integrity half of verification.
-  const ScanResult scan = scan_store(ops, opt.dir, expected);
-
-  const auto shards = static_cast<index_t>(scan.manifest.shards.size());
+  const std::uint64_t spec = spec_hash(kp);
+  if (man->spec_hash != spec) {
+    throw validation_error("durable store: " + opt.dir +
+                           " was generated from a different spec "
+                           "(manifest spec hash mismatch)");
+  }
+  const auto shards = static_cast<index_t>(man->shards.size());
   const kron::PartitionedStream part(kp, shards);
-  kron::GroundTruthOracle oracle(kp);
-  StreamValidator validator(oracle, opt.sample_seed, opt.sample_rate);
-
-  VerifyReport rep;
+  count_t committed = 0;
   for (index_t s = 0; s < shards; ++s) {
-    const auto& prog = scan.manifest.shards[static_cast<std::size_t>(s)];
+    const auto& prog = man->shards[static_cast<std::size_t>(s)];
     if (prog.edges != part.entries_of(s)) {
       throw validation_error(
           "durable store: shard " + std::to_string(s) + " holds " +
@@ -269,18 +354,65 @@ VerifyReport verify_store(FileOps& ops,
           std::to_string(part.entries_of(s)) +
           " edges — store is incomplete, not verifiable as final output");
     }
+    committed += prog.segments;
+  }
+  // A final store holds exactly its committed segments: a sealed one
+  // past the committed range is a crash leftover resume would adopt.
+  count_t files = 0;
+  for (const auto& name : ops.list_dir(opt.dir)) {
+    files += name.size() >= 8 && name.rfind(".krnlseg") == name.size() - 8;
+  }
+  if (files != committed) {
+    throw validation_error(
+        "durable store: " + opt.dir + " holds " + std::to_string(files) +
+        " segment files but its manifest commits " +
+        std::to_string(committed) + " — not verifiable as final output");
+  }
+
+  const kron::GroundTruthOracle oracle(kp);
+  std::vector<VerifyReport> per_shard(static_cast<std::size_t>(shards));
+  SharedStore store(ops, Manifest{}); // verify never writes a manifest
+  store.for_each_shard(shards, [&](index_t s) {
+    const auto& prog = man->shards[static_cast<std::size_t>(s)];
+    StreamValidator validator(oracle, opt.sample_seed, opt.sample_rate);
     validator.begin_shard(/*first_row_partial=*/false);
+    std::uint64_t chain = kFnvBasis;
+    count_t edges = 0;
     for (count_t g = 0; g < prog.segments; ++g) {
-      const SegmentData seg =
-          read_segment(ops, opt.dir + "/" + segment_name(s, g));
-      for (const auto& [p, q] : seg.edges) validator.observe(p, q);
-      rep.edges += seg.header.num_edges;
-      ++rep.segments;
+      static obs::Histogram& validate_hist =
+          obs::histogram("io/segment_validate");
+      obs::LatencyScope validate_latency(validate_hist);
+      const std::string path = opt.dir + "/" + segment_name(s, g);
+      auto bytes = store.locked(
+          [&](FileOps& fs, Manifest&) { return fs.read_file(path); });
+      if (!bytes) throw io_error("durable store: missing segment " + path);
+      const SegmentData seg = decode_segment(std::move(*bytes), path, chain);
+      require_committed_at(seg, path, spec, s, g, edges);
+      seg.for_each_edge(
+          [&](index_t p, index_t q) { validator.observe(p, q); });
+      chain = seg.chain_hash;
+      edges += seg.header.num_edges;
     }
     validator.end_shard();
+    if (edges != prog.edges || chain != prog.chain_hash) {
+      throw validation_error(
+          "durable store: shard " + std::to_string(s) +
+          " committed segments do not reproduce the manifest's cursor/"
+          "chain hash (corrupt store)");
+    }
+    auto& mine = per_shard[static_cast<std::size_t>(s)];
+    mine.segments = prog.segments;
+    mine.edges = edges;
+    mine.rows_checked = validator.rows_checked();
+    mine.edges_checked = validator.edges_checked();
+  });
+  VerifyReport rep;
+  for (const auto& mine : per_shard) {
+    rep.segments += mine.segments;
+    rep.edges += mine.edges;
+    rep.rows_checked += mine.rows_checked;
+    rep.edges_checked += mine.edges_checked;
   }
-  rep.rows_checked = validator.rows_checked();
-  rep.edges_checked = validator.edges_checked();
   return rep;
 }
 

@@ -18,6 +18,13 @@
 // and hash-sampled edges get an exact membership probe.  Any disagreement
 // is a validation_error — generation aborts rather than committing a
 // drifting stream.
+//
+// The shards run concurrently on global_pool(), each with its own
+// validator and segment buffer; every FileOps call goes through one store
+// lock (see SharedStore in stream_gen.cpp).  Commit order across shards
+// depends on scheduling, but the final store is byte-identical to a
+// one-shard-at-a-time run.  The first failure of any shard wins: it is
+// rethrown after the join, and no FileOps call follows it.
 
 #pragma once
 
@@ -86,7 +93,7 @@ private:
 
   const kron::GroundTruthOracle* oracle_;
   std::uint64_t seed_;
-  std::uint64_t rate_;
+  std::uint64_t threshold_ = 0; ///< sampled iff mix(x ^ seed) <= this
   index_t row_ = -1;          ///< current row, -1 = none yet
   count_t row_edges_ = 0;     ///< edges seen of the current row
   bool row_partial_ = false;  ///< current row resumed mid-way: skip check
@@ -111,11 +118,13 @@ struct VerifyReport {
   count_t edges_checked = 0;
 };
 
-/// Re-read a COMPLETE store and validate it end to end: every segment
-/// checksums and tiles its shard exactly, the manifest chains reproduce,
-/// per-shard totals equal the partition's entry counts, and the decoded
-/// edge stream passes the StreamValidator at (seed, rate).  Throws
-/// io_error / validation_error as appropriate.
+/// Re-read a COMPLETE store and validate it end to end, reading each
+/// segment once: every segment checksums and tiles its shard exactly,
+/// the manifest chains reproduce, per-shard totals equal the partition's
+/// entry counts, no segment file lies outside the committed range, and
+/// the decoded edge stream passes the StreamValidator at (seed, rate).
+/// Read-only: unlike a resume scan it deletes, adopts and rewrites
+/// nothing.  Throws io_error / validation_error as appropriate.
 VerifyReport verify_store(FileOps& ops,
                           const kron::BipartiteKronecker& kp,
                           const StreamGenOptions& opt);

@@ -4,6 +4,8 @@
 // fail-injection (io_error, no crash) recoverability, short-write
 // robustness, torn-segment fuzzing, and on-the-fly ground-truth
 // validation catching corrupted stores and perturbed edge streams.
+// The shards of a store are generated and verified concurrently, so the
+// fault suites run at pool widths 1 (the serial path) and 4.
 //
 // The CI release job re-runs this suite with KRONLAB_FAULT_RATE=high,
 // which scales the fuzz iteration counts; every assertion is
@@ -13,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -26,6 +30,7 @@
 #include "kronlab/kron/oracle.hpp"
 #include "kronlab/kron/partition.hpp"
 #include "kronlab/kron/power.hpp"
+#include "kronlab/parallel/thread_pool.hpp"
 #include "support/temp_dir.hpp"
 
 namespace kronlab::io {
@@ -85,6 +90,19 @@ const std::map<std::string, std::string>& reference_store() {
   return ref;
 }
 
+/// Pool widths the shard-concurrent paths run at; 1 is the serial path.
+constexpr std::size_t kPoolWidths[] = {1, 4};
+
+/// Run `body` once per pool width, with global_pool() redirected.
+void at_each_pool_width(const std::function<void()>& body) {
+  for (const std::size_t width : kPoolWidths) {
+    SCOPED_TRACE("pool width " + std::to_string(width));
+    ThreadPool pool(width);
+    const ScopedPoolOverride use(pool);
+    body();
+  }
+}
+
 /// All named fault points of the two file classes.
 std::vector<std::string> all_fault_points() {
   std::vector<std::string> points;
@@ -113,14 +131,37 @@ TEST(DurableFormat, SegmentRoundTrip) {
   h.num_edges = 3;
   const std::vector<std::pair<index_t, index_t>> edges = {
       {1, 2}, {1, 9}, {4, 0}};
-  const std::uint64_t payload = write_segment(ops, dir, h, edges);
-  const auto seg = read_segment(ops, dir + "/" + segment_name(2, 5));
+  SegmentBuffer buf(4);
+  for (const auto& [p, q] : edges) buf.push(p, q);
+  std::uint64_t chain = 0x1234;
+  const std::uint64_t payload = buf.seal(h, chain);
+  publish_segment(ops, dir, buf);
+  const auto seg =
+      read_segment(ops, dir + "/" + segment_name(2, 5), /*chain=*/0x1234);
   EXPECT_EQ(seg.header.spec_hash, h.spec_hash);
   EXPECT_EQ(seg.header.shard, 2);
   EXPECT_EQ(seg.header.seg_index, 5);
   EXPECT_EQ(seg.header.first_edge, 320);
-  EXPECT_EQ(seg.edges, edges);
+  std::vector<std::pair<index_t, index_t>> back;
+  seg.for_each_edge([&](index_t p, index_t q) { back.emplace_back(p, q); });
+  EXPECT_EQ(back, edges);
   EXPECT_EQ(seg.payload_hash, payload);
+  EXPECT_EQ(seg.chain_hash, chain);
+  // The one-pass fold equals the word-at-a-time fold of each hash.
+  std::vector<std::int64_t> words;
+  for (const auto& [p, q] : edges) {
+    words.push_back(p);
+    words.push_back(q);
+  }
+  const std::size_t nbytes = words.size() * sizeof(std::int64_t);
+  EXPECT_EQ(payload, fnv1a64_words(words.data(), nbytes));
+  EXPECT_EQ(chain, fnv1a64_words(words.data(), nbytes, 0x1234));
+  const std::int64_t head[5] = {0xabcdef, 2, 5, 320, 3};
+  std::uint64_t trailer = 0;
+  std::memcpy(&trailer, seg.bytes.data() + seg.bytes.size() - sizeof trailer,
+              sizeof trailer);
+  EXPECT_EQ(trailer, fnv1a64_words(words.data(), nbytes,
+                                   fnv1a64_words(head, sizeof head)));
   // No .tmp remains after a successful seal.
   for (const auto& name : ops.list_dir(dir)) {
     EXPECT_EQ(name.find(".tmp"), std::string::npos) << name;
@@ -133,7 +174,12 @@ TEST(DurableFormat, SegmentCorruptionIsTyped) {
   FileOps& ops = real_file_ops();
   SegmentHeader h;
   h.num_edges = 2;
-  (void)write_segment(ops, dir, h, {{1, 2}, {3, 4}});
+  SegmentBuffer buf(2);
+  buf.push(1, 2);
+  buf.push(3, 4);
+  std::uint64_t chain = kFnvBasis;
+  (void)buf.seal(h, chain);
+  publish_segment(ops, dir, buf);
   const std::string path = dir + "/" + segment_name(0, 0);
   const std::string good = *ops.read_file(path);
 
@@ -213,22 +259,24 @@ bool run_with_kill(const kron::BipartiteKronecker& kp,
 
 TEST(KillResumeMatrix, EveryFaultPointResumesByteIdentical) {
   const auto kp = test_product();
-  for (const auto& point : all_fault_points()) {
-    for (const std::uint64_t hits : {std::uint64_t{1}, std::uint64_t{7}}) {
-      SCOPED_TRACE(point + " hits=" + std::to_string(hits));
-      const TempDir tmp("durable_matrix");
-      const auto& dir = tmp.path();
-      auto opt = test_options(dir);
-      const bool done = run_with_kill(kp, opt, point, hits);
-      if (!done) {
-        // Resume with clean ops — must complete and reproduce the
-        // uninterrupted run byte for byte.
-        opt.resume = true;
-        generate_durable(real_file_ops(), kp, opt);
+  at_each_pool_width([&] {
+    for (const auto& point : all_fault_points()) {
+      for (const std::uint64_t hits : {std::uint64_t{1}, std::uint64_t{7}}) {
+        SCOPED_TRACE(point + " hits=" + std::to_string(hits));
+        const TempDir tmp("durable_matrix");
+        const auto& dir = tmp.path();
+        auto opt = test_options(dir);
+        const bool done = run_with_kill(kp, opt, point, hits);
+        if (!done) {
+          // Resume with clean ops — must complete and reproduce the
+          // uninterrupted run byte for byte.
+          opt.resume = true;
+          generate_durable(real_file_ops(), kp, opt);
+        }
+        EXPECT_EQ(store_bytes(dir), reference_store());
       }
-      EXPECT_EQ(store_bytes(dir), reference_store());
     }
-  }
+  });
 }
 
 TEST(KillResumeMatrix, RepeatedKillsStillMakeProgress) {
@@ -236,17 +284,19 @@ TEST(KillResumeMatrix, RepeatedKillsStillMakeProgress) {
   // terminate and reproduce the reference — the commit protocol
   // guarantees at least one segment of progress per life.
   const auto kp = test_product();
-  const TempDir tmp("durable_kill_storm");
-  const auto& dir = tmp.path();
-  auto opt = test_options(dir);
-  int lives = 0;
-  for (;; opt.resume = true) {
-    ++lives;
-    ASSERT_LT(lives, 200) << "kill storm failed to converge";
-    if (run_with_kill(kp, opt, "segment:rename:after", 2)) break;
-  }
-  EXPECT_GT(lives, 2); // the plan actually fired
-  EXPECT_EQ(store_bytes(dir), reference_store());
+  at_each_pool_width([&] {
+    const TempDir tmp("durable_kill_storm");
+    const auto& dir = tmp.path();
+    auto opt = test_options(dir);
+    int lives = 0;
+    for (;; opt.resume = true) {
+      ++lives;
+      ASSERT_LT(lives, 200) << "kill storm failed to converge";
+      if (run_with_kill(kp, opt, "segment:rename:after", 2)) break;
+    }
+    EXPECT_GT(lives, 2); // the plan actually fired
+    EXPECT_EQ(store_bytes(dir), reference_store());
+  });
 }
 
 TEST(KillResumeMatrix, AdoptionCoversSealToCommitWindow) {
@@ -283,22 +333,24 @@ TEST(KillResumeMatrix, TornManifestNeverCommitsPartially) {
 
 TEST(FaultInjection, FailedOpsThrowIoErrorAndStoreStaysResumable) {
   const auto kp = test_product();
-  for (const std::string point :
-       {"segment:sync:before", "manifest:rename:before",
-        "segment:write:before"}) {
-    SCOPED_TRACE(point);
-    const TempDir tmp("durable_fail_inject");
-    const auto& dir = tmp.path();
-    auto opt = test_options(dir);
-    FsFaultPlan plan;
-    plan.fail_point = point;
-    plan.fail_hits = 3;
-    FaultyFileOps faulty(real_file_ops(), plan);
-    EXPECT_THROW(generate_durable(faulty, kp, opt), io_error);
-    opt.resume = true;
-    generate_durable(real_file_ops(), kp, opt);
-    EXPECT_EQ(store_bytes(dir), reference_store());
-  }
+  at_each_pool_width([&] {
+    for (const std::string point :
+         {"segment:sync:before", "manifest:rename:before",
+          "segment:write:before"}) {
+      SCOPED_TRACE(point);
+      const TempDir tmp("durable_fail_inject");
+      const auto& dir = tmp.path();
+      auto opt = test_options(dir);
+      FsFaultPlan plan;
+      plan.fail_point = point;
+      plan.fail_hits = 3;
+      FaultyFileOps faulty(real_file_ops(), plan);
+      EXPECT_THROW(generate_durable(faulty, kp, opt), io_error);
+      opt.resume = true;
+      generate_durable(real_file_ops(), kp, opt);
+      EXPECT_EQ(store_bytes(dir), reference_store());
+    }
+  });
 }
 
 TEST(FaultInjection, ShortWritesAreLoopedOver) {
@@ -334,51 +386,53 @@ TEST(FaultInjection, PointsHitAreRecordedInOrder) {
 
 TEST(TornSegmentFuzz, RandomTailCorruptionIsDetectedOrDiscarded) {
   const auto kp = test_product();
-  const int iters = static_cast<int>(12 * fault_rate_scale());
-  Rng rng(1234);
-  FileOps& ops = real_file_ops();
-  for (int it = 0; it < iters; ++it) {
-    SCOPED_TRACE(it);
-    const TempDir tmp("durable_fuzz");
-    const auto& dir = tmp.path();
-    auto opt = test_options(dir);
-    // Die somewhere mid-run (vary the seal at which death strikes).
-    const std::uint64_t hits = 1 + rng.next_below(6);
-    ASSERT_FALSE(run_with_kill(kp, opt, "segment:rename:after", hits));
-    // Corrupt the tail: pick any non-manifest file and mangle it.
-    auto names = ops.list_dir(dir);
-    std::vector<std::string> segs;
-    for (const auto& n : names) {
-      if (n.rfind(".krnlseg") != std::string::npos) segs.push_back(n);
+  at_each_pool_width([&] {
+    const int iters = static_cast<int>(12 * fault_rate_scale());
+    Rng rng(1234);
+    FileOps& ops = real_file_ops();
+    for (int it = 0; it < iters; ++it) {
+      SCOPED_TRACE(it);
+      const TempDir tmp("durable_fuzz");
+      const auto& dir = tmp.path();
+      auto opt = test_options(dir);
+      // Die somewhere mid-run (vary the seal at which death strikes).
+      const std::uint64_t hits = 1 + rng.next_below(6);
+      ASSERT_FALSE(run_with_kill(kp, opt, "segment:rename:after", hits));
+      // Corrupt the tail: pick any non-manifest file and mangle it.
+      auto names = ops.list_dir(dir);
+      std::vector<std::string> segs;
+      for (const auto& n : names) {
+        if (n.rfind(".krnlseg") != std::string::npos) segs.push_back(n);
+      }
+      ASSERT_FALSE(segs.empty());
+      const auto& victim =
+          segs[static_cast<std::size_t>(rng.next_below(segs.size()))];
+      std::string bytes = *ops.read_file(dir + "/" + victim);
+      const bool truncate = rng.next_below(2) == 0;
+      if (truncate) {
+        bytes.resize(static_cast<std::size_t>(rng.next_below(bytes.size())));
+      } else {
+        const auto at =
+            static_cast<std::size_t>(rng.next_below(bytes.size()));
+        bytes[at] = static_cast<char>(bytes[at] ^ 0x5a);
+      }
+      {
+        auto f = ops.create(dir + "/" + victim);
+        write_all(*f, bytes.data(), bytes.size());
+        f->close();
+      }
+      // The corrupted file is either inside the committed range — resume
+      // must refuse with a typed validation_error — or past it — resume
+      // must discard and regenerate it, landing byte-identical.
+      opt.resume = true;
+      try {
+        generate_durable(ops, kp, opt);
+        EXPECT_EQ(store_bytes(dir), reference_store());
+      } catch (const validation_error&) {
+        // Corruption inside the committed range: correctly refused.
+      }
     }
-    ASSERT_FALSE(segs.empty());
-    const auto& victim =
-        segs[static_cast<std::size_t>(rng.next_below(segs.size()))];
-    std::string bytes = *ops.read_file(dir + "/" + victim);
-    const bool truncate = rng.next_below(2) == 0;
-    if (truncate) {
-      bytes.resize(static_cast<std::size_t>(rng.next_below(bytes.size())));
-    } else {
-      const auto at =
-          static_cast<std::size_t>(rng.next_below(bytes.size()));
-      bytes[at] = static_cast<char>(bytes[at] ^ 0x5a);
-    }
-    {
-      auto f = ops.create(dir + "/" + victim);
-      write_all(*f, bytes.data(), bytes.size());
-      f->close();
-    }
-    // The corrupted file is either inside the committed range — resume
-    // must refuse with a typed validation_error — or past it — resume
-    // must discard and regenerate it, landing byte-identical.
-    opt.resume = true;
-    try {
-      generate_durable(ops, kp, opt);
-      EXPECT_EQ(store_bytes(dir), reference_store());
-    } catch (const validation_error&) {
-      // Corruption inside the committed range: correctly refused.
-    }
-  }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -442,6 +496,78 @@ TEST(StreamValidation, CleanStreamPassesAndSamplesSublinearly) {
   EXPECT_LT(sparse.edges_checked(), total / 8);
   static_assert(sizeof(StreamValidator) < 128,
                 "validator must hold O(1) state, not per-row structures");
+}
+
+TEST(StreamValidation, SamplingKeepsOneInRate) {
+  // At rate 64 the mixer keeps between 1/128 and 1/32 of the rows and of
+  // the edges, pooled over seeds (63 rows alone are too few to judge).
+  const auto kp = test_product();
+  kron::GroundTruthOracle oracle(kp);
+  const kron::PartitionedStream part(kp, 1);
+  const auto rows = static_cast<double>(kp.num_vertices());
+  const auto edges = static_cast<double>(part.entries_of(0));
+  double rows_sampled = 0;
+  double edges_sampled = 0;
+  constexpr int kSeeds = 64;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    StreamValidator v(oracle, seed, 64);
+    v.begin_shard(false);
+    part.for_each_entry(0, [&](index_t p, index_t q) { v.observe(p, q); });
+    v.end_shard();
+    rows_sampled += static_cast<double>(v.rows_checked());
+    edges_sampled += static_cast<double>(v.edges_checked());
+  }
+  const double row_share = rows_sampled / (kSeeds * rows);
+  const double edge_share = edges_sampled / (kSeeds * edges);
+  EXPECT_GE(row_share, 1.0 / 128);
+  EXPECT_LE(row_share, 1.0 / 32);
+  EXPECT_GE(edge_share, 1.0 / 128);
+  EXPECT_LE(edge_share, 1.0 / 32);
+  // Deterministic per (seed, rate).
+  StreamValidator a(oracle, 3, 64);
+  StreamValidator b(oracle, 3, 64);
+  for (auto* v : {&a, &b}) {
+    v->begin_shard(false);
+    part.for_each_entry(0, [&](index_t p, index_t q) { v->observe(p, q); });
+    v->end_shard();
+  }
+  EXPECT_EQ(a.rows_checked(), b.rows_checked());
+  EXPECT_EQ(a.edges_checked(), b.edges_checked());
+}
+
+TEST(StreamValidation, VerifyStoreIsReadOnly) {
+  // verify_store never repairs: a stray .tmp stays where it is, and a
+  // sealed segment past the committed range is reported, not adopted.
+  const auto kp = test_product();
+  const TempDir tmp("durable_verify_read_only");
+  const auto& dir = tmp.path();
+  const auto opt = test_options(dir);
+  const auto rep = generate_durable(real_file_ops(), kp, opt);
+  FileOps& ops = real_file_ops();
+  {
+    auto f = ops.create(dir + "/" + segment_name(1, 9) + ".tmp");
+    write_all(*f, "torn", 4);
+    f->close();
+  }
+  const auto with_tmp = store_bytes(dir);
+  EXPECT_NO_THROW((void)verify_store(ops, kp, opt));
+  EXPECT_EQ(store_bytes(dir), with_tmp);
+
+  const auto& shard0 = rep.manifest.shards[0];
+  SegmentHeader h;
+  h.spec_hash = spec_hash(kp);
+  h.shard = 0;
+  h.seg_index = shard0.segments;
+  h.first_edge = shard0.edges;
+  h.num_edges = 1;
+  SegmentBuffer extra(1);
+  extra.push(0, 1);
+  std::uint64_t chain = shard0.chain_hash;
+  (void)extra.seal(h, chain);
+  publish_segment(ops, dir, extra);
+  const auto with_extra = store_bytes(dir);
+  EXPECT_THROW((void)verify_store(ops, kp, opt), validation_error);
+  EXPECT_EQ(store_bytes(dir), with_extra);
 }
 
 TEST(StreamValidation, VerifyStoreCatchesCommittedCorruption) {
@@ -517,6 +643,146 @@ TEST(ResumeCursor, ScaleChainCollapseStreamsTheSameProduct) {
   const auto via_pair = kp.materialize();
   EXPECT_EQ(direct.row_ptr(), via_pair.row_ptr());
   EXPECT_EQ(direct.col_idx(), via_pair.col_idx());
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent shards: serial-identical output, first failure wins.
+
+/// Forwards every call to real_file_ops() except the publish of segment
+/// file `victim`, where it calls `fail` instead (which throws).  Counts
+/// the calls made after that: none may follow a failure.
+class FailAtPublish final : public FileOps {
+public:
+  FailAtPublish(std::string victim, std::function<void()> fail)
+      : victim_(std::move(victim)), fail_(std::move(fail)) {}
+
+  std::unique_ptr<WritableFile> create(const std::string& path) override {
+    note();
+    return real_file_ops().create(path);
+  }
+  void publish(const std::string& tmp_path,
+               const std::string& final_path) override {
+    note();
+    if (final_path.size() >= victim_.size() &&
+        final_path.compare(final_path.size() - victim_.size(),
+                           victim_.size(), victim_) == 0) {
+      failed_ = true;
+      fail_();
+    }
+    real_file_ops().publish(tmp_path, final_path);
+  }
+  bool remove(const std::string& path) override {
+    note();
+    return real_file_ops().remove(path);
+  }
+  std::vector<std::string> list_dir(const std::string& dir) override {
+    note();
+    return real_file_ops().list_dir(dir);
+  }
+  std::optional<std::string> read_file(const std::string& path) override {
+    note();
+    return real_file_ops().read_file(path);
+  }
+  void make_dir(const std::string& dir) override {
+    note();
+    real_file_ops().make_dir(dir);
+  }
+
+  [[nodiscard]] int calls_after_failure() const { return late_; }
+
+private:
+  void note() { late_ += failed_ ? 1 : 0; }
+
+  std::string victim_;
+  std::function<void()> fail_;
+  bool failed_ = false;
+  int late_ = 0;
+};
+
+TEST(ShardConcurrency, ChainHashesMatchTheSerialGenerator) {
+  // Per-shard chain hashes of the test product, as the one-shard-at-a-
+  // time generator wrote them before shards ran concurrently.
+  constexpr std::uint64_t kSerialChains[3] = {
+      0xf214ef8e12dfa5e3ULL, 0x0ac26f749677d8f5ULL, 0x72dc95b610a396cbULL};
+  const auto kp = test_product();
+  std::vector<VerifyReport> reports;
+  at_each_pool_width([&] {
+    const TempDir tmp("durable_golden_chains");
+    const auto opt = test_options(tmp.path());
+    const auto rep = generate_durable(real_file_ops(), kp, opt);
+    ASSERT_EQ(rep.manifest.shards.size(), 3u);
+    for (std::size_t s = 0; s < 3; ++s) {
+      EXPECT_EQ(rep.manifest.shards[s].chain_hash, kSerialChains[s]) << s;
+    }
+    EXPECT_EQ(store_bytes(tmp.path()), reference_store());
+    reports.push_back(verify_store(real_file_ops(), kp, opt));
+  });
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[0].segments, reports[1].segments);
+  EXPECT_EQ(reports[0].edges, reports[1].edges);
+  EXPECT_EQ(reports[0].rows_checked, reports[1].rows_checked);
+  EXPECT_EQ(reports[0].edges_checked, reports[1].edges_checked);
+}
+
+TEST(ShardConcurrency, KillInALaterShardSurfacesAndResumes) {
+  // Shard 2 dies publishing its second segment while shards 0 and 1 may
+  // still be streaming: the caller sees exactly that kill, no FileOps
+  // call follows it, and resume lands byte-identical.
+  const auto kp = test_product();
+  at_each_pool_width([&] {
+    const TempDir tmp("durable_kill_later_shard");
+    auto opt = test_options(tmp.path());
+    const std::string victim = segment_name(2, 1);
+    FailAtPublish ops(victim, [&] { throw killed_at{victim}; });
+    try {
+      generate_durable(ops, kp, opt);
+      ADD_FAILURE() << "the kill never fired";
+    } catch (const killed_at& k) {
+      EXPECT_EQ(k.point, victim);
+    }
+    EXPECT_EQ(ops.calls_after_failure(), 0);
+    opt.resume = true;
+    generate_durable(real_file_ops(), kp, opt);
+    EXPECT_EQ(store_bytes(tmp.path()), reference_store());
+  });
+}
+
+TEST(ShardConcurrency, ValidationErrorInShardTwoSurfacesAndResumes) {
+  const auto kp = test_product();
+  at_each_pool_width([&] {
+    const TempDir tmp("durable_validation_shard_two");
+    auto opt = test_options(tmp.path());
+    FailAtPublish ops(segment_name(2, 0), [] {
+      throw validation_error("injected: shard 2 drifted");
+    });
+    try {
+      generate_durable(ops, kp, opt);
+      ADD_FAILURE() << "the validation_error never surfaced";
+    } catch (const validation_error& e) {
+      EXPECT_STREQ(e.what(), "injected: shard 2 drifted");
+    }
+    EXPECT_EQ(ops.calls_after_failure(), 0);
+    opt.resume = true;
+    generate_durable(real_file_ops(), kp, opt);
+    EXPECT_EQ(store_bytes(tmp.path()), reference_store());
+
+    // verify_store: corruption in shard 2 alone surfaces as its
+    // validation_error, whichever shard finishes first.
+    const std::string path = tmp.path() + "/" + segment_name(2, 1);
+    std::string bytes = *real_file_ops().read_file(path);
+    bytes[60] = static_cast<char>(bytes[60] ^ 4);
+    auto f = real_file_ops().create(path);
+    write_all(*f, bytes.data(), bytes.size());
+    f->close();
+    try {
+      (void)verify_store(real_file_ops(), kp, opt);
+      ADD_FAILURE() << "corrupt shard 2 passed verification";
+    } catch (const validation_error& e) {
+      EXPECT_NE(std::string(e.what()).find(segment_name(2, 1)),
+                std::string::npos)
+          << e.what();
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------
