@@ -8,17 +8,16 @@
 //
 // A second section is the counting-kernel shootout this bench anchors in
 // the perf trajectory: the retained reference wedge-table counters vs the
-// degree-ordered cache-blocked kernels (graph/blocked.hpp), on
-// heavy-tailed preferential-attachment factors of increasing size, with
-// exact-agreement checks and the per-kernel dispatch metrics dumped into
-// BENCH_fig3_squares.json by the shared harness.
+// public vertex_butterflies / edge_butterflies, which run the wedge engine
+// (graph/wedges.hpp), on heavy-tailed preferential-attachment factors of
+// increasing size, with exact-agreement checks and the per-kernel dispatch
+// metrics dumped into BENCH_fig3_squares.json by the shared harness.
 
 #include <cstdio>
 
 #include "harness/harness.hpp"
 #include "kronlab/gen/canonical.hpp"
 #include "kronlab/gen/random_bipartite.hpp"
-#include "kronlab/graph/blocked.hpp"
 #include "kronlab/graph/butterflies.hpp"
 #include "kronlab/graph/graph.hpp"
 #include "kronlab/grb/ops.hpp"
@@ -66,7 +65,7 @@ struct Instance {
   count_t m;
 };
 
-/// Reference vs blocked kernels on one heavy-tailed factor; returns false
+/// Reference vs engine kernels on one heavy-tailed factor; returns false
 /// on any count disagreement.
 bool shootout(bench::Harness& h, const Instance& inst, bool largest) {
   Rng rng(7);
@@ -80,40 +79,40 @@ bool shootout(bench::Harness& h, const Instance& inst, bool largest) {
               static_cast<long long>(a.nnz() / 2),
               static_cast<long long>(graph::max_degree(a)));
 
-  grb::Vector<count_t> v_ref, v_blk;
-  grb::Csr<count_t> e_ref, e_blk;
+  grb::Vector<count_t> v_ref, v_eng;
+  grb::Csr<count_t> e_ref, e_eng;
   const auto t_vref = h.time_section(
       "vertex_reference_" + tag,
       [&] { v_ref = graph::vertex_butterflies_reference(a); });
-  const auto t_vblk = h.time_section(
-      "vertex_blocked_" + tag,
-      [&] { v_blk = graph::vertex_butterflies_blocked(a); });
+  const auto t_veng = h.time_section(
+      "vertex_engine_" + tag,
+      [&] { v_eng = graph::vertex_butterflies(a); });
   const auto t_eref = h.time_section(
       "edge_reference_" + tag,
       [&] { e_ref = graph::edge_butterflies_reference(a); });
-  const auto t_eblk = h.time_section(
-      "edge_blocked_" + tag,
-      [&] { e_blk = graph::edge_butterflies_blocked(a); });
+  const auto t_eeng = h.time_section(
+      "edge_engine_" + tag,
+      [&] { e_eng = graph::edge_butterflies(a); });
 
-  const bool agree = v_ref == v_blk && e_ref == e_blk;
+  const bool agree = v_ref == v_eng && e_ref == e_eng;
   // Speedups compare minima over reps — the usual noise-robust estimator
   // on a shared box, where the mean absorbs scheduler interference.
   const double v_speedup = t_vref.min_seconds /
-                           std::max(1e-9, t_vblk.min_seconds);
+                           std::max(1e-9, t_veng.min_seconds);
   const double e_speedup = t_eref.min_seconds /
-                           std::max(1e-9, t_eblk.min_seconds);
-  std::printf("  vertex: reference %8.2f ms   blocked %8.2f ms   %.2fx\n",
-              t_vref.min_seconds * 1e3, t_vblk.min_seconds * 1e3,
+                           std::max(1e-9, t_eeng.min_seconds);
+  std::printf("  vertex: reference %8.2f ms   engine %8.2f ms   %.2fx\n",
+              t_vref.min_seconds * 1e3, t_veng.min_seconds * 1e3,
               v_speedup);
-  std::printf("  edge:   reference %8.2f ms   blocked %8.2f ms   %.2fx   "
+  std::printf("  edge:   reference %8.2f ms   engine %8.2f ms   %.2fx   "
               "%s\n",
-              t_eref.min_seconds * 1e3, t_eblk.min_seconds * 1e3,
+              t_eref.min_seconds * 1e3, t_eeng.min_seconds * 1e3,
               e_speedup,
               agree ? "(counts bit-identical)" : "<< COUNT MISMATCH");
   if (largest) {
     const double combined =
         (t_vref.min_seconds + t_eref.min_seconds) /
-        std::max(1e-9, t_vblk.min_seconds + t_eblk.min_seconds);
+        std::max(1e-9, t_veng.min_seconds + t_eeng.min_seconds);
     h.counter("vertex_speedup_largest", v_speedup);
     h.counter("edge_speedup_largest", e_speedup);
     h.counter("speedup_largest", combined);
@@ -165,10 +164,10 @@ int main(int argc, char** argv) {
               "§III-B).\n");
 
   std::printf("\n== counting kernels: reference wedge table vs "
-              "degree-ordered blocked ==\n\n");
+              "wedge engine ==\n\n");
 
   // Preferential attachment concentrates wedges on the early (hub)
-  // vertices — the regime the degree ordering is built for.
+  // vertices, so on these factors id order is close to degree order.
   const std::vector<Instance> instances =
       h.quick() ? std::vector<Instance>{{2000, 3000, 24000},
                                         {10000, 15000, 150000}}

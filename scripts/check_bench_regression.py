@@ -15,7 +15,7 @@ What is compared — and why these metrics and not wall times:
   * Within-run ratios (speedups, overhead multipliers) divide two timings
     taken in the same process on the same machine, so they transfer
     between the committing machine and any CI runner.  These carry the
-    tight 15% band by default: a >15% drop in, say, a blocked-kernel
+    tight 15% band by default: a >15% drop in, say, a wedge-engine
     speedup means that kernel itself regressed.
   * Correctness booleans (counts exact, stores bit-identical) must never
     change at all.

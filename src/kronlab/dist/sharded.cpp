@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -12,6 +13,7 @@
 #include "kronlab/obs/stats.hpp"
 #include "kronlab/obs/trace.hpp"
 #include "kronlab/obs/watchdog.hpp"
+#include "kronlab/graph/wedges.hpp"
 #include "kronlab/grb/coo.hpp"
 #include "kronlab/kron/ground_truth.hpp"
 #include "kronlab/kron/stream.hpp"
@@ -337,6 +339,15 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
         key = static_cast<index_t>(msg[2]);
         KRONLAB_REQUIRE(msg.size() == 4 + static_cast<std::size_t>(msg[3]),
                         "malformed ROWS frame");
+        // The wedge engine indexes an n-sized table with these columns and
+        // stops each scan early, so they must be sorted ids in [0, n).
+        const std::span<const word_t> cols(msg.data() + 4, msg.size() - 4);
+        KRONLAB_REQUIRE(
+            cols.empty() ||
+                (cols.front() >= 0 && cols.back() < shard.n &&
+                 std::adjacent_find(cols.begin(), cols.end(),
+                                    std::greater_equal<>()) == cols.end()),
+            "malformed ROWS frame");
       }
       if (ps && msg_epoch == epoch) {
         if (key == kHandshake) {
@@ -638,37 +649,23 @@ count_t distributed_global_butterflies(Comm& comm, const Shard& shard,
     }
   }
 
-  const auto row_of = [&](index_t j) -> std::span<const index_t> {
-    if (shard.owns(j)) return shard.rows.row_cols(shard.local(j));
-    const auto it = ghost.find(j);
-    KRONLAB_DBG_ASSERT(it != ghost.end(), "missing ghost row");
-    return {it->second.data(), it->second.size()};
-  };
-
-  // ---- phase 3: local wedge counting of owned vertices ----------------
+  // ---- phase 3: the wedge engine over owned rows ---------------------
+  // Owned-plus-ghost rows: every row an owned row's wedges walk.
   KRONLAB_TRACE_SPAN("dist", "wedge_count");
-  std::vector<count_t> cnt(static_cast<std::size_t>(shard.n), 0);
-  std::vector<index_t> touched;
-  count_t local_sum = 0;
-  for (index_t lv = 0; lv < shard.rows.nrows(); ++lv) {
-    const index_t v = shard.row_begin + lv;
-    touched.clear();
-    for (const index_t j : shard.rows.row_cols(lv)) {
-      for (const index_t k : row_of(j)) {
-        if (k == v) continue;
-        if (cnt[static_cast<std::size_t>(k)] == 0) touched.push_back(k);
-        ++cnt[static_cast<std::size_t>(k)];
-      }
-    }
-    for (const index_t k : touched) {
-      const count_t c = cnt[static_cast<std::size_t>(k)];
-      local_sum += c * (c - 1) / 2;
-      cnt[static_cast<std::size_t>(k)] = 0;
-    }
+  std::vector<std::span<const index_t>> rows(
+      static_cast<std::size_t>(shard.n));
+  for (index_t v = shard.row_begin; v < shard.row_end; ++v) {
+    rows[static_cast<std::size_t>(v)] = shard.rows.row_cols(shard.local(v));
   }
+  for (const auto& [v, cols] : ghost) {
+    rows[static_cast<std::size_t>(v)] = cols;
+  }
+  const count_t local_sum = graph::halved_pair_sum(
+      shard.n, shard.row_begin, shard.row_end,
+      [&](index_t j) { return rows[static_cast<std::size_t>(j)]; });
 
-  // Σ_v s_v = 4 · #C4.
-  return comm.allreduce_sum(local_sum, members) / 4;
+  // Each diagonal pair {v, k < v} is counted by v's owner: Σ = 2 · #C4.
+  return comm.allreduce_sum(local_sum, members) / 2;
 }
 
 namespace {

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "kronlab/common/error.hpp"
+#include "kronlab/graph/butterflies.hpp"
 #include "kronlab/grb/ops.hpp"
 
 namespace kronlab::graph {
@@ -16,29 +17,6 @@ void require_simple(const Adjacency& a, const char* where) {
                        ": adjacency must have no self loops");
   }
 }
-
-/// Scratch for per-sample wedge counting.
-struct WedgeScratch {
-  explicit WedgeScratch(index_t n)
-      : cnt(static_cast<std::size_t>(n), 0) {}
-  std::vector<count_t> cnt;
-  std::vector<index_t> touched;
-
-  /// Fill cnt[k] = |N(v) ∩ N(k)| for k ≠ v in v's 2-hop neighborhood.
-  void fill(const Adjacency& a, index_t v) {
-    touched.clear();
-    for (const index_t j : a.row_cols(v)) {
-      for (const index_t k : a.row_cols(j)) {
-        if (k == v) continue;
-        if (cnt[static_cast<std::size_t>(k)] == 0) touched.push_back(k);
-        ++cnt[static_cast<std::size_t>(k)];
-      }
-    }
-  }
-  void clear() {
-    for (const index_t k : touched) cnt[static_cast<std::size_t>(k)] = 0;
-  }
-};
 
 count_t sorted_common(std::span<const index_t> x,
                       std::span<const index_t> y) {
@@ -66,7 +44,7 @@ ButterflyEstimate approx_butterflies_vertex(const Adjacency& a,
   KRONLAB_REQUIRE(samples >= 1, "need at least one sample");
   const index_t n = a.nrows();
   if (n == 0) return {0.0, samples};
-  WedgeScratch scratch(n);
+  VertexWedgeTable scratch(n);
   double acc = 0.0;
   for (index_t t = 0; t < samples; ++t) {
     const index_t v = rng.uniform(0, n - 1);
@@ -97,7 +75,7 @@ ButterflyEstimate approx_butterflies_edge(const Adjacency& a,
     }
   }
   const double m = static_cast<double>(a.nnz()) / 2.0;
-  WedgeScratch scratch(a.nrows());
+  VertexWedgeTable scratch(a.nrows());
   double acc = 0.0;
   for (index_t t = 0; t < samples; ++t) {
     const auto e = static_cast<std::size_t>(rng.uniform(0, a.nnz() - 1));

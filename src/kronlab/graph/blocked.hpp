@@ -1,41 +1,11 @@
 // kronlab/graph/blocked.hpp
 //
-// Degree-ordered, cache-blocked 4-cycle counting kernels.
+// Degree-ordered relabeling of an undirected adjacency.
 //
-// The reference counters in butterflies.hpp walk wedges i–j–k with a dense
-// n-sized accumulator indexed by the *original* vertex ids.  On the
-// heavy-tailed factors the paper cares about, wedge endpoints are wildly
-// non-uniform — a few hub vertices absorb most increments — but their ids
-// are scattered across the whole array, so nearly every increment is an L2
-// miss.  The kernels here restructure that hot path three ways:
-//
-//  1. Degree ordering.  Vertices are relabeled by non-increasing degree
-//     (ties by original id).  Hot wedge endpoints cluster at the low end
-//     of the id space, so accumulator traffic concentrates in a few
-//     cache-resident pages, and iterating rows in relabeled order visits
-//     the CSR in degree-sorted blocks — the dynamic scheduler's chunks
-//     carry comparable work and stay cache-resident.
-//
-//  2. Blocked accumulation.  The per-worker accumulator is a dense
-//     L2-sized block over the head of the relabeled id space, with an
-//     open-addressing hash map catching the (rare, low-degree) tail
-//     beyond the block.  The dense block uses 32-bit counters: a wedge
-//     count |N(i) ∩ N(k)| never exceeds the vertex count of a factor.
-//
-//  3. Rank-halved pair enumeration.  In relabeled order, id comparison
-//     IS degree comparison, so each wedge-endpoint pair {i, k} is
-//     materialized exactly once, from its higher-rank (lower-degree)
-//     side: the (sorted) inner scan stops at k ≥ i, halving wedge
-//     traffic.  The vertex kernel credits C(c,2) to both endpoints from
-//     the table drain.  The edge kernel replays the same — now
-//     cache-warm — wedge prefix a second time and credits (c − 1)
-//     butterflies to both edges of each wedge at stored-entry offsets
-//     known from the row walk, then folds each edge's two mirror CSR
-//     slots with one cursor sweep.
-//
-// All kernels return counts bit-identical to the reference implementations
-// (exact integer combinatorics — the cross-check suite and the factored
-// ground truth of Thms 3–5 enforce this).
+// No counter uses it any more: the wedge engine (graph/wedges.hpp) halves
+// the pair enumeration by id order, which needs no degree information.
+// DegreeOrder stays only because perfbench's `graph.degree_order_ms` layer
+// probe constructs it.
 
 #pragma once
 
@@ -54,26 +24,8 @@ struct DegreeOrder {
   std::vector<index_t> rank; ///< original id → degree rank
   std::vector<index_t> orig; ///< degree rank → original id
   Adjacency relabeled;       ///< adjacency over ranks, rows sorted
-  /// Stored-entry offset in the original matrix of each relabeled entry
-  /// (built only with `with_entry_map`; lets per-edge results computed in
-  /// rank space scatter back without any binary search).
-  std::vector<offset_t> entry_map;
 
-  explicit DegreeOrder(const Adjacency& a, bool with_entry_map = false);
+  explicit DegreeOrder(const Adjacency& a);
 };
-
-/// Number of dense 32-bit slots in the blocked wedge accumulator: 1<<16
-/// entries = 256 KiB, sized to sit in a typical L2 alongside the CSR rows
-/// being scanned.
-inline constexpr index_t wedge_block_entries = index_t{1} << 16;
-
-/// Per-vertex 4-cycle participation (Def. 8) via the degree-ordered
-/// blocked kernel.  Bit-identical to vertex_butterflies_reference.
-grb::Vector<count_t> vertex_butterflies_blocked(const Adjacency& a);
-
-/// Per-edge 4-cycle participation (Def. 9) via the degree-ordered blocked
-/// kernel; result has `a`'s structure.  Bit-identical to
-/// edge_butterflies_reference.
-grb::Csr<count_t> edge_butterflies_blocked(const Adjacency& a);
 
 } // namespace kronlab::graph

@@ -15,33 +15,38 @@
 //                                        each seen from both endpoints)
 // Work is O(Σ_i Σ_{j∈N(i)} d_j) = O(Σ_j d_j²), the cost the paper quotes
 // for the shortened-BFS-into-second-neighborhood approach.
+//
+// The public counters run the one wedge engine (graph/wedges.hpp), which
+// halves that work by visiting each endpoint pair {i, k} once, from its
+// larger id.  The *_reference and *_naive counters are the independent
+// oracles the tests and the fig3 bench compare the engine against: the
+// reference kernels scan every wedge of every vertex with the full
+// one-vertex table below, the naive ones enumerate 4-tuples.
 
 #pragma once
+
+#include <vector>
 
 #include "kronlab/graph/graph.hpp"
 
 namespace kronlab::graph {
 
-/// Per-vertex 4-cycle participation s (Def. 8).  Dispatches to the
-/// degree-ordered blocked kernel (graph/blocked.hpp); bit-identical to
-/// vertex_butterflies_reference.  Requires an undirected, loop-free
-/// adjacency.
+/// Per-vertex 4-cycle participation s (Def. 8) via the wedge engine.
+/// Requires an undirected, loop-free adjacency (domain_error otherwise).
 grb::Vector<count_t> vertex_butterflies(const Adjacency& a);
 
-/// Per-edge 4-cycle participation ◇ (Def. 9), same structure as `a`.
-/// Dispatches to the degree-ordered blocked kernel.
+/// Per-edge 4-cycle participation ◇ (Def. 9), same structure as `a`, via
+/// the wedge engine.
 grb::Csr<count_t> edge_butterflies(const Adjacency& a);
 
-/// Reference wedge-table kernel (dense n-sized accumulator in original id
-/// order).  Retained as the cross-check partner for the blocked kernels —
-/// the randomized suite asserts bit-for-bit agreement.
+/// Reference per-vertex kernel: the full wedge table of every vertex,
+/// unhalved.  Oracle for vertex_butterflies, bit for bit.
 grb::Vector<count_t> vertex_butterflies_reference(const Adjacency& a);
 
-/// Reference per-edge wedge-table kernel; cross-check partner of
-/// edge_butterflies.
+/// Reference per-edge kernel; oracle for edge_butterflies.
 grb::Csr<count_t> edge_butterflies_reference(const Adjacency& a);
 
-/// Global number of 4-cycles.
+/// Global number of 4-cycles via the wedge engine's scalar drain.
 count_t global_butterflies(const Adjacency& a);
 
 /// Brute-force O(n⁴) global count by enumerating ordered 4-tuples — an
@@ -53,5 +58,36 @@ grb::Vector<count_t> vertex_butterflies_naive(const Adjacency& a);
 
 /// Brute-force per-edge counts on tiny graphs.
 grb::Csr<count_t> edge_butterflies_naive(const Adjacency& a);
+
+/// One vertex's full (unhalved) wedge table, the oracle side's building
+/// block — the reference counters, tip peeling and the samplers share it;
+/// the engine does not.  `fill(a, v, keep)` sets cnt[k] = |N(v) ∩ N(k)|
+/// for every second neighbour k ≠ v that `keep(k)` admits and lists those
+/// k in `touched`; `clear()` re-zeroes them in O(touched).
+struct VertexWedgeTable {
+  explicit VertexWedgeTable(index_t n)
+      : cnt(static_cast<std::size_t>(n), 0) {}
+
+  std::vector<count_t> cnt;
+  std::vector<index_t> touched;
+
+  template <typename Keep>
+  void fill(const Adjacency& a, index_t v, Keep&& keep) {
+    for (const index_t j : a.row_cols(v)) {
+      for (const index_t k : a.row_cols(j)) {
+        if (k == v || !keep(k)) continue;
+        if (cnt[static_cast<std::size_t>(k)]++ == 0) touched.push_back(k);
+      }
+    }
+  }
+  void fill(const Adjacency& a, index_t v) {
+    fill(a, v, [](index_t) { return true; });
+  }
+
+  void clear() {
+    for (const index_t k : touched) cnt[static_cast<std::size_t>(k)] = 0;
+    touched.clear();
+  }
+};
 
 } // namespace kronlab::graph

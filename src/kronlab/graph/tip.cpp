@@ -31,24 +31,6 @@ void require_valid(const Adjacency& a, const Bipartition& part, int side,
   }
 }
 
-/// Butterflies shared between alive same-side vertices v and k:
-/// C(|N(v) ∩ N(k)|, 2), enumerated through v's wedge table.
-template <typename Use>
-void alive_wedge_table(const Adjacency& a, const std::vector<char>& alive,
-                       index_t v, std::vector<count_t>& cnt,
-                       std::vector<index_t>& touched, Use&& use) {
-  touched.clear();
-  for (const index_t j : a.row_cols(v)) {
-    for (const index_t k : a.row_cols(j)) {
-      if (k == v || !alive[static_cast<std::size_t>(k)]) continue;
-      if (cnt[static_cast<std::size_t>(k)] == 0) touched.push_back(k);
-      ++cnt[static_cast<std::size_t>(k)];
-    }
-  }
-  use(cnt, touched);
-  for (const index_t k : touched) cnt[static_cast<std::size_t>(k)] = 0;
-}
-
 } // namespace
 
 TipDecomposition tip_decomposition(const Adjacency& a,
@@ -77,8 +59,7 @@ TipDecomposition tip_decomposition(const Adjacency& a,
     heap.emplace(support[v], static_cast<index_t>(v));
   }
 
-  std::vector<count_t> cnt(n, 0);
-  std::vector<index_t> touched;
+  VertexWedgeTable table(a.nrows());
   count_t level = 0;
   while (!heap.empty()) {
     const auto [s, v] = heap.top();
@@ -90,21 +71,19 @@ TipDecomposition tip_decomposition(const Adjacency& a,
     level = std::max(level, s);
     out.tip[static_cast<std::size_t>(v)] = level;
     alive[static_cast<std::size_t>(v)] = 0;
-    alive_wedge_table(a, alive, v, cnt, touched,
-                      [&](const std::vector<count_t>& table,
-                          const std::vector<index_t>& hit) {
-                        for (const index_t k : hit) {
-                          const count_t c =
-                              table[static_cast<std::size_t>(k)];
-                          const count_t shared = c * (c - 1) / 2;
-                          if (shared > 0) {
-                            auto& sup =
-                                support[static_cast<std::size_t>(k)];
-                            sup = sup > shared ? sup - shared : 0;
-                            heap.emplace(sup, k);
-                          }
-                        }
-                      });
+    // Butterflies v shares with each alive same-side k: C(|N(v) ∩ N(k)|, 2).
+    table.fill(a, v,
+               [&](index_t k) { return alive[static_cast<std::size_t>(k)]; });
+    for (const index_t k : table.touched) {
+      const count_t c = table.cnt[static_cast<std::size_t>(k)];
+      const count_t shared = c * (c - 1) / 2;
+      if (shared > 0) {
+        auto& sup = support[static_cast<std::size_t>(k)];
+        sup = sup > shared ? sup - shared : 0;
+        heap.emplace(sup, k);
+      }
+    }
+    table.clear();
   }
   for (std::size_t v = 0; v < n; ++v) {
     if (out.peeled_side[v]) out.max_tip = std::max(out.max_tip, out.tip[v]);

@@ -104,7 +104,7 @@ count_t edge_squares_pointwise_thm5(count_t sq_ij, count_t d_i, count_t d_j,
 // Self-verification.
 
 /// Outcome of cross-checking the factored ground truth of one product
-/// against the direct (blocked, degree-ordered) counters on the
+/// against the direct counters (the wedge engine, graph/wedges.hpp) on the
 /// materialized C.  This is the paper's mutual-validation loop packaged as
 /// one call: the formulas validate the counters and vice versa.
 struct GroundTruthCheck {

@@ -14,6 +14,8 @@
 //     factored truth);
 //   * deferred DONE: a rank that needs no ghost row announces DONE while
 //     its peers are still trading rows, and the count stays exact;
+//   * a forged ROWS frame (columns out of range or out of order) is
+//     rejected with the typed "malformed ROWS frame" error;
 //   * a many-rank chaos soak with every rank enqueueing, flushing, and
 //     draining concurrently — the TSan target for this subsystem.
 
@@ -435,6 +437,44 @@ TEST(AggregatedExchange, RetryExhaustionStillThrowsTimeout) {
             distributed_global_butterflies(comm, shard, fast_retry());
           }),
       timeout_error);
+}
+
+TEST(AggregatedExchange, ForgedRowsFramesRaiseTypedError) {
+  // A peer's ROWS frame is untrusted input: the counting phase indexes an
+  // n-sized table with its columns and stops each row scan at the first
+  // id ≥ the counted vertex, so columns outside [0, n) or not strictly
+  // increasing must be rejected before they reach the ghost cache.
+  const auto kp = sample_product(36);
+  const kron::PartitionedStream ps(kp, 2);
+  const index_t n = kp.num_vertices();
+  // Exchange wire format: [epoch, ROWS = 1, row, degree, cols...] on tag 10.
+  constexpr int kExchTag = 10;
+  constexpr word_t kRows = 1;
+  const std::vector<Message> forged = {{-1, 3}, {2, n}, {5, 3}, {4, 4}};
+  for (const Message& cols : forged) {
+    EXPECT_THROW(
+        run(2,
+            [&](Comm& comm) {
+              const auto shard = generate_shard(kp, ps, comm.rank());
+              if (comm.rank() == 0) {
+                (void)distributed_global_butterflies(comm, shard,
+                                                     fast_retry());
+                return;
+              }
+              // Rank 1 joins the membership agreement, then answers with
+              // a forged row instead of serving the exchange.
+              const word_t epoch = comm.next_epoch();
+              const auto members = comm.live_ranks();
+              (void)comm.allgather(shard.row_begin, members);
+              (void)comm.allgather(shard.row_end, members);
+              Message frame = {epoch, kRows, shard.row_begin,
+                               static_cast<word_t>(cols.size())};
+              frame.insert(frame.end(), cols.begin(), cols.end());
+              comm.send(0, kExchTag, std::move(frame));
+            }),
+        invalid_argument)
+        << "columns " << cols[0] << ", " << cols[1];
+  }
 }
 
 // ---------------------------------------------------------------------------
