@@ -10,8 +10,9 @@
 // the perf trajectory: the retained reference wedge-table counters vs the
 // public vertex_butterflies / edge_butterflies, which run the wedge engine
 // (graph/wedges.hpp), on heavy-tailed preferential-attachment factors of
-// increasing size, with exact-agreement checks and the per-kernel dispatch
-// metrics dumped into BENCH_fig3_squares.json by the shared harness.
+// increasing size, with exact-agreement checks and the per-kernel
+// kernel/<name> histograms dumped into BENCH_fig3_squares.json by the
+// shared harness.
 
 #include <cstdio>
 
@@ -181,7 +182,5 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   h.counter("kernels_agree", all_agree ? 1.0 : 0.0);
-
-  std::printf("per-kernel metrics:\n%s", h.metrics_report().c_str());
   return all_agree ? 0 : 1;
 }

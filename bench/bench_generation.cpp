@@ -102,8 +102,5 @@ int main(int argc, char** argv) {
   std::printf("\nshape: streaming matches or beats sampling throughput while "
               "also carrying\nexact per-edge ground truth — the §I pitch for "
               "nonstochastic generators as\nvalidation tools.\n");
-
-  std::printf("\n== per-kernel parallel metrics ==\n%s",
-              h.metrics_report().c_str());
   return 0;
 }

@@ -1,12 +1,10 @@
 // X3: google-benchmark microbenchmarks for the grb kernels the ground-truth
 // pipeline is built from: mxv, SpGEMM, Hadamard, Kronecker product, and the
-// factor-statistics bundle.  Per-kernel parallel metrics (chunk counts,
-// busy time, load imbalance) accumulate across all iterations and are
-// dumped after the benchmark table.
+// factor-statistics bundle.  Per-kernel kernel/<name> histograms
+// accumulate across all iterations and land in the harness JSON.
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -108,7 +106,7 @@ int main(int argc, char** argv) {
                    bench::parse_args(our_argc, our_args.data()));
 
   // Quick mode trims each family to its smallest instances; the harness
-  // JSON still carries the full per-kernel parallel metrics snapshot.
+  // JSON still carries the per-kernel histograms of what ran.
   std::string quick_filter = "--benchmark_filter=.*/(2|4)$";
   if (h.quick()) bm_args.push_back(quick_filter.data());
 
@@ -120,7 +118,5 @@ int main(int argc, char** argv) {
   const auto run = benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   h.counter("benchmarks_run", static_cast<double>(run));
-  std::printf("\n== per-kernel parallel metrics ==\n%s",
-              h.metrics_report().c_str());
   return 0;
 }

@@ -145,22 +145,6 @@ TimingStats Harness::time_value(const std::string& section, double seconds) {
   return record_samples(section, {seconds});
 }
 
-void Harness::fold_registry(bool into_last) {
-  const auto snap = metrics::snapshot();
-  if (snap.empty()) return;
-  metrics::reset();
-  for (const auto& [kernel, stats] : snap) {
-    metrics::merge(total_[kernel], stats);
-    if (into_last) metrics::merge(last_[kernel], stats);
-  }
-}
-
-std::string Harness::metrics_report() {
-  // Same fold as write(), so the JSON written afterwards is unchanged.
-  fold_registry(/*into_last=*/last_.empty());
-  return metrics::report_text(total_);
-}
-
 void Harness::fold_obs_stats() {
   const auto snap = obs::stats_snapshot();
   for (const auto& [name, value] : snap.counters) {
@@ -238,27 +222,13 @@ std::string Harness::to_json() const {
            "\"";
     first = false;
   }
-  out += labels_.empty() ? "},\n" : "\n  },\n";
-
-  out += "  \"parallel_metrics\": " + metrics::report_json(last_) + ",\n";
-  out += "  \"parallel_metrics_total\": " + metrics::report_json(total_) +
-         "\n";
+  out += labels_.empty() ? "}\n" : "\n  }\n";
   out += "}\n";
   return out;
 }
 
 void Harness::export_trace() {
   if (opt_.trace_path.empty()) return;
-  // Metrics ride along as counter tracks so kernel totals line up with
-  // the spans that produced them on one timeline.
-  for (const auto& [kernel, stats] : total_) {
-    trace::counter("metrics", trace::intern(kernel + ".wall_seconds"),
-                   stats.wall_seconds);
-    trace::counter("metrics", trace::intern(kernel + ".busy_seconds"),
-                   stats.busy_seconds);
-    trace::counter("metrics", trace::intern(kernel + ".calls"),
-                   static_cast<double>(stats.calls));
-  }
   const auto events = trace::snapshot();
   try {
     if (trace_dir_.empty()) {
@@ -289,9 +259,6 @@ void Harness::export_trace() {
 void Harness::write() {
   if (written_ || opt_.no_json) return;
   written_ = true;
-  // Catch kernels recorded after the final section; benches that only
-  // use time_value() get their whole run reported as the "last" snapshot.
-  fold_registry(/*into_last=*/last_.empty());
   fold_obs_stats();
   export_trace();
   const std::string path =

@@ -9,12 +9,9 @@
 // The JSON carries:
 //
 //   * per-section timing statistics (repetitions, mean/min/max/stddev),
-//   * scalar counters and string labels the bench chose to record,
-//   * two per-kernel parallel/metrics snapshots: "parallel_metrics" holds
-//     each section's final repetition only (warm-cache numbers, no
-//     cross-rep skew) and "parallel_metrics_total" sums every repetition
-//     (the harness opens a metrics::ScopedRecording at construction and
-//     folds the registry after each rep),
+//   * scalar counters and string labels the bench chose to record, plus
+//     the obs/stats registry folded in at write time (every histogram,
+//     the kernel/<name> ones included, as <name>.count/.p50_ms/.p99_ms),
 //   * peak RSS and total wall time.
 //
 // Command line (parse_args): every bench accepts
@@ -37,7 +34,6 @@
 #include <vector>
 
 #include "kronlab/common/timer.hpp"
-#include "kronlab/parallel/metrics.hpp"
 
 namespace kronlab::bench {
 
@@ -81,21 +77,16 @@ public:
   [[nodiscard]] int reps_for(int default_reps) const;
 
   /// Run `fn` reps_for(default_reps) times, record and return the stats.
-  /// The metrics registry is folded away after every repetition so one
-  /// rep's kernel stats never bleed into the next: the final rep lands in
-  /// both the "last" and "total" snapshots, earlier reps in "total" only.
   template <typename F>
   TimingStats time_section(const std::string& section, F&& fn,
                            int default_reps = 3) {
     const int reps = reps_for(default_reps);
-    fold_registry(false); // out-of-section kernels count toward the total
     std::vector<double> samples;
     samples.reserve(static_cast<std::size_t>(reps));
     for (int r = 0; r < reps; ++r) {
       Timer t;
       fn();
       samples.push_back(t.seconds());
-      fold_registry(/*into_last=*/r == reps - 1);
     }
     return record_samples(section, samples);
   }
@@ -109,13 +100,9 @@ public:
   /// Record a free-text result (instance name, mode, …).
   void label(const std::string& name, std::string value);
 
-  /// Per-kernel metrics table of the whole run: the folded totals of
-  /// every section plus whatever the live registry still holds.
-  [[nodiscard]] std::string metrics_report();
-
   /// Write BENCH_<name>.json now (idempotent; the destructor then skips).
-  /// When --trace was given, also folds the metrics totals into the trace
-  /// as counter events and exports the timeline (see the --trace doc).
+  /// When --trace was given, also exports the timeline (see the --trace
+  /// doc).
   void write();
 
   /// Directory receiving trace files, or "" when --trace is off or names
@@ -126,9 +113,6 @@ public:
 private:
   TimingStats record_samples(const std::string& section,
                              const std::vector<double>& samples);
-  /// Snapshot + reset the metrics registry, merging into the run total
-  /// and, when `into_last`, into the reported per-section-final snapshot.
-  void fold_registry(bool into_last);
   /// Fold the obs/stats registry (reset at harness construction) into
   /// the exported counters: non-zero counters under their registry name,
   /// histograms as <name>.count/.p50_ms/.p99_ms.  With --trace, the same
@@ -141,12 +125,9 @@ private:
   std::string name_;
   Options opt_;
   Timer wall_;
-  metrics::ScopedRecording recording_;
   std::vector<std::pair<std::string, TimingStats>> timings_;
   std::map<std::string, double> counters_;
   std::map<std::string, std::string> labels_;
-  std::map<std::string, metrics::KernelStats> last_;  ///< final reps only
-  std::map<std::string, metrics::KernelStats> total_; ///< every rep
   std::string trace_dir_;
   bool written_ = false;
 };

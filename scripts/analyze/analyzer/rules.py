@@ -284,7 +284,7 @@ def emit_audit_skeleton(functions: List[ir.Function], root: str) -> str:
 NODISCARD_APIS = {
     "fnv1a64", "fnv1a64_words", "read_binary", "read_binary_file",
     "read_snapshot", "read_snapshot_file", "read_segment", "read_manifest",
-    "write_segment", "scan_store", "recv", "recv_deadline", "recv_any",
+    "scan_store", "recv", "recv_deadline", "recv_any",
     "allreduce_sum", "allgather", "alltoall", "decode_request",
     "decode_response", "peek_request_id", "verify_checksum",
 }

@@ -24,8 +24,6 @@ TOP_LEVEL = {
     "timings": list,
     "counters": dict,
     "labels": dict,
-    "parallel_metrics": dict,
-    "parallel_metrics_total": dict,
 }
 
 TIMING = {
@@ -36,19 +34,6 @@ TIMING = {
     "max_seconds": (int, float),
     "stddev_seconds": (int, float),
 }
-
-KERNEL = {
-    "name": str,
-    "calls": int,
-    "wall_seconds": (int, float),
-    "busy_seconds": (int, float),
-    "max_worker_seconds": (int, float),
-    "chunks": int,
-    "items": int,
-    "max_workers": int,
-    "imbalance": (int, float),
-}
-
 
 class Malformed(Exception):
     pass
@@ -107,27 +92,6 @@ def check_file(path):
 
     for key, val in doc["labels"].items():
         require(isinstance(val, str), f"{path}: labels['{key}']: not a string")
-
-    last_calls = {}
-    total_calls = {}
-    for field, calls in (("parallel_metrics", last_calls),
-                         ("parallel_metrics_total", total_calls)):
-        pm = doc[field]
-        require("kernels" in pm and isinstance(pm["kernels"], list),
-                f"{path}: {field}.kernels missing or not a list")
-        for i, k in enumerate(pm["kernels"]):
-            where = f"{path}: {field}.kernels[{i}]"
-            check_fields(k, KERNEL, where)
-            require(k["calls"] >= 1, f"{where}: calls < 1")
-            calls[k["name"]] = k["calls"]
-    # The final-rep snapshot is a subset of the whole-run total.
-    for name, calls in last_calls.items():
-        require(name in total_calls,
-                f"{path}: kernel '{name}' in parallel_metrics but not in "
-                f"parallel_metrics_total")
-        require(calls <= total_calls[name],
-                f"{path}: kernel '{name}' has more last-rep calls than "
-                f"total calls")
 
     return doc["name"], len(doc["timings"]), len(doc["counters"])
 

@@ -30,9 +30,6 @@ namespace kronlab::env {
 /// Worker-thread count of the global pool (default: hardware concurrency).
 inline constexpr const char* kThreads = "KRONLAB_THREADS";
 
-/// Enable per-kernel parallel-runtime metrics collection.
-inline constexpr const char* kMetrics = "KRONLAB_METRICS";
-
 /// Enable the tracing subsystem (spans/instants/counters).
 inline constexpr const char* kTrace = "KRONLAB_TRACE";
 
@@ -54,10 +51,6 @@ inline constexpr const char* kFaultRate = "KRONLAB_FAULT_RATE";
 namespace kronlab::magic {
 
 // --- on-disk formats -------------------------------------------------------
-
-/// Legacy checksum-less binary CSR (read-only, behind
-/// grb::ReadOptions::allow_legacy_v1).
-inline constexpr char kCsr1[8] = {'K', 'R', 'N', 'L', 'C', 'S', 'R', '1'};
 
 /// Checksummed binary CSR (grb/binary_io.hpp).
 inline constexpr char kCsr2[8] = {'K', 'R', 'N', 'L', 'C', 'S', 'R', '2'};

@@ -32,7 +32,7 @@ private:
 namespace timer {
 
 /// Nanoseconds on the steady clock since the process-wide epoch (anchored
-/// the first time any timing subsystem runs).  Both parallel/metrics and
+/// the first time any timing subsystem runs).  Both obs/stats and
 /// obs/trace stamp with this, so their timestamps are directly comparable
 /// and land on one timeline.
 [[nodiscard]] std::uint64_t now_ns();

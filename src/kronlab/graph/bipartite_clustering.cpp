@@ -5,7 +5,7 @@
 #include "kronlab/graph/butterflies.hpp"
 #include "kronlab/grb/ops.hpp"
 #include "kronlab/kron/ground_truth.hpp"
-#include "kronlab/parallel/metrics.hpp"
+#include "kronlab/obs/stats.hpp"
 #include "kronlab/parallel/parallel_for.hpp"
 
 namespace kronlab::graph {
@@ -24,7 +24,7 @@ void require_bipartite_simple(const Adjacency& a, const char* where) {
 
 count_t three_paths(const Adjacency& a) {
   require_bipartite_simple(a, "three_paths");
-  metrics::KernelScope scope("graph/three_paths");
+  KRONLAB_KERNEL("graph/three_paths");
   const auto d = degrees(a);
   const count_t directed = parallel_reduce_dynamic<count_t>(
       0, a.nrows(), 0,
@@ -48,7 +48,7 @@ double robins_alexander_cc(const Adjacency& a) {
 
 grb::Vector<double> local_closure(const Adjacency& a) {
   require_bipartite_simple(a, "local_closure");
-  metrics::KernelScope scope("graph/local_closure");
+  KRONLAB_KERNEL("graph/local_closure");
   const auto d = degrees(a);
   const auto s = vertex_butterflies(a);
   grb::Vector<double> out(a.nrows(), 0.0);

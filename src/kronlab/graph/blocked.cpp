@@ -5,13 +5,13 @@
 #include <utility>
 #include <vector>
 
-#include "kronlab/parallel/metrics.hpp"
+#include "kronlab/obs/stats.hpp"
 #include "kronlab/parallel/parallel_for.hpp"
 
 namespace kronlab::graph {
 
 DegreeOrder::DegreeOrder(const Adjacency& a) {
-  metrics::KernelScope scope("graph/degree_order");
+  KRONLAB_KERNEL("graph/degree_order");
   const index_t n = a.nrows();
   const auto un = static_cast<std::size_t>(n);
 

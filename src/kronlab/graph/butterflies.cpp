@@ -6,7 +6,7 @@
 #include "kronlab/common/error.hpp"
 #include "kronlab/graph/wedges.hpp"
 #include "kronlab/grb/ops.hpp"
-#include "kronlab/parallel/metrics.hpp"
+#include "kronlab/obs/stats.hpp"
 #include "kronlab/parallel/parallel_for.hpp"
 
 namespace kronlab::graph {
@@ -40,7 +40,7 @@ void sum_partials(const std::vector<std::vector<count_t>>& partials,
 
 grb::Vector<count_t> vertex_butterflies(const Adjacency& a) {
   require_simple(a, "vertex_butterflies");
-  metrics::KernelScope scope("graph/vertex_butterflies");
+  KRONLAB_KERNEL("graph/vertex_butterflies");
   const index_t n = a.nrows();
   // Pair {i, k} (k < i) is seen once, from i, and credits both endpoints.
   std::vector<std::vector<count_t>> partials(global_pool().size());
@@ -67,7 +67,7 @@ grb::Vector<count_t> vertex_butterflies(const Adjacency& a) {
 
 grb::Csr<count_t> edge_butterflies(const Adjacency& a) {
   require_simple(a, "edge_butterflies");
-  metrics::KernelScope scope("graph/edge_butterflies");
+  KRONLAB_KERNEL("graph/edge_butterflies");
   const index_t n = a.nrows();
   const auto& rp = a.row_ptr();
   grb::Csr<count_t> out = a;
@@ -138,7 +138,7 @@ grb::Csr<count_t> edge_butterflies(const Adjacency& a) {
 
 grb::Vector<count_t> vertex_butterflies_reference(const Adjacency& a) {
   require_simple(a, "vertex_butterflies_reference");
-  metrics::KernelScope scope("graph/vertex_butterflies_reference");
+  KRONLAB_KERNEL("graph/vertex_butterflies_reference");
   grb::Vector<count_t> s(a.nrows(), 0);
   parallel_for_range_dynamic_scratch(
       0, a.nrows(), [&](std::size_t) { return VertexWedgeTable(a.nrows()); },
@@ -159,7 +159,7 @@ grb::Vector<count_t> vertex_butterflies_reference(const Adjacency& a) {
 
 grb::Csr<count_t> edge_butterflies_reference(const Adjacency& a) {
   require_simple(a, "edge_butterflies_reference");
-  metrics::KernelScope scope("graph/edge_butterflies_reference");
+  KRONLAB_KERNEL("graph/edge_butterflies_reference");
   grb::Csr<count_t> out = a;
   auto& vals = out.vals();
   const auto& rp = out.row_ptr();
@@ -187,7 +187,7 @@ grb::Csr<count_t> edge_butterflies_reference(const Adjacency& a) {
 
 count_t global_butterflies(const Adjacency& a) {
   require_simple(a, "global_butterflies");
-  metrics::KernelScope scope("graph/global_butterflies");
+  KRONLAB_KERNEL("graph/global_butterflies");
   // Each 4-cycle has two diagonal pairs, each seen once.
   return halved_pair_sum(a.nrows(), 0, a.nrows(), csr_rows(a)) / 2;
 }

@@ -5,7 +5,7 @@
 #include "kronlab/common/error.hpp"
 #include "kronlab/grb/coo.hpp"
 #include "kronlab/grb/ops.hpp"
-#include "kronlab/parallel/metrics.hpp"
+#include "kronlab/obs/stats.hpp"
 #include "kronlab/parallel/parallel_for.hpp"
 
 namespace kronlab::graph {
@@ -42,7 +42,7 @@ void require_loop_free(const Adjacency& a, const char* where) {
 
 grb::Csr<count_t> edge_triangles(const Adjacency& a) {
   require_loop_free(a, "edge_triangles");
-  metrics::KernelScope scope("graph/edge_triangles");
+  KRONLAB_KERNEL("graph/edge_triangles");
   grb::Csr<count_t> out = a;
   auto& vals = out.vals();
   const auto& rp = out.row_ptr();

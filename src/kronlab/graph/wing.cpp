@@ -7,7 +7,7 @@
 #include "kronlab/graph/bipartite.hpp"
 #include "kronlab/graph/butterflies.hpp"
 #include "kronlab/grb/ops.hpp"
-#include "kronlab/parallel/metrics.hpp"
+#include "kronlab/obs/stats.hpp"
 #include "kronlab/parallel/parallel_for.hpp"
 
 namespace kronlab::graph {
@@ -91,7 +91,7 @@ std::vector<std::pair<index_t, index_t>> WingDecomposition::wing_edges(
 
 WingDecomposition wing_decomposition(const Adjacency& a) {
   require_bipartite_simple(a, "wing_decomposition");
-  metrics::KernelScope scope("graph/wing_decomposition");
+  KRONLAB_KERNEL("graph/wing_decomposition");
   const EdgeIndex ei(a);
   const index_t m = ei.count();
 

@@ -35,7 +35,6 @@ namespace {
 
 // One definition per magic lives in common/registry.hpp (the analyzer's
 // registry rule keeps it that way); these are local aliases.
-constexpr const char (&kMagicV1)[8] = magic::kCsr1;
 constexpr const char (&kMagicV2)[8] = magic::kCsr2;
 constexpr const char (&kMagicCkp)[8] = magic::kCkp1;
 
@@ -83,24 +82,15 @@ void write_binary(std::ostream& out, const Csr<count_t>& a) {
   if (!out) throw io_error("failed writing kronlab binary matrix");
 }
 
-Csr<count_t> read_binary(std::istream& in, const ReadOptions& opt) {
+Csr<count_t> read_binary(std::istream& in) {
   char magic[8];
   in.read(magic, sizeof magic);
-  const bool v2 = in && std::memcmp(magic, kMagicV2, sizeof kMagicV2) == 0;
-  const bool v1 = in && std::memcmp(magic, kMagicV1, sizeof kMagicV1) == 0;
-  if (!v1 && !v2) {
+  if (!in || std::memcmp(magic, kMagicV2, sizeof kMagicV2) != 0) {
     throw io_error("not a kronlab binary matrix (bad magic)");
   }
-  if (v1 && !opt.allow_legacy_v1) {
-    throw io_error(
-        "kronlab binary matrix: legacy checksum-less KRNLCSR1 file "
-        "refused — corruption in it would go undetected; re-save it as "
-        "KRNLCSR2, or opt in explicitly with ReadOptions::allow_legacy_v1");
-  }
   std::uint64_t hash = 0xcbf29ce484222325ULL;
-  std::uint64_t* hp = v2 ? &hash : nullptr;
   std::int64_t header[3];
-  get_words(in, header, 3, hp, "header");
+  get_words(in, header, 3, &hash, "header");
   const index_t nrows = header[0];
   const index_t ncols = header[1];
   const offset_t nnz = header[2];
@@ -126,16 +116,14 @@ Csr<count_t> read_binary(std::istream& in, const ReadOptions& opt) {
   std::vector<offset_t> row_ptr(static_cast<std::size_t>(nrows) + 1);
   std::vector<index_t> col_idx(static_cast<std::size_t>(nnz));
   std::vector<count_t> vals(static_cast<std::size_t>(nnz));
-  get_words(in, row_ptr.data(), row_ptr.size(), hp, "row_ptr");
-  get_words(in, col_idx.data(), col_idx.size(), hp, "col_idx");
-  get_words(in, vals.data(), vals.size(), hp, "vals");
-  if (v2) {
-    std::int64_t stored = 0;
-    get_words(in, &stored, 1, nullptr, "checksum");
-    if (static_cast<std::uint64_t>(stored) != hash) {
-      throw io_error("kronlab binary matrix: FNV-1a checksum mismatch "
-                     "(file is corrupt)");
-    }
+  get_words(in, row_ptr.data(), row_ptr.size(), &hash, "row_ptr");
+  get_words(in, col_idx.data(), col_idx.size(), &hash, "col_idx");
+  get_words(in, vals.data(), vals.size(), &hash, "vals");
+  std::int64_t stored = 0;
+  get_words(in, &stored, 1, nullptr, "checksum");
+  if (static_cast<std::uint64_t>(stored) != hash) {
+    throw io_error("kronlab binary matrix: FNV-1a checksum mismatch "
+                   "(file is corrupt)");
   }
   try {
     return Csr<count_t>(nrows, ncols, std::move(row_ptr),
@@ -153,12 +141,11 @@ void write_binary_file(const std::string& path, const Csr<count_t>& a) {
   write_binary(out, a);
 }
 
-Csr<count_t> read_binary_file(const std::string& path,
-                              const ReadOptions& opt) {
+Csr<count_t> read_binary_file(const std::string& path) {
   trace::Span span("io", "read_binary", io_detail(path));
   std::ifstream in(path, std::ios::binary);
   if (!in) throw io_error("cannot open: " + path);
-  return read_binary(in, opt);
+  return read_binary(in);
 }
 
 void write_snapshot(std::ostream& out, const SnapshotEnvelope& snap) {

@@ -15,11 +15,8 @@
 // The trailing word is an FNV-1a checksum of every byte between the magic
 // and the checksum itself, so silent corruption (the failure mode the
 // paper lineage's regenerate-and-validate workflow is built to catch) is
-// detected at load time instead of producing a garbage CSR.  Legacy
-// checksum-less "KRNLCSR1" files are accepted only when the caller opts
-// in via ReadOptions::allow_legacy_v1 — an unchecksummed read silently
-// defeats the corruption-detection story, so it must be a visible,
-// per-call decision, never a default.
+// detected at load time instead of producing a garbage CSR.  Any other
+// magic, including the retired checksum-less "KRNLCSR1", is an io_error.
 //
 // A second envelope, "KRNLCKP1", wraps a metadata word vector plus an
 // embedded CSR — the checkpoint format of the fault-tolerant distributed
@@ -42,22 +39,11 @@ namespace kronlab::grb {
 [[nodiscard]] std::uint64_t fnv1a64(const void* data, std::size_t nbytes,
                       std::uint64_t basis = 0xcbf29ce484222325ULL);
 
-/// Read-side policy knobs.
-struct ReadOptions {
-  /// Accept legacy checksum-less KRNLCSR1 files.  Off by default: without
-  /// a checksum, corruption reads as a (possibly invalid) CSR instead of
-  /// a typed error.  Rejected V1 files produce an io_error naming this
-  /// flag so the operator knows the escape hatch exists.
-  bool allow_legacy_v1 = false;
-};
-
 void write_binary(std::ostream& out, const Csr<count_t>& a);
-[[nodiscard]] Csr<count_t> read_binary(std::istream& in,
-                                       const ReadOptions& opt = {});
+[[nodiscard]] Csr<count_t> read_binary(std::istream& in);
 
 void write_binary_file(const std::string& path, const Csr<count_t>& a);
-[[nodiscard]] Csr<count_t> read_binary_file(const std::string& path,
-                              const ReadOptions& opt = {});
+[[nodiscard]] Csr<count_t> read_binary_file(const std::string& path);
 
 /// Checksummed snapshot: free-form metadata words + one CSR payload.
 struct SnapshotEnvelope {

@@ -13,7 +13,7 @@
 #include "kronlab/grb/csr.hpp"
 #include "kronlab/grb/ops.hpp"
 #include "kronlab/grb/semiring.hpp"
-#include "kronlab/parallel/metrics.hpp"
+#include "kronlab/obs/stats.hpp"
 #include "kronlab/parallel/parallel_for.hpp"
 
 namespace kronlab::grb {
@@ -28,7 +28,7 @@ Csr<T> mxm_masked(const Csr<T>& mask, const Csr<T>& a, const Csr<T>& b) {
   KRONLAB_REQUIRE(a.ncols() == b.nrows(), "mxm_masked shape mismatch");
   KRONLAB_REQUIRE(mask.nrows() == a.nrows() && mask.ncols() == b.ncols(),
                   "mask shape mismatch");
-  metrics::KernelScope scope("grb/mxm_masked");
+  KRONLAB_KERNEL("grb/mxm_masked");
   std::vector<T> vals(static_cast<std::size_t>(mask.nnz()), S::zero());
   const auto& mrp = mask.row_ptr();
 

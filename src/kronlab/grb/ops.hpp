@@ -16,7 +16,7 @@
 #include "kronlab/grb/csr.hpp"
 #include "kronlab/grb/semiring.hpp"
 #include "kronlab/grb/vector.hpp"
-#include "kronlab/parallel/metrics.hpp"
+#include "kronlab/obs/stats.hpp"
 #include "kronlab/parallel/parallel_for.hpp"
 
 namespace kronlab::grb {
@@ -25,7 +25,7 @@ namespace kronlab::grb {
 template <typename T, typename S = PlusTimes<T>>
 Vector<T> mxv(const Csr<T>& a, const Vector<T>& x) {
   KRONLAB_REQUIRE(a.ncols() == x.size(), "mxv shape mismatch");
-  metrics::KernelScope scope("grb/mxv");
+  KRONLAB_KERNEL("grb/mxv");
   Vector<T> y(a.nrows(), S::zero());
   parallel_for_dynamic(0, a.nrows(), [&](index_t i) {
     const auto cols = a.row_cols(i);
@@ -57,7 +57,7 @@ struct SpgemmScratch {
 template <typename T, typename S = PlusTimes<T>>
 Csr<T> mxm(const Csr<T>& a, const Csr<T>& b) {
   KRONLAB_REQUIRE(a.ncols() == b.nrows(), "mxm shape mismatch");
-  metrics::KernelScope scope("grb/mxm");
+  KRONLAB_KERNEL("grb/mxm");
   const index_t m = a.nrows();
   const index_t n = b.ncols();
 

@@ -9,7 +9,6 @@
 #include "kronlab/obs/log.hpp"
 #include "kronlab/obs/stats.hpp"
 #include "kronlab/obs/trace.hpp"
-#include "kronlab/parallel/metrics.hpp"
 #include "kronlab/parallel/parallel_for.hpp"
 
 namespace kronlab::io {
@@ -247,7 +246,7 @@ StreamGenReport generate_durable(FileOps& ops,
                                  const kron::BipartiteKronecker& kp,
                                  const StreamGenOptions& opt) {
   KRONLAB_TRACE_SPAN("io", "generate_durable");
-  metrics::KernelScope kernel("durable_stream_gen");
+  KRONLAB_KERNEL("io/generate_durable");
   KRONLAB_REQUIRE(!opt.dir.empty(), "output directory required");
   KRONLAB_REQUIRE(opt.shards >= 1, "need at least one shard");
   KRONLAB_REQUIRE(opt.segment_edges >= 1, "segment_edges must be >= 1");
@@ -331,7 +330,7 @@ VerifyReport verify_store(FileOps& ops,
                           const kron::BipartiteKronecker& kp,
                           const StreamGenOptions& opt) {
   KRONLAB_TRACE_SPAN("io", "verify_store");
-  metrics::KernelScope kernel("durable_verify");
+  KRONLAB_KERNEL("io/verify_store");
   const auto man = read_manifest(ops, opt.dir);
   if (!man) {
     throw io_error("durable store: " + opt.dir + " has no manifest");

@@ -6,7 +6,7 @@
 #include "kronlab/graph/graph.hpp"
 #include "kronlab/grb/masked.hpp"
 #include "kronlab/grb/ops.hpp"
-#include "kronlab/parallel/metrics.hpp"
+#include "kronlab/obs/stats.hpp"
 #include "kronlab/parallel/parallel_for.hpp"
 
 namespace kronlab::kron {
@@ -24,7 +24,7 @@ void require_loop_free_undirected(const Adjacency& a, const char* where) {
 
 FactorStats FactorStats::compute(const Adjacency& m) {
   KRONLAB_REQUIRE(m.nrows() == m.ncols(), "factor must be square");
-  metrics::KernelScope scope("kron/factor_stats");
+  KRONLAB_KERNEL("kron/factor_stats");
   FactorStats st;
   st.d = grb::reduce_rows(m);
   const auto m2 = grb::mxm(m, m);
@@ -45,7 +45,7 @@ FactorStats FactorStats::compute(const Adjacency& m) {
 
 grb::Vector<count_t> vertex_squares_formula(const Adjacency& a) {
   require_loop_free_undirected(a, "vertex_squares_formula");
-  metrics::KernelScope scope("kron/vertex_squares_formula");
+  KRONLAB_KERNEL("kron/vertex_squares_formula");
   const auto st = FactorStats::compute(a);
   grb::Vector<count_t> s(a.nrows());
   parallel_for_dynamic(0, a.nrows(), [&](index_t i) {
@@ -58,7 +58,7 @@ grb::Vector<count_t> vertex_squares_formula(const Adjacency& a) {
 
 grb::Csr<count_t> edge_squares_formula(const Adjacency& a) {
   require_loop_free_undirected(a, "edge_squares_formula");
-  metrics::KernelScope scope("kron/edge_squares_formula");
+  KRONLAB_KERNEL("kron/edge_squares_formula");
   // A³ restricted to A's structure — masked, so A³'s fill-in is never
   // materialized.
   const auto a3 = grb::mxm_masked(a, grb::mxm(a, a), a);
@@ -219,7 +219,7 @@ count_t edge_squares_pointwise_thm5(count_t sq_ij, count_t d_i, count_t d_j,
 }
 
 GroundTruthCheck verify_ground_truth(const BipartiteKronecker& kp) {
-  metrics::KernelScope scope("kron/verify_ground_truth");
+  KRONLAB_KERNEL("kron/verify_ground_truth");
   GroundTruthCheck check;
   const auto c = kp.materialize();
 

@@ -10,6 +10,7 @@
 
 #include "kronlab/common/registry.hpp"
 #include "kronlab/common/sync.hpp"
+#include "kronlab/obs/trace.hpp"
 
 namespace kronlab::obs {
 namespace {
@@ -37,6 +38,9 @@ struct RegistryImpl {
   struct HistEntry {
     std::unique_ptr<Histogram> hist;
     std::vector<std::unique_ptr<Histogram::Shard>> shards;
+    /// Shards of exited threads, handed to the next new recorder so the
+    /// shard count tracks live threads, not every thread ever spawned.
+    std::vector<Histogram::Shard*> idle;
     std::string name;
   };
 
@@ -58,10 +62,21 @@ struct RegistryImpl {
 };
 
 // Per-thread shard cache, indexed by Histogram::id_.  The shards
-// themselves are owned by the (leaked) registry, so a thread dying only
-// discards its pointers, never the data.
+// themselves are owned by the (leaked) registry, so a thread dying never
+// discards data: it returns its shards, counts intact, for reuse.  The
+// registry mutex orders the dead writer's stores before the new one's.
 namespace {
-thread_local std::vector<Histogram::Shard*> tl_shards;
+struct ThreadShards {
+  std::vector<Histogram::Shard*> by_id;
+  ~ThreadShards() {
+    RegistryImpl& r = RegistryImpl::get();
+    MutexLock lock(r.mu);
+    for (std::size_t id = 0; id < by_id.size(); ++id) {
+      if (by_id[id] != nullptr) r.hists[id].idle.push_back(by_id[id]);
+    }
+  }
+};
+thread_local ThreadShards tl_shards;
 } // namespace
 
 Counter& counter(std::string_view name) {
@@ -105,6 +120,35 @@ Histogram& histogram(std::string_view name) {
 }
 
 // ---------------------------------------------------------------------------
+// KernelScope
+
+namespace {
+thread_local const char* tl_kernel = nullptr;
+} // namespace
+
+KernelScope::KernelScope(Histogram& h, const char* name)
+    : h_(stats_enabled() ? &h : nullptr),
+      name_(trace::enabled() ? name : nullptr) {
+  if (name_ != nullptr) {
+    parent_ = tl_kernel;
+    tl_kernel = name_;
+  }
+  if (h_ != nullptr || name_ != nullptr) begin_ns_ = timer::now_ns();
+}
+
+KernelScope::~KernelScope() {
+  if (h_ == nullptr && name_ == nullptr) return;
+  const std::uint64_t end_ns = timer::now_ns();
+  if (h_ != nullptr) h_->record(end_ns - begin_ns_);
+  if (name_ != nullptr) {
+    tl_kernel = parent_;
+    trace::emit_span("kernel", name_, begin_ns_, end_ns);
+  }
+}
+
+const char* KernelScope::current() { return tl_kernel; }
+
+// ---------------------------------------------------------------------------
 // Histogram
 
 std::size_t Histogram::bucket_of(std::uint64_t v) {
@@ -126,16 +170,22 @@ std::uint64_t Histogram::bucket_mid(std::size_t bucket) {
 }
 
 Histogram::Shard& Histogram::shard() {
-  if (id_ < tl_shards.size() && tl_shards[id_] != nullptr) {
-    return *tl_shards[id_];
-  }
+  auto& mine = tl_shards.by_id;
+  if (id_ < mine.size() && mine[id_] != nullptr) return *mine[id_];
   RegistryImpl& r = RegistryImpl::get();
   MutexLock lock(r.mu);
-  auto shard = std::make_unique<Shard>();
-  Shard* raw = shard.get();
-  r.hists[id_].shards.push_back(std::move(shard));
-  if (tl_shards.size() <= id_) tl_shards.resize(id_ + 1, nullptr);
-  tl_shards[id_] = raw;
+  auto& entry = r.hists[id_];
+  Shard* raw = nullptr;
+  if (entry.idle.empty()) {
+    entry.shards.push_back(std::make_unique<Shard>());
+    raw = entry.shards.back().get();
+  } else {
+    raw = entry.idle.back();
+    entry.idle.pop_back();
+    raw->tick = 0; // the new thread's first event is sampled, as documented
+  }
+  if (mine.size() <= id_) mine.resize(id_ + 1, nullptr);
+  mine[id_] = raw;
   return *raw;
 }
 

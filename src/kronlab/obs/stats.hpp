@@ -6,7 +6,8 @@
 // happening right now" — it is what the KRNLSRV1 SERVER_STATS admin
 // request snapshots on a running daemon, what the bench harness folds
 // into kronlab-bench-v1 counters (p50/p99 per instrumented phase), and
-// what the stall watchdog samples.
+// what the stall watchdog samples.  Instrumented kernels (KRONLAB_KERNEL)
+// record into "kernel/<name>" histograms here too, under the same switch.
 //
 // Hot-path contract (the trace idiom, PR 4):
 //
@@ -17,7 +18,9 @@
 //    atomic RMWs on dedicated cache lines.  Histogram recording writes
 //    only the calling thread's shard — one relaxed load+store on a
 //    bucket the thread owns — so concurrent recorders never contend.
-//    Shards are merged under the registry mutex at snapshot time.
+//    Shards are merged under the registry mutex at snapshot time.  A
+//    thread that exits hands its shards, counts intact, to the next new
+//    recording thread, so shard memory follows the live thread count.
 //
 // Histogram buckets are logarithmic with 5 sub-bucket bits (HdrHistogram
 // style): values below 32 are exact, larger values land in one of 32
@@ -164,6 +167,39 @@ private:
   Histogram* h_;
   std::uint64_t begin_ns_;
 };
+
+/// RAII kernel timing, the one per-kernel instrument; use it through
+/// KRONLAB_KERNEL.  Records the scope's wall time (ns) into its
+/// "kernel/<name>" histogram.  When tracing is on it also emits a
+/// "kernel" span and publishes `name` as this thread's innermost kernel,
+/// which the dynamic dispatchers use to label their per-worker
+/// "parallel" spans.  Inert (no clock read) with stats and tracing off.
+class KernelScope {
+public:
+  /// `name` must outlive the trace (a string literal).
+  KernelScope(Histogram& h, const char* name);
+  ~KernelScope();
+  KernelScope(const KernelScope&) = delete;
+  KernelScope& operator=(const KernelScope&) = delete;
+
+  /// Innermost traced kernel on the calling thread, or nullptr (none
+  /// open, or tracing was off when it opened).
+  [[nodiscard]] static const char* current();
+
+private:
+  Histogram* h_;            ///< nullptr when stats were off at entry
+  const char* name_;        ///< nullptr when tracing was off at entry
+  const char* parent_ = nullptr;
+  std::uint64_t begin_ns_ = 0;
+};
+
+/// Time the rest of the enclosing block as kernel `name`, a string
+/// literal "layer/kernel".  The histogram is looked up once per call site.
+#define KRONLAB_KERNEL(name)                                                \
+  static ::kronlab::obs::Histogram& kronlab_kernel_hist_ =                  \
+      ::kronlab::obs::histogram("kernel/" name);                            \
+  const ::kronlab::obs::KernelScope kronlab_kernel_scope_(                  \
+      kronlab_kernel_hist_, name)
 
 /// Sampled RAII latency scope for per-event hot paths where even two
 /// clock reads per event are too much (the per-op serve histograms: a

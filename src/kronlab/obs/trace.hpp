@@ -10,18 +10,18 @@
 //
 // Everything is disabled (one relaxed atomic load per call site) until
 // trace::set_enabled(true) is called or the process starts with
-// KRONLAB_TRACE=1 — the same convention parallel/metrics uses.  When
-// enabled, each thread appends fixed-size events to its own lock-free
-// ring buffer (single writer, no allocation after the ring exists), so
-// recording perturbs the measured code as little as possible.  The ring
-// overwrites its oldest events when full (dropped_events() reports how
-// many); snapshot()/export must only run while instrumented threads are
-// quiescent — after pool joins and dist::run returns — which is when the
-// release-store on each buffer head makes every slot write visible.
+// KRONLAB_TRACE=1.  When enabled, each thread appends fixed-size events
+// to its own lock-free ring buffer (single writer, no allocation after
+// the ring exists), so recording perturbs the measured code as little as
+// possible.  The ring overwrites its oldest events when full
+// (dropped_events() reports how many); snapshot()/export must only run
+// while instrumented threads are quiescent — after pool joins and
+// dist::run returns — which is when the release-store on each buffer
+// head makes every slot write visible.
 //
 // Timestamps come from timer::now_ns(), the process-wide steady-clock
-// epoch shared with parallel/metrics, so metrics counters folded into a
-// trace line up exactly with the spans that produced them.
+// epoch shared with obs/stats, so stats counters folded into a trace
+// line up exactly with the spans that produced them.
 
 #pragma once
 
@@ -70,7 +70,7 @@ private:
   std::uint64_t begin_ns_ = 0;
 };
 
-/// Record a complete span with explicit bounds (used by KernelScope,
+/// Record a complete span with explicit bounds (used by obs::KernelScope,
 /// which measures with its own timestamps).
 void emit_span(const char* cat, const char* name, std::uint64_t begin_ns,
                std::uint64_t end_ns, const char* detail = nullptr);

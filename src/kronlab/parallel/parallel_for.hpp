@@ -16,11 +16,11 @@
 //    table in butterflies.cpp and the SpGEMM accumulator in grb::mxm be
 //    O(n) allocations per worker instead of per chunk.
 //
-// Dynamic dispatchers report per-worker busy time and chunk counts to the
-// innermost metrics::KernelScope (see parallel/metrics.hpp) when metrics
-// are enabled.  Nested parallel loops (a parallel kernel called from
-// inside another parallel region) are detected and run serially on the
-// calling worker, covering their whole range.
+// When tracing is on, each dynamic dispatch shows one "parallel" span per
+// worker, labelled with the innermost obs::KernelScope (see obs/stats.hpp).
+// Nested parallel loops (a parallel kernel called from inside another
+// parallel region) are detected and run serially on the calling worker,
+// covering their whole range.
 
 #pragma once
 
@@ -28,10 +28,9 @@
 #include <atomic>
 #include <vector>
 
-#include "kronlab/common/timer.hpp"
 #include "kronlab/common/types.hpp"
+#include "kronlab/obs/stats.hpp"
 #include "kronlab/obs/trace.hpp"
-#include "kronlab/parallel/metrics.hpp"
 #include "kronlab/parallel/thread_pool.hpp"
 
 namespace kronlab {
@@ -124,32 +123,21 @@ void parallel_for_range_dynamic_scratch(index_t lo, index_t hi,
                                         index_t grain = 0) {
   const index_t n = hi - lo;
   if (n <= 0) return;
-  metrics::KernelScope* const scope = metrics::KernelScope::current();
   const std::size_t threads = pool.size();
   const index_t g = dynamic_grain(n, threads, grain);
   if (threads == 1 || n <= g || ThreadPool::in_parallel_region()) {
-    Timer timer;
     auto scratch = make_scratch(std::size_t{0});
     body(scratch, lo, hi);
-    if (scope) {
-      scope->note_worker(0, timer.seconds(), 1,
-                         static_cast<std::uint64_t>(n));
-    }
     return;
   }
   std::atomic<index_t> next{lo};
   std::atomic<bool> failed{false};
   // Worker busy windows show up as one "parallel" span per worker on the
   // timeline, labelled with the innermost kernel scope's name.
-  const char* const span_name =
-      scope != nullptr && scope->trace_name() != nullptr
-          ? scope->trace_name()
-          : "workers";
+  const char* const kernel = obs::KernelScope::current();
+  const char* const span_name = kernel != nullptr ? kernel : "workers";
   pool.run([&](std::size_t id) {
     trace::Span tspan("parallel", span_name);
-    Timer timer;
-    std::uint64_t chunks = 0;
-    std::uint64_t items = 0;
     auto scratch = make_scratch(id);
     while (!failed.load(std::memory_order_relaxed)) {
       const index_t b = next.fetch_add(g, std::memory_order_relaxed);
@@ -161,10 +149,7 @@ void parallel_for_range_dynamic_scratch(index_t lo, index_t hi,
         failed.store(true, std::memory_order_relaxed);
         throw; // captured by the pool, rethrown after the join
       }
-      ++chunks;
-      items += static_cast<std::uint64_t>(e - b);
     }
-    if (scope) scope->note_worker(id, timer.seconds(), chunks, items);
   });
 }
 

@@ -10,7 +10,7 @@
 #include "kronlab/obs/log.hpp"
 #include "kronlab/obs/trace.hpp"
 #include "kronlab/obs/watchdog.hpp"
-#include "kronlab/parallel/metrics.hpp"
+#include "kronlab/obs/stats.hpp"
 #include "kronlab/parallel/parallel_for.hpp"
 
 namespace kronlab::serve {
@@ -170,7 +170,6 @@ void Server::executor_loop(std::size_t id) {
 
 void Server::process(WorkItem& item) {
   trace::Span span("serve", "request");
-  metrics::KernelScope scope("serve/request");
   obs::LatencyScope latency(*request_hist_);
   obs::StallGuard stall_guard("serve/request");
   Response resp;

@@ -21,9 +21,9 @@
 //     under the connection's write mutex;
 //   * an LRU cache (lru.hpp) of hot vertex records in front of the
 //     oracle, keyed by product vertex id;
-//   * per-request obs/trace spans and parallel/metrics kernel scopes, so
-//     a traced run shows one "request" span per frame and the bench
-//     harness folds serve-side dispatch stats into its JSON.
+//   * a per-request obs/trace span and "serve/request" latency
+//     histogram, so a traced run shows one "request" span per frame and
+//     the bench harness folds serve-side latency into its JSON.
 //
 // Shutdown (stop(), also the SIGTERM path of kronlab_served) is a
 // graceful drain: stop accepting, half-close every connection's read

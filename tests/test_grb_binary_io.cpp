@@ -128,42 +128,15 @@ TEST(BinaryIo, ChecksumDetectsValueBitFlip) {
 }
 
 TEST(BinaryIo, RejectsLegacyV1ByDefault) {
-  // A checksum-less file read by default would silently defeat the
-  // corruption-detection story — the refusal must be typed and must name
-  // the opt-in escape hatch.
+  // The checksum-less KRNLCSR1 format is retired: such a file must be
+  // refused with a typed error, never read as an unverified CSR.
   Rng rng(8);
   const auto a = gen::random_bipartite(7, 5, 16, rng);
   std::string data = serialized(a);
   data[7] = '1';                   // KRNLCSR2 -> KRNLCSR1
   data.resize(data.size() - 8);    // V1 carries no trailing checksum
   auto legacy = as_stream(data);
-  try {
-    (void)read_binary(legacy);
-    FAIL() << "legacy V1 file accepted without opt-in";
-  } catch (const io_error& e) {
-    EXPECT_NE(std::string(e.what()).find("allow_legacy_v1"),
-              std::string::npos)
-        << "refusal must name the escape hatch: " << e.what();
-  }
-}
-
-TEST(BinaryIo, AcceptsLegacyChecksumlessV1WhenOptedIn) {
-  Rng rng(8);
-  const auto a = gen::random_bipartite(7, 5, 16, rng);
-  std::string data = serialized(a);
-  data[7] = '1';                   // KRNLCSR2 -> KRNLCSR1
-  data.resize(data.size() - 8);    // V1 carries no trailing checksum
-  ReadOptions opt;
-  opt.allow_legacy_v1 = true;
-  auto legacy = as_stream(data);
-  EXPECT_EQ(read_binary(legacy, opt), a);
-  // The opt-in widens acceptance only to V1: V2 files still checksum.
-  auto modern = as_stream(serialized(a));
-  EXPECT_EQ(read_binary(modern, opt), a);
-  std::string corrupt = serialized(a);
-  corrupt[24] = static_cast<char>(corrupt[24] ^ 1);
-  auto bad = as_stream(corrupt);
-  EXPECT_THROW((void)read_binary(bad, opt), io_error);
+  EXPECT_THROW((void)read_binary(legacy), io_error);
 }
 
 TEST(BinaryIo, RejectsNegativeDimensions) {

@@ -240,6 +240,35 @@ TEST(ObsRegistry, ConcurrentRecordersWithLiveSnapshots) {
   EXPECT_EQ(bucket_total, total);
 }
 
+TEST(ObsRegistry, ExitedThreadsHandTheirShardsOnWithCountsIntact) {
+  // Short-lived threads (a dist::run per op) must not grow one shard per
+  // thread ever spawned: the second wave reuses the first wave's shards,
+  // and no sample recorded by an exited thread is lost.
+  set_stats_enabled(true);
+  stats_reset();
+  Histogram& h = histogram("test/short_lived");
+  constexpr int kWaves = 3;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 1000;
+  std::uint64_t expect_sum = 0;
+  for (int wave = 0; wave < kWaves; ++wave) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      const auto v = static_cast<std::uint64_t>(wave * kThreads + t + 1);
+      expect_sum += v * kPerThread;
+      threads.emplace_back([&h, v] {
+        for (int i = 0; i < kPerThread; ++i) h.record(v);
+      });
+    }
+    for (auto& t : threads) t.join();
+  }
+  const auto snap = stats_snapshot();
+  const auto& hs = snap.histograms.at("test/short_lived");
+  EXPECT_EQ(hs.count, std::uint64_t{kWaves} * kThreads * kPerThread);
+  EXPECT_EQ(hs.sum, expect_sum);
+  EXPECT_EQ(hs.max, std::uint64_t{kWaves} * kThreads);
+}
+
 // ---------------------------------------------------------------------
 // Renderers
 // ---------------------------------------------------------------------

@@ -1,15 +1,18 @@
 // Tests for the dynamically scheduled runtime: atomic-counter chunk
 // dispatch, worker-local scratch reuse, nested-call serialization,
-// exception propagation, skewed reductions, and the per-kernel metrics
-// layer.
+// exception propagation, skewed reductions, and the kernel scopes that
+// time kernels and label worker spans.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <set>
+#include <string>
 
 #include "kronlab/common/error.hpp"
-#include "kronlab/parallel/metrics.hpp"
+#include "kronlab/obs/stats.hpp"
+#include "kronlab/obs/trace.hpp"
 #include "kronlab/parallel/parallel_for.hpp"
 #include "kronlab/parallel/thread_pool.hpp"
 
@@ -243,80 +246,75 @@ TEST(DynamicReduce, EmptyRangeReturnsInit) {
 }
 
 // ---------------------------------------------------------------------
-// Metrics layer.
+// Kernel scopes: one kernel/<name> histogram sample per scope, and the
+// innermost traced kernel labels the dispatcher's worker spans.
 
-TEST(Metrics, KernelScopeRecordsChunksItemsAndImbalance) {
-  const bool was_enabled = metrics::enabled();
-  metrics::set_enabled(true);
-  metrics::reset();
+std::uint64_t kernel_samples(const std::string& name) {
+  const auto snap = obs::stats_snapshot();
+  const auto it = snap.histograms.find("kernel/" + name);
+  return it == snap.histograms.end() ? 0 : it->second.count;
+}
+
+TEST(KernelScope, OneScopeAddsOneSample) {
+  const bool was_enabled = obs::stats_enabled();
+  obs::set_stats_enabled(true);
+  const auto before = kernel_samples("test/one_sample");
   ThreadPool pool(4);
-  const index_t n = 5000;
   {
-    metrics::KernelScope scope("test/metrics_kernel");
-    parallel_for_dynamic(0, n, [](index_t) {}, pool, /*grain=*/50);
+    KRONLAB_KERNEL("test/one_sample");
+    parallel_for_dynamic(0, 5000, [](index_t) {}, pool, /*grain=*/50);
   }
-  const auto snap = metrics::snapshot();
-  metrics::set_enabled(was_enabled);
-  const auto it = snap.find("test/metrics_kernel");
-  ASSERT_NE(it, snap.end());
-  EXPECT_EQ(it->second.calls, 1u);
-  EXPECT_EQ(it->second.items, static_cast<std::uint64_t>(n));
-  EXPECT_EQ(it->second.chunks, static_cast<std::uint64_t>(n / 50));
-  EXPECT_GE(it->second.max_workers, 1u);
-  EXPECT_LE(it->second.max_workers, 4u);
-  EXPECT_GE(it->second.imbalance(), 1.0);
-  EXPECT_GE(it->second.wall_seconds, 0.0);
-  EXPECT_GE(it->second.busy_seconds, 0.0);
+  obs::set_stats_enabled(was_enabled);
+  EXPECT_EQ(kernel_samples("test/one_sample"), before + 1);
 }
 
-TEST(Metrics, NestedScopesAttributeToInnermost) {
-  const bool was_enabled = metrics::enabled();
-  metrics::set_enabled(true);
-  metrics::reset();
-  ThreadPool pool(2);
+TEST(KernelScope, DisabledStatsAddNoSample) {
+  const bool was_enabled = obs::stats_enabled();
+  obs::set_stats_enabled(false);
+  const auto before = kernel_samples("test/disabled");
   {
-    metrics::KernelScope outer("test/outer");
-    {
-      metrics::KernelScope inner("test/inner");
-      parallel_for_dynamic(0, 1000, [](index_t) {}, pool, /*grain=*/10);
-    }
-  }
-  const auto snap = metrics::snapshot();
-  metrics::set_enabled(was_enabled);
-  ASSERT_TRUE(snap.count("test/inner"));
-  ASSERT_TRUE(snap.count("test/outer"));
-  EXPECT_EQ(snap.at("test/inner").items, 1000u);
-  EXPECT_EQ(snap.at("test/outer").items, 0u); // dispatch went to inner
-}
-
-TEST(Metrics, DisabledScopesRecordNothing) {
-  const bool was_enabled = metrics::enabled();
-  metrics::set_enabled(false);
-  metrics::reset();
-  {
-    metrics::KernelScope scope("test/disabled");
+    KRONLAB_KERNEL("test/disabled");
     parallel_for_dynamic(0, 100, [](index_t) {});
   }
-  const auto snap = metrics::snapshot();
-  metrics::set_enabled(was_enabled);
-  EXPECT_EQ(snap.count("test/disabled"), 0u);
+  obs::set_stats_enabled(was_enabled);
+  EXPECT_EQ(kernel_samples("test/disabled"), before);
 }
 
-TEST(Metrics, ReportsContainRecordedKernels) {
-  const bool was_enabled = metrics::enabled();
-  metrics::set_enabled(true);
-  metrics::reset();
+TEST(KernelScope, NestedScopesLabelWorkerSpansWithInnermost) {
+  trace::reset();
+  trace::set_enabled(true);
   ThreadPool pool(2);
+  const auto spin = [&] {
+    parallel_for_dynamic(0, 1000, [](index_t) {}, pool, /*grain=*/10);
+  };
   {
-    metrics::KernelScope scope("test/report_kernel");
-    parallel_for_dynamic(0, 2000, [](index_t) {}, pool);
+    KRONLAB_KERNEL("test/outer");
+    {
+      KRONLAB_KERNEL("test/inner");
+      EXPECT_STREQ(obs::KernelScope::current(), "test/inner");
+      spin();
+    }
+    EXPECT_STREQ(obs::KernelScope::current(), "test/outer");
+    spin();
   }
-  const auto text = metrics::report_text();
-  const auto json = metrics::report_json();
-  metrics::set_enabled(was_enabled);
-  EXPECT_NE(text.find("test/report_kernel"), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"test/report_kernel\""), std::string::npos);
-  EXPECT_NE(json.find("\"imbalance\":"), std::string::npos);
+  EXPECT_EQ(obs::KernelScope::current(), nullptr);
+  trace::set_enabled(false);
+  const auto evs = trace::snapshot(); // pool joined: quiescent
+  trace::reset();
+
+  std::map<std::string, int> kernel_spans, worker_spans;
+  for (const auto& e : evs) {
+    if (e.kind != trace::Kind::span) continue;
+    if (e.cat == "kernel") ++kernel_spans[e.name];
+    if (e.cat == "parallel") ++worker_spans[e.name];
+  }
+  EXPECT_EQ(kernel_spans,
+            (std::map<std::string, int>{{"test/inner", 1}, {"test/outer", 1}}));
+  // Each dispatch labels every participating worker with the kernel that
+  // was innermost when it forked; nothing falls back to "workers".
+  ASSERT_EQ(worker_spans.size(), 2u);
+  EXPECT_GE(worker_spans["test/inner"], 1);
+  EXPECT_GE(worker_spans["test/outer"], 1);
 }
 
 // ---------------------------------------------------------------------

@@ -23,8 +23,8 @@
 #include "kronlab/dist/sharded.hpp"
 #include "kronlab/gen/random_bipartite.hpp"
 #include "kronlab/kron/ground_truth.hpp"
+#include "kronlab/obs/stats.hpp"
 #include "kronlab/obs/trace.hpp"
-#include "kronlab/parallel/metrics.hpp"
 #include "kronlab/parallel/parallel_for.hpp"
 
 namespace kronlab::trace {
@@ -155,17 +155,14 @@ TEST_F(TraceTest, CountersCarryValues) {
 // Concurrent emission from pooled workers.
 
 TEST_F(TraceTest, PooledWorkerSpansAreWellNestedPerThread) {
-  metrics::set_enabled(true);
   {
-    metrics::KernelScope scope("trace_test_kernel");
+    KRONLAB_KERNEL("trace_test_kernel");
     std::atomic<long> sink{0};
     parallel_for_dynamic(0, 200000,
                          [&](index_t i) {
                            sink.fetch_add(i % 7, std::memory_order_relaxed);
                          });
   }
-  metrics::set_enabled(false);
-  metrics::reset();
   const auto evs = snapshot(); // pool joined: quiescent
   expect_well_nested(evs);
   // The KernelScope span appears with cat "kernel", and each worker that
