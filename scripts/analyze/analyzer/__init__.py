@@ -1,19 +1,15 @@
-"""kronlab_analyze — semantic, project-specific static analysis.
+"""kronlab_analyze — the project's one static-analysis tool.
 
-Two frontends lower C++ translation units into one small IR
-(`analyzer.ir`); the rules (`analyzer.rules`) only ever see the IR plus
-raw file text, so every rule behaves identically under both engines:
+One frontend lowers C++ translation units into a small concurrency IR
+(`analyzer.ir`), and one lexer (`analyzer.lexer`) gives every rule the
+same token stream and comment- and string-blanked view.  The rules
+(`analyzer.rules`) are five semantic checks over the IR and tokens plus
+ten line rules over the blanked view.
 
-* ``internal`` — a token/scope frontend with no dependencies beyond the
-  Python standard library.  This is the engine CI gates on and the one
-  that always works in a bare container.
-* ``clang`` — libclang Python bindings, when importable.  Sees through
-  macros and resolves real types; runs as an advisory cross-check.
-
-See DESIGN.md §15 for the capability map and escape policy.
+See DESIGN.md §15 for the rule map and escape policy.
 """
 
-__version__ = "1.0"
+__version__ = "2.0"
 
 RULES = (
     "lock-order",
@@ -21,4 +17,14 @@ RULES = (
     "memory-order",
     "unchecked-read",
     "registry",
+    "naked-new",
+    "random-source",
+    "trace-span-scope",
+    "no-endl",
+    "header-guard",
+    "no-assert",
+    "durable-io",
+    "dist-send",
+    "obs-log",
+    "tmp-path",
 )

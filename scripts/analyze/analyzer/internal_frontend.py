@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from . import ir
-from .lexer import CHAR, IDENT, NUMBER, PUNCT, STRING, Token, tokenize
+from .lexer import CHAR, IDENT, NUMBER, PUNCT, STRING, Token, load
 
 _KEYWORDS = {
     "if", "for", "while", "switch", "return", "sizeof", "catch", "throw",
@@ -85,10 +85,10 @@ def _match_brace(toks: List[Token], i: int) -> int:
 class _TU:
     """One file's lowering pass."""
 
-    def __init__(self, path: str, text: str,
+    def __init__(self, path: str, toks: List[Token],
                  mutex_classes: Dict[str, Dict[str, str]]):
         self.path = path
-        self.toks = tokenize(text)
+        self.toks = toks
         self.functions: List[ir.Function] = []
         # class name -> {member mutex name -> canonical id}
         self.mutex_classes = mutex_classes
@@ -467,11 +467,10 @@ def lower_files(paths: List[str]) -> Tuple[List[ir.Function], Dict[str, Dict[str
     tus = []
     for p in paths:
         try:
-            with open(p, "r", encoding="utf-8", errors="replace") as f:
-                text = f.read()
+            toks = load(p).tokens
         except OSError:
             continue
-        tu = _TU(p, text, mutex_classes)
+        tu = _TU(p, toks, mutex_classes)
         tu.scan_mutex_members()
         tus.append(tu)
     functions: List[ir.Function] = []

@@ -1,24 +1,35 @@
-"""A small C++ lexer: comments/strings/chars aware, line-accurate.
+"""The one C++ scanner: comments/strings/chars aware, line-accurate.
 
 This is deliberately not a preprocessor — kronlab's sources are
 macro-light (the only relevant macros are the thread-safety annotation
-wrappers, which the internal frontend treats as plain tokens).  The
-lexer's contract is: every identifier, punctuator, string literal, and
-char literal in the file appears as a token with a 1-based line number;
-comments disappear; string/char literal *contents* are preserved in the
-token so rules like `registry` can inspect them.
+wrappers, which the internal frontend treats as plain tokens).  One
+lexeme scan (`_lex`) feeds two views of a file:
+
+* `tokenize` — every identifier, punctuator, string literal, and char
+  literal outside preprocessor directives, as a token with a 1-based
+  line number; comments disappear; string/char literal *contents* are
+  preserved in the token so rules like `registry` can inspect them.
+* `blank` — the source text with comments blanked to spaces and string
+  and char literals reduced to their quotes (raw strings blanked whole),
+  newlines kept, so the line rules can match code with regexes and
+  report true line and column positions.
+
+`load` reads a file once per run and computes each view on first use.
 """
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
-from typing import List
+from typing import Iterator, List, Tuple
 
 IDENT = "ident"
 NUMBER = "number"
 STRING = "string"  # spelling includes quotes
 CHAR = "char"      # spelling includes quotes
 PUNCT = "punct"
+COMMENT = "comment"  # scan-only: never a token
 
 
 @dataclass(frozen=True)
@@ -31,8 +42,9 @@ class Token:
         return f"{self.kind}:{self.spelling}@{self.line}"
 
 
-_PUNCT3 = ("<<=", ">>=", "...", "->*")
-_PUNCT2 = (
+# Multi-character punctuators, longest first.
+_PUNCTS = (
+    "<<=", ">>=", "...", "->*",
     "::", "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&",
     "||", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
 )
@@ -40,10 +52,13 @@ _PUNCT2 = (
 _ID_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _ID_CONT = _ID_START | set("0123456789")
 _DIGITS = set("0123456789")
+_RAW_OPEN = re.compile(r'R"([^ ()\\\t\n]*)\(')
+_NOT_NEWLINE = re.compile(r"[^\n]")
 
 
-def tokenize(text: str) -> List[Token]:
-    toks: List[Token] = []
+def _lex(text: str) -> Iterator[Tuple[str, int, int, int]]:
+    """Yield (kind, start, end, line) for every lexeme, comments
+    included; `line` is the 1-based line the lexeme starts on."""
     i, n, line = 0, len(text), 1
     while i < n:
         c = text[i]
@@ -54,92 +69,130 @@ def tokenize(text: str) -> List[Token]:
         if c in " \t\r\f\v":
             i += 1
             continue
-        # Comments.
-        if c == "/" and i + 1 < n:
+        start = i
+        if c == "/" and i + 1 < n and text[i + 1] in "/*":
             if text[i + 1] == "/":
                 j = text.find("\n", i)
                 i = n if j < 0 else j
-                continue
-            if text[i + 1] == "*":
+            else:
                 j = text.find("*/", i + 2)
-                if j < 0:
-                    break
-                line += text.count("\n", i, j + 2)
-                i = j + 2
-                continue
-        # Preprocessor directives: skip to end of (continued) line, but
-        # keep #include targets invisible — rules use the file list, not
-        # the include graph.
-        if c == "#" and (not toks or toks[-1].line != line):
-            while i < n:
-                j = text.find("\n", i)
-                if j < 0:
-                    i = n
-                    break
-                if text[j - 1] == "\\" or (j >= 2 and text[j - 2: j] == "\\\r"):
-                    line += 1
-                    i = j + 1
-                    continue
-                i = j  # leave the newline for the main loop
-                break
-            continue
-        # String / char literals (raw strings included).
-        if c == 'R' and text.startswith('R"', i):
-            j = text.find('"', i + 1)
-            delim = text[i + 2: text.find("(", i)]
-            close = ")" + delim + '"'
-            k = text.find(close, i)
-            if k < 0:
-                break
-            end = k + len(close)
-            toks.append(Token(STRING, text[i:end], line))
-            line += text.count("\n", i, end)
-            i = end
-            continue
-        if c in "\"'":
+                i = n if j < 0 else j + 2
+            kind = COMMENT
+        elif c == "R" and (m := _RAW_OPEN.match(text, i)):
+            close = ")" + m.group(1) + '"'
+            k = text.find(close, m.end())
+            i = n if k < 0 else k + len(close)
+            kind = STRING
+        elif c in "\"'":
             j = i + 1
             while j < n:
                 if text[j] == "\\":
                     j += 2
                     continue
-                if text[j] == c:
-                    break
-                if text[j] == "\n":
-                    break  # unterminated; tolerate
+                if text[j] == c or text[j] == "\n":
+                    break  # closed, or unterminated: tolerate
                 j += 1
-            end = min(j + 1, n)
-            toks.append(Token(STRING if c == '"' else CHAR, text[i:end], line))
-            i = end
-            continue
-        # Identifiers / keywords.
-        if c in _ID_START:
-            j = i + 1
-            while j < n and text[j] in _ID_CONT:
-                j += 1
-            toks.append(Token(IDENT, text[i:j], line))
-            i = j
-            continue
-        # Numbers (good enough: consume [0-9a-fA-FxX'.+-uUlL] run).
-        if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            j = i + 1
-            while j < n and (text[j] in _ID_CONT or text[j] in ".'"):
-                j += 1
-            toks.append(Token(NUMBER, text[i:j], line))
-            i = j
-            continue
-        # Punctuators, longest-match.
-        for p in _PUNCT3:
-            if text.startswith(p, i):
-                toks.append(Token(PUNCT, p, line))
-                i += len(p)
-                break
+            i = min(j + 1, n) if j < n and text[j] == c else min(j, n)
+            kind = STRING if c == '"' else CHAR
+        elif c in _ID_START:
+            i += 1
+            while i < n and text[i] in _ID_CONT:
+                i += 1
+            kind = IDENT
+        elif c in _DIGITS or (c == "." and i + 1 < n
+                              and text[i + 1] in _DIGITS):
+            # good enough: consume a [0-9a-zA-Z_'.] run
+            i += 1
+            while i < n and (text[i] in _ID_CONT or text[i] in ".'"):
+                i += 1
+            kind = NUMBER
         else:
-            for p in _PUNCT2:
+            for p in _PUNCTS:
                 if text.startswith(p, i):
-                    toks.append(Token(PUNCT, p, line))
                     i += len(p)
                     break
             else:
-                toks.append(Token(PUNCT, c, line))
                 i += 1
+            kind = PUNCT
+        yield kind, start, i, line
+        if kind in (COMMENT, STRING, CHAR):
+            line += text.count("\n", start, i)
+
+
+def _directive_end(text: str, i: int) -> int:
+    """End of the preprocessor directive starting at `i`: the first
+    newline not escaped by a line continuation."""
+    while True:
+        j = text.find("\n", i)
+        if j < 0:
+            return len(text)
+        if text[j - 1] == "\\" or text[j - 2: j] == "\\\r":
+            i = j + 1
+            continue
+        return j
+
+
+def tokenize(text: str) -> List[Token]:
+    """Tokens outside comments and preprocessor directives — rules use
+    the file list, not the include graph."""
+    toks: List[Token] = []
+    skip_to = -1
+    last_line = 0
+    for kind, start, end, line in _lex(text):
+        if kind == COMMENT or start < skip_to:
+            continue
+        if kind == PUNCT and text[start] == "#" and line != last_line:
+            skip_to = _directive_end(text, start)
+            continue
+        toks.append(Token(kind, text[start:end], line))
+        last_line = line
     return toks
+
+
+def blank(text: str) -> str:
+    """`text` with comments blanked and literals reduced to their quotes
+    (`"..."` becomes `""` plus spaces; raw strings become spaces).  Every
+    newline and column survives, so positions in the blanked view are
+    positions in the source."""
+    out: List[str] = []
+    pos = 0
+    for kind, start, end, _line in _lex(text):
+        if kind not in (COMMENT, STRING, CHAR):
+            continue
+        out.append(text[pos:start])
+        span = text[start:end]
+        if kind == COMMENT or span[0] == "R":
+            out.append(_NOT_NEWLINE.sub(" ", span))
+        else:
+            out.append((span[0] * 2)[:len(span)]
+                       + _NOT_NEWLINE.sub(" ", span[2:]))
+        pos = end
+    out.append(text[pos:])
+    return "".join(out)
+
+
+class Source:
+    """One file's text, read once; its views are computed on first use."""
+
+    def __init__(self, path: str) -> None:
+        with open(path, "r", encoding="utf-8", errors="replace") as f:
+            self.text = f.read()
+
+    @functools.cached_property
+    def tokens(self) -> List[Token]:
+        return tokenize(self.text)
+
+    @functools.cached_property
+    def lines(self) -> List[str]:
+        return self.text.split("\n")
+
+    @functools.cached_property
+    def blanked(self) -> List[str]:
+        """`blank(text)` split into lines, aligned with `lines`."""
+        return blank(self.text).split("\n")
+
+
+@functools.lru_cache(maxsize=None)
+def load(path: str) -> Source:
+    """The `Source` for `path`; raises OSError when it cannot be read."""
+    return Source(path)

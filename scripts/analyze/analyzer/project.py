@@ -10,8 +10,8 @@ in the contiguous comment block directly above::
     //   connection; write_mu exists to serialize whole frames
 
 The justification text after ``allow(rule)`` is mandatory — a bare
-marker is itself reported as a finding (rule ``bare-allow``).  This is
-the same escape-hatch shape as kronlab_lint, deliberately: grep for
+marker is itself reported as a finding (rule ``bare-allow``).  It is
+the one escape syntax for all fifteen rules: grep for
 ``kronlab-analyze:`` audits every suppression in the tree.
 
 Audit file (memory-order rule)
@@ -36,38 +36,48 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from . import RULES
 from .ir import Finding
+from .lexer import load
 
 ALLOW_RE = re.compile(
     r"kronlab-analyze:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)\s*(\S?)")
 
-SRC_DIRS = ("src", "tools", "bench")
-SRC_EXT = (".cpp", ".cc", ".cxx", ".hpp", ".h")
+SOURCE_ROOTS = ("src", "bench", "tests", "tools", "examples")
+HEADER_SUFFIXES = (".hpp", ".h", ".hh")
+SRC_EXT = (".cpp", ".cc", ".cxx") + HEADER_SUFFIXES
 
 
 def repo_root(start: Optional[str] = None) -> str:
+    """The nearest directory at or above `start` (default: this package)
+    holding both CMakeLists.txt and src/."""
     d = os.path.abspath(start or os.path.dirname(__file__))
-    while d != "/":
-        if os.path.isdir(os.path.join(d, ".git")):
+    while True:
+        if os.path.isfile(os.path.join(d, "CMakeLists.txt")) and \
+                os.path.isdir(os.path.join(d, "src")):
             return d
-        d = os.path.dirname(d)
-    return os.getcwd()
+        parent = os.path.dirname(d)
+        if parent == d:
+            return os.getcwd()
+        d = parent
 
 
-def files_from_compdb(compdb_path: str) -> List[str]:
+def files_from_compdb(compdb_path: str, root: str) -> List[str]:
+    """The compile database's translation units under `root` (system and
+    generated sources elsewhere are not ours to check)."""
     with open(compdb_path, "r", encoding="utf-8") as f:
         entries = json.load(f)
     seen: Set[str] = set()
     out: List[str] = []
     for e in entries:
         p = os.path.abspath(os.path.join(e["directory"], e["file"]))
-        if p not in seen and os.path.exists(p):
+        if p.startswith(root + os.sep) and p not in seen \
+                and os.path.exists(p):
             seen.add(p)
             out.append(p)
     return out
 
 
 def files_from_tree(root: str,
-                    dirs: Iterable[str] = SRC_DIRS) -> List[str]:
+                    dirs: Iterable[str] = SOURCE_ROOTS) -> List[str]:
     out: List[str] = []
     for d in dirs:
         top = os.path.join(root, d)
@@ -79,12 +89,13 @@ def files_from_tree(root: str,
 
 
 def headers_for(sources: List[str], root: str) -> List[str]:
-    """The project headers belonging to the same tree as `sources` —
-    the internal engine analyzes them directly (no preprocessor)."""
+    """`sources` plus every project header — the compile database lists
+    only translation units, and there is no preprocessor to pull the
+    headers in."""
     src_set = set(sources)
     out = list(sources)
     for p in files_from_tree(root):
-        if p.endswith((".hpp", ".h")) and p not in src_set:
+        if p.endswith(HEADER_SUFFIXES) and p not in src_set:
             out.append(p)
     return out
 
@@ -104,20 +115,20 @@ class AllowIndex:
         table: Dict[int, Set[str]] = {}
         comments: Set[int] = set()
         try:
-            with open(path, "r", encoding="utf-8", errors="replace") as f:
-                for lineno, line in enumerate(f, start=1):
-                    if line.lstrip().startswith("//"):
-                        comments.add(lineno)
-                    m = ALLOW_RE.search(line)
-                    if not m:
-                        continue
-                    rules = {r.strip() for r in m.group(1).split(",")}
-                    if not m.group(2):
-                        # no justification text after the ')'
-                        self.bare.append((path, lineno))
-                    table[lineno] = rules
+            lines = load(path).lines
         except OSError:
-            pass
+            lines = []
+        for lineno, line in enumerate(lines, start=1):
+            if line.lstrip().startswith("//"):
+                comments.add(lineno)
+            m = ALLOW_RE.search(line)
+            if not m:
+                continue
+            rules = {r.strip() for r in m.group(1).split(",")}
+            if not m.group(2):
+                # no justification text after the ')'
+                self.bare.append((path, lineno))
+            table[lineno] = rules
         self.by_file[path] = table
         self.comment_lines[path] = comments
 

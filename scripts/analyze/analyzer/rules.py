@@ -1,4 +1,9 @@
-"""The five project-specific rules, over the engine-neutral IR.
+"""The project's fifteen rules.
+
+Five semantic rules run over the IR (`lock-order`,
+`blocking-under-lock`, `memory-order`) or the token stream
+(`unchecked-read`, `registry`).  Ten line rules match regexes against
+the lexer's comment- and string-blanked view of each file.
 
 Scope policy (documented in DESIGN.md §15):
 
@@ -10,6 +15,8 @@ Scope policy (documented in DESIGN.md §15):
   expecting a throw).
 * ``registry`` analyzes ``src/``, ``tools/``, ``bench/``; tests are
   exempt (golden-byte tests intentionally write raw magic bytes).
+* Each line rule scopes itself by the file's repo-relative path (see
+  ``LINE_RULES``); the path-independent ones cover every scanned file.
 """
 
 from __future__ import annotations
@@ -20,8 +27,8 @@ from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import ir
-from .lexer import CHAR, IDENT, STRING, tokenize
-from .project import AllowIndex, parse_audit
+from .lexer import CHAR, IDENT, STRING, Source, load
+from .project import HEADER_SUFFIXES, AllowIndex, parse_audit
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -36,6 +43,13 @@ def _rel(path: str, root: str) -> str:
 
 def _in_dir(rel: str, dirs: Sequence[str]) -> bool:
     return any(rel == d or rel.startswith(d + os.sep) for d in dirs)
+
+
+def _tokens(path: str):
+    try:
+        return load(path).tokens
+    except OSError:
+        return None
 
 
 def _held_at(fn: ir.Function, upto: int) -> List[Tuple[str, int]]:
@@ -286,25 +300,30 @@ NODISCARD_APIS = {
     "read_snapshot", "read_snapshot_file", "read_segment", "read_manifest",
     "scan_store", "recv", "recv_deadline", "recv_any",
     "allreduce_sum", "allgather", "alltoall", "decode_request",
-    "decode_response", "peek_request_id", "verify_checksum",
+    "decode_response", "peek_request_id",
 }
 
 _STMT_START = {";", "{", "}"}
+# Punctuators that can end a return type: `Csr<T> f(`, `T* f(`.
+_TYPE_TAIL = {">", ">>", "*", "&", "&&"}
+# Identifiers that can precede a call without declaring it.
+_NOT_A_TYPE = {"return", "co_return", "co_yield", "co_await", "throw",
+               "case", "else", "do", "new", "delete", "sizeof"}
 
 
 def rule_unchecked_read(files: List[str], root: str,
                         allow: AllowIndex,
                         scope_all: bool = False) -> List[ir.Finding]:
     findings: List[ir.Finding] = []
+    declared: Set[str] = set()
     for path in files:
         rel = _rel(path, root)
         if not scope_all and not _in_dir(rel, ("src", "tools", "bench")):
             continue
-        try:
-            with open(path, "r", encoding="utf-8", errors="replace") as f:
-                toks = tokenize(f.read())
-        except OSError:
+        toks = _tokens(path)
+        if toks is None:
             continue
+        in_src = _in_dir(rel, ("src",))
         for i, t in enumerate(toks):
             if t.kind != IDENT or t.spelling not in NODISCARD_APIS:
                 continue
@@ -319,8 +338,12 @@ def rule_unchecked_read(files: List[str], root: str,
             if j < 0:
                 continue
             prev = toks[j]
-            if prev.kind == IDENT:
-                continue  # declaration / return-type / `return f(...)`
+            if prev.kind == IDENT or prev.spelling in _TYPE_TAIL:
+                # a return type before the name: a declaration (or
+                # `return f(...)`, whose value is consumed)
+                if in_src and prev.spelling not in _NOT_A_TYPE:
+                    declared.add(t.spelling)
+                continue
             if prev.spelling == "{" and j >= 1 and (
                     (toks[j - 1].kind == IDENT
                      and toks[j - 1].spelling not in ("else", "do", "try"))
@@ -346,7 +369,25 @@ def rule_unchecked_read(files: List[str], root: str,
                 message=f"call to {t.spelling}() {how}; the return value "
                         "is a checksum/parse/verify result and must be "
                         "consumed"))
+    if not scope_all:
+        findings.extend(_stale_apis(NODISCARD_APIS - declared))
     return findings
+
+
+def _stale_apis(names: Set[str]) -> List[ir.Finding]:
+    """A NODISCARD_APIS entry declared nowhere under src/ guards nothing;
+    report it at its line in this file."""
+    with open(__file__, "r", encoding="utf-8") as f:
+        lines = f.read().split("\n")
+    out = []
+    for name in sorted(names):
+        line = next((n for n, text in enumerate(lines, 1)
+                     if f'"{name}"' in text), 1)
+        out.append(ir.Finding(
+            rule="unchecked-read", file=__file__, line=line,
+            message=f"stale NODISCARD_APIS entry: {name}() is declared "
+                    "nowhere under src/ — drop it"))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +402,8 @@ def _registry_names(registry_path: str) -> Tuple[Set[str], Set[str]]:
     """(env names, magic names) declared in registry.hpp."""
     env_names: Set[str] = set()
     magic_names: Set[str] = set()
-    try:
-        with open(registry_path, "r", encoding="utf-8") as f:
-            toks = tokenize(f.read())
-    except OSError:
+    toks = _tokens(registry_path)
+    if toks is None:
         return env_names, magic_names
     run: List[str] = []
     for t in toks:
@@ -408,10 +447,8 @@ def rule_registry(files: List[str], root: str,
             continue
         if os.path.abspath(path) == os.path.abspath(registry):
             continue
-        try:
-            with open(path, "r", encoding="utf-8", errors="replace") as f:
-                toks = tokenize(f.read())
-        except OSError:
+        toks = _tokens(path)
+        if toks is None:
             continue
         run_start = None
         run: List[str] = []
@@ -472,6 +509,232 @@ def rule_registry(files: List[str], root: str,
 
 
 # ---------------------------------------------------------------------------
+# line rules: regexes over the blanked view, each scoped by the file's
+# repo-relative path.  A check yields (line, message).
+
+# `new T`, not `Type::new_()`
+_NEW_RE = re.compile(r"(?<![\w.])new\b(?!\s*\()")
+_PLACEMENT_NEW_RE = re.compile(r"(?<![\w.])new\s*\(")
+_DELETE_RE = re.compile(r"(?<![\w.:])delete(\s*\[\s*\])?\s+[\w(:*]")
+_DELETED_FN_RE = re.compile(r"=\s*delete\s*[;,)]")
+
+
+def _naked_new(rel: str, src: Source):
+    for idx, line in enumerate(src.blanked, 1):
+        if _DELETED_FN_RE.search(line):
+            continue
+        if _NEW_RE.search(line) or _PLACEMENT_NEW_RE.search(line):
+            yield idx, ("naked `new` — own memory via containers/smart "
+                        "pointers")
+        elif _DELETE_RE.search(line):
+            yield idx, "naked `delete` — pair allocation with RAII instead"
+
+
+_RANDOM_RE = re.compile(
+    r"(?<![\w:])s?rand\s*\(|std::random_device|(?<!\w)random_device\s+\w")
+
+
+def _random_source(rel: str, src: Source):
+    if rel.startswith("src/kronlab/common/random"):
+        return
+    for idx, line in enumerate(src.blanked, 1):
+        if _RANDOM_RE.search(line):
+            yield idx, ("raw random source — draw through common/random "
+                        "so runs are seed-reproducible")
+
+
+_CONTROL_HEAD_RE = re.compile(r"(?:^|[;{}\s])(if|for|while)\s*$")
+_SPAN_RE = re.compile(r"KRONLAB_TRACE_SPAN(?:_D)?\s*\(")
+
+
+def _unbraced_control_tail(prefix: str) -> bool:
+    """True when `prefix` (code on/before the macro) ends an if/for/while
+    header without an opening brace, i.e. the macro is its sole statement."""
+    prefix = prefix.rstrip()
+    if prefix.endswith("else"):
+        return True
+    if not prefix.endswith(")"):
+        return False
+    depth = 0  # walk back over the balanced parenthesis group
+    for i in range(len(prefix) - 1, -1, -1):
+        if prefix[i] == ")":
+            depth += 1
+        elif prefix[i] == "(":
+            depth -= 1
+            if depth == 0:
+                return bool(_CONTROL_HEAD_RE.search(prefix[:i]))
+    return False
+
+
+def _trace_span_scope(rel: str, src: Source):
+    lines = src.blanked
+    for idx, line in enumerate(lines, 1):
+        for m in _SPAN_RE.finditer(line):
+            before = line[:m.start()]
+            if _unbraced_control_tail(before) or (
+                    before.strip() == "" and idx >= 2
+                    and _unbraced_control_tail(lines[idx - 2])):
+                yield idx, ("KRONLAB_TRACE_SPAN as an unbraced control-flow "
+                            "body — the span is destroyed immediately; "
+                            "brace the block")
+
+
+def _no_endl(rel: str, src: Source):
+    if not rel.startswith(("src/", "bench/")):
+        return
+    for idx, line in enumerate(src.blanked, 1):
+        if "std::endl" in line:
+            yield idx, "std::endl flushes per line — use '\\n'"
+
+
+_IFNDEF_GUARD_RE = re.compile(r"\s*#\s*ifndef\s+\w*_(H|HPP|H_|HPP_)\b")
+
+
+def _header_guard(rel: str, src: Source):
+    if not rel.endswith(HEADER_SUFFIXES):
+        return
+    if "#pragma once" not in src.text:
+        yield 1, "header missing `#pragma once`"
+        return
+    for idx, line in enumerate(src.blanked, 1):
+        if _IFNDEF_GUARD_RE.match(line):
+            yield idx, ("#ifndef include guard — kronlab headers use "
+                        "`#pragma once` only")
+            return
+
+
+_ASSERT_RE = re.compile(r"(?<![\w.])assert\s*\(")
+
+
+def _no_assert(rel: str, src: Source):
+    if not rel.startswith("src/"):
+        return
+    for idx, line in enumerate(src.blanked, 1):
+        if _ASSERT_RE.search(line.replace("static_assert", "")):
+            yield idx, ("C assert() in library code — use KRONLAB_REQUIRE "
+                        "or KRONLAB_DBG_ASSERT (typed errors, release-mode "
+                        "contracts)")
+
+
+_DURABLE_CALL_RE = re.compile(
+    r"(?<![\w.:>])(?:std\s*::\s*)?(rename|remove|fopen)\s*\(")
+_FOPEN_MODE_RE = re.compile(r'fopen\s*\([^;]*?,\s*"([^"]*)"')
+
+
+def _durable_io(rel: str, src: Source):
+    # tests/ and examples/ simulate corruption directly; src/kronlab/io/
+    # is the durable-io helper layer itself
+    if not rel.startswith(("src/", "bench/", "tools/")) \
+            or rel.startswith("src/kronlab/io/"):
+        return
+    for idx, line in enumerate(src.blanked, 1):
+        for m in _DURABLE_CALL_RE.finditer(line):
+            fn = m.group(1)
+            if fn != "fopen":
+                yield idx, (f"naked {fn}() outside src/kronlab/io/ — use "
+                            "io::publish_file / io::remove_file (atomic, "
+                            "fault-injectable) instead")
+                continue
+            # The mode string is blanked: read it from the source line.
+            # An unparseable mode flags conservatively.
+            mode = _FOPEN_MODE_RE.search(src.lines[idx - 1])
+            if mode and not set(mode.group(1)) & set("wa+"):
+                continue  # read-only open
+            yield idx, ("write-mode fopen outside src/kronlab/io/ — open "
+                        "through io::FileOps so writes stay crash-safe and "
+                        "fault-injectable")
+
+
+_DIST_SEND_RE = re.compile(r"(?<![\w:])(\w+)\s*(?:\.|->)\s*send\s*\(")
+_AGGREGATORS = {"agg", "agg_", "aggregator", "aggregator_"}
+
+
+def _dist_send(rel: str, src: Source):
+    if rel != "src/kronlab/dist/sharded.cpp":
+        return
+    for idx, line in enumerate(src.blanked, 1):
+        for m in _DIST_SEND_RE.finditer(line):
+            if m.group(1) in _AGGREGATORS:
+                continue  # the sanctioned path
+            yield idx, ("direct Comm::send from the sharded exchange — "
+                        "enqueue through dist::Aggregator (or annotate a "
+                        "control-channel send with kronlab-analyze: "
+                        "allow(dist-send) <why>)")
+
+
+_OBS_LOG_SRC_RE = re.compile(
+    r"(?<![\w.])(?:std\s*::\s*)?(?:printf|fprintf|fputs|fputc|puts)\s*\(")
+_OBS_LOG_STDERR_RE = re.compile(
+    r"(?<![\w.])(?:std\s*::\s*)?(?:fprintf|fputs|fputc|fwrite)\s*\(\s*stderr")
+
+
+def _obs_log(rel: str, src: Source):
+    if rel == "src/kronlab/obs/log.cpp":
+        return  # the logger's own default sink
+    if rel.startswith("src/"):
+        pattern = _OBS_LOG_SRC_RE
+        message = ("printf-family diagnostic in library code — emit a "
+                   "structured obs::log event instead")
+    elif rel.startswith("tools/"):
+        pattern = _OBS_LOG_STDERR_RE
+        message = ("ad-hoc fprintf(stderr) in a tool — operational "
+                   "messages go through obs::log; deliberate CLI output "
+                   "needs kronlab-analyze: allow(obs-log) <why>")
+    else:
+        return  # bench/tests/examples print freely
+    for idx, line in enumerate(src.blanked, 1):
+        if pattern.search(line):
+            yield idx, message
+
+
+_TMP_LITERAL_RE = re.compile(r'"/tmp')
+
+
+def _tmp_path(rel: str, src: Source):
+    if not rel.startswith("tests/"):
+        return
+    for idx, (raw, code) in enumerate(zip(src.lines, src.blanked), 1):
+        for m in _TMP_LITERAL_RE.finditer(raw):
+            # Blanking keeps a literal's opening quote in place and blanks
+            # comments, so a quote surviving at this column opens a string.
+            if code[m.start():m.start() + 1] == '"':
+                yield idx, ('literal "/tmp path in a test — parallel and '
+                            "repeated runs collide on it; use a TempDir "
+                            "(tests/support/temp_dir.hpp)")
+
+
+LINE_RULES = {
+    "naked-new": _naked_new,
+    "random-source": _random_source,
+    "trace-span-scope": _trace_span_scope,
+    "no-endl": _no_endl,
+    "header-guard": _header_guard,
+    "no-assert": _no_assert,
+    "durable-io": _durable_io,
+    "dist-send": _dist_send,
+    "obs-log": _obs_log,
+    "tmp-path": _tmp_path,
+}
+
+
+def rule_lines(rule: str, files: List[str], root: str,
+               allow: AllowIndex) -> List[ir.Finding]:
+    check = LINE_RULES[rule]
+    findings: List[ir.Finding] = []
+    for path in files:
+        try:
+            src = load(path)
+        except OSError:
+            continue
+        rel = _rel(path, root).replace(os.sep, "/")
+        for line, message in check(rel, src):
+            if not allow.allows(path, line, rule):
+                findings.append(ir.Finding(rule=rule, file=path, line=line,
+                                           message=message))
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # driver
 
 
@@ -479,8 +742,9 @@ def run_rules(rules: Iterable[str], functions: List[ir.Function],
               files: List[str], root: str, allow: AllowIndex,
               audit_path: str,
               scope_all: bool = False) -> List[ir.Finding]:
-    """`scope_all` lifts the src/-only scoping — used when analyzing a
-    fixture tree whose files live at the tree root."""
+    """`scope_all` lifts the semantic rules' directory scoping — used
+    when analyzing a fixture unit whose files live at its root.  Line
+    rules always scope by the path relative to `root`."""
     src_functions = [fn for fn in functions
                      if scope_all or _in_dir(_rel(fn.file, root), ("src",))]
     findings: List[ir.Finding] = []
@@ -498,6 +762,8 @@ def run_rules(rules: Iterable[str], functions: List[ir.Function],
                 rule_unchecked_read(files, root, allow, scope_all))
         elif rule == "registry":
             findings.extend(rule_registry(files, root, allow, scope_all))
+        else:
+            findings.extend(rule_lines(rule, files, root, allow))
     findings.extend(allow.bare_findings(files))
     findings.sort(key=lambda f: (f.file, f.line, f.rule))
     return findings

@@ -259,8 +259,8 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
   const auto announce_done = [&] {
     if (done_sent) return;
     for (const auto& ps : peers) {
-      // Quiescence control frames ride the reliable negative-tag channel,
-      // not the aggregated data tag. kronlab-lint: allow(dist-send)
+      // kronlab-analyze: allow(dist-send) quiescence control frames ride
+      // the reliable negative-tag channel, not the aggregated data tag.
       comm.send(ps.rank, kExchCtlTag, {epoch, kMsgDone});
     }
     done_sent = true;

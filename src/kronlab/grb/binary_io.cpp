@@ -1,11 +1,13 @@
 #include "kronlab/grb/binary_io.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
 
+#include "kronlab/common/checksum.hpp"
 #include "kronlab/common/error.hpp"
 #include "kronlab/common/registry.hpp"
 #include "kronlab/io/file_ops.hpp"
@@ -20,17 +22,6 @@ const char* io_detail(const std::string& path) {
 }
 } // namespace
 
-std::uint64_t fnv1a64(const void* data, std::size_t nbytes,
-                      std::uint64_t basis) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = basis;
-  for (std::size_t i = 0; i < nbytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 namespace {
 
 // One definition per magic lives in common/registry.hpp (the analyzer's
@@ -40,8 +31,8 @@ constexpr const char (&kMagicCkp)[8] = magic::kCkp1;
 
 /// Hard sanity cap on any single dimension/count read from a file: far
 /// above every real workload, far below anything that could overflow the
-/// size arithmetic below or trigger a multi-terabyte allocation from four
-/// corrupt bytes.
+/// size arithmetic below.  It does not bound allocation — get_array does,
+/// by growing only as words arrive.
 constexpr std::int64_t kMaxPlausible = std::int64_t{1} << 40;
 
 void put_words(std::ostream& out, const std::int64_t* data,
@@ -61,6 +52,22 @@ void get_words(std::istream& in, std::int64_t* data, std::size_t n,
                    what);
   }
   if (hash) *hash = fnv1a64(data, n * sizeof(std::int64_t), *hash);
+}
+
+/// Read an `n`-word array in bounded chunks, growing `out` as words
+/// arrive.  `n` comes from an unverified header: a count that overstates
+/// the stream hits get_words' "truncated" io_error before the vector
+/// holds much more than the bytes actually read.
+void get_array(std::istream& in, std::vector<std::int64_t>& out,
+               std::size_t n, std::uint64_t* hash, const char* what) {
+  constexpr std::size_t kChunkWords = std::size_t{1} << 16;
+  out.clear();
+  while (out.size() < n) {
+    const std::size_t at = out.size();
+    const std::size_t take = std::min(kChunkWords, n - at);
+    out.resize(at + take);
+    get_words(in, out.data() + at, take, hash, what);
+  }
 }
 
 } // namespace
@@ -88,7 +95,7 @@ Csr<count_t> read_binary(std::istream& in) {
   if (!in || std::memcmp(magic, kMagicV2, sizeof kMagicV2) != 0) {
     throw io_error("not a kronlab binary matrix (bad magic)");
   }
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  std::uint64_t hash = kFnvBasis;
   std::int64_t header[3];
   get_words(in, header, 3, &hash, "header");
   const index_t nrows = header[0];
@@ -113,12 +120,13 @@ Csr<count_t> read_binary(std::istream& in) {
     throw io_error("kronlab binary matrix: nnz=" + std::to_string(nnz) +
                    " exceeds nrows*ncols (corrupt header)");
   }
-  std::vector<offset_t> row_ptr(static_cast<std::size_t>(nrows) + 1);
-  std::vector<index_t> col_idx(static_cast<std::size_t>(nnz));
-  std::vector<count_t> vals(static_cast<std::size_t>(nnz));
-  get_words(in, row_ptr.data(), row_ptr.size(), &hash, "row_ptr");
-  get_words(in, col_idx.data(), col_idx.size(), &hash, "col_idx");
-  get_words(in, vals.data(), vals.size(), &hash, "vals");
+  std::vector<offset_t> row_ptr;
+  std::vector<index_t> col_idx;
+  std::vector<count_t> vals;
+  get_array(in, row_ptr, static_cast<std::size_t>(nrows) + 1, &hash,
+            "row_ptr");
+  get_array(in, col_idx, static_cast<std::size_t>(nnz), &hash, "col_idx");
+  get_array(in, vals, static_cast<std::size_t>(nnz), &hash, "vals");
   std::int64_t stored = 0;
   get_words(in, &stored, 1, nullptr, "checksum");
   if (static_cast<std::uint64_t>(stored) != hash) {
@@ -175,8 +183,7 @@ SnapshotEnvelope read_snapshot(std::istream& in) {
                    std::to_string(n_meta));
   }
   SnapshotEnvelope snap;
-  snap.meta.resize(static_cast<std::size_t>(n_meta));
-  get_words(in, snap.meta.data(), snap.meta.size(), nullptr,
+  get_array(in, snap.meta, static_cast<std::size_t>(n_meta), nullptr,
             "snapshot metadata");
   std::int64_t stored = 0;
   get_words(in, &stored, 1, nullptr, "snapshot checksum");

@@ -12,11 +12,14 @@
 //   magic "KRNLCSR2" | nrows | ncols | nnz | row_ptr[nrows+1]
 //   | col_idx[nnz] | vals[nnz] | fnv1a64(header..vals bytes)
 //
-// The trailing word is an FNV-1a checksum of every byte between the magic
-// and the checksum itself, so silent corruption (the failure mode the
-// paper lineage's regenerate-and-validate workflow is built to catch) is
-// detected at load time instead of producing a garbage CSR.  Any other
-// magic, including the retired checksum-less "KRNLCSR1", is an io_error.
+// The trailing word is an FNV-1a checksum (common/checksum.hpp) of every
+// byte between the magic and the checksum itself, so silent corruption
+// (the failure mode the paper lineage's regenerate-and-validate workflow
+// is built to catch) is detected at load time instead of producing a
+// garbage CSR.  Any other magic, including the retired checksum-less
+// "KRNLCSR1", is an io_error.  Arrays are read in bounded chunks, so a
+// header that overstates a count is a "truncated" io_error, never a
+// huge allocation.
 //
 // A second envelope, "KRNLCKP1", wraps a metadata word vector plus an
 // embedded CSR — the checkpoint format of the fault-tolerant distributed
@@ -34,10 +37,6 @@
 #include "kronlab/grb/csr.hpp"
 
 namespace kronlab::grb {
-
-/// 64-bit FNV-1a over a byte range (the checksum used by both envelopes).
-[[nodiscard]] std::uint64_t fnv1a64(const void* data, std::size_t nbytes,
-                      std::uint64_t basis = 0xcbf29ce484222325ULL);
 
 void write_binary(std::ostream& out, const Csr<count_t>& a);
 [[nodiscard]] Csr<count_t> read_binary(std::istream& in);

@@ -57,35 +57,11 @@
 #include <utility>
 #include <vector>
 
+#include "kronlab/common/checksum.hpp"
 #include "kronlab/common/types.hpp"
 #include "kronlab/io/file_ops.hpp"
 
 namespace kronlab::io {
-
-/// FNV-1a offset basis — chain hashes start here.
-inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-/// Word-folded FNV-1a: one xor-multiply per little-endian int64 word
-/// instead of per byte.  Every durable-store checksum and chain hash
-/// uses this fold — resume re-verifies the whole committed prefix, so
-/// the hash sits on the restart hot path, where byte-serial FNV would
-/// make every restart pay a large fraction of a cold run just
-/// re-hashing (bench_streaming's `resume_scan` section).  A flipped bit
-/// still cascades through every later word.  `nbytes` must be a
-/// multiple of 8: the formats are whole-word by construction.
-[[nodiscard]] inline std::uint64_t fnv1a64_words(
-    const void* data, std::size_t nbytes,
-    std::uint64_t basis = kFnvBasis) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = basis;
-  for (std::size_t i = 0; i + 8 <= nbytes; i += 8) {
-    std::uint64_t w;
-    std::memcpy(&w, p + i, 8);
-    h = (h ^ w) * kFnvPrime;
-  }
-  return h;
-}
 
 struct SegmentHeader {
   std::uint64_t spec_hash = 0;

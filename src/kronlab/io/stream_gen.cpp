@@ -4,16 +4,14 @@
 #include <limits>
 #include <utility>
 
+#include "kronlab/common/checksum.hpp"
 #include "kronlab/common/sync.hpp"
-#include "kronlab/grb/binary_io.hpp" // fnv1a64
 #include "kronlab/obs/log.hpp"
 #include "kronlab/obs/stats.hpp"
 #include "kronlab/obs/trace.hpp"
 #include "kronlab/parallel/parallel_for.hpp"
 
 namespace kronlab::io {
-
-using grb::fnv1a64;
 
 namespace {
 

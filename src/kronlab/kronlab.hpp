@@ -16,6 +16,7 @@
 
 #pragma once
 
+#include "kronlab/common/checksum.hpp"
 #include "kronlab/common/error.hpp"
 #include "kronlab/common/random.hpp"
 #include "kronlab/common/timer.hpp"

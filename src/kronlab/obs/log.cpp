@@ -28,8 +28,8 @@ struct Writer {
   std::function<void(std::string_view)> sink GUARDED_BY(mu);
 
   static Writer& get() {
-    // Leaked so late-exiting threads can still log during teardown.
-    // kronlab-lint: allow(naked-new)
+    // kronlab-analyze: allow(naked-new) leaked so late-exiting threads
+    // can still log during teardown.
     static Writer* w = new Writer;
     return *w;
   }
@@ -40,9 +40,9 @@ struct Writer {
       sink(line);
       return;
     }
-    // Default sink: one whole line to stderr.  The single fwrite keeps
-    // the line atomic even if something else writes to fd 2.
-    // kronlab-lint: allow(obs-log)
+    // kronlab-analyze: allow(obs-log) the default sink: one whole line
+    // to stderr.  The single fwrite keeps the line atomic even if
+    // something else writes to fd 2.
     std::fwrite(line.data(), 1, line.size(), stderr);
     std::fputc('\n', stderr);
   }

@@ -53,9 +53,9 @@ struct RegistryImpl {
   std::vector<HistEntry> hists GUARDED_BY(mu); ///< indexed by Histogram::id_
 
   static RegistryImpl& get() {
-    // Deliberately leaked (the trace-registry idiom): metric objects and
-    // shards must stay valid through thread teardown at process exit.
-    // kronlab-lint: allow(naked-new)
+    // kronlab-analyze: allow(naked-new) deliberately leaked (the
+    // trace-registry idiom): metric objects and shards must stay valid
+    // through thread teardown at process exit.
     static RegistryImpl* r = new RegistryImpl;
     return *r;
   }
@@ -107,9 +107,9 @@ Histogram& histogram(std::string_view name) {
   if (it == r.hist_ids.end()) {
     const std::size_t id = r.hists.size();
     RegistryImpl::HistEntry e;
-    // Histogram's ctor is private (a free-standing instance would alias
-    // another histogram's shard slot), so make_unique can't reach it.
-    // kronlab-lint: allow(naked-new)
+    // kronlab-analyze: allow(naked-new) Histogram's ctor is private (a
+    // free-standing instance would alias another histogram's shard slot),
+    // so make_unique can't reach it.
     e.hist = std::unique_ptr<Histogram>(new Histogram);
     e.hist->id_ = id;
     e.name = std::string(name);

@@ -64,8 +64,9 @@ struct Registry {
 };
 
 Registry& registry() {
-  // Deliberately leaked: exiting rank/worker threads may still push into
-  // their buffers during static destruction.  kronlab-lint: allow(naked-new)
+  // kronlab-analyze: allow(naked-new) deliberately leaked: exiting
+  // rank/worker threads may still push into their buffers during static
+  // destruction.
   static Registry* r = new Registry;
   return *r;
 }

@@ -44,8 +44,8 @@ struct WatchdogState {
   CondVar cv;
 
   static WatchdogState& get() {
-    // Leaked (trace-registry idiom): guards may outlive static dtors.
-    // kronlab-lint: allow(naked-new)
+    // kronlab-analyze: allow(naked-new) leaked (trace-registry idiom):
+    // guards may outlive static dtors.
     static WatchdogState* s = new WatchdogState;
     return *s;
   }

@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "kronlab/grb/binary_io.hpp"
+#include "kronlab/common/checksum.hpp"
 
 namespace kronlab::serve {
 
@@ -324,7 +324,7 @@ std::vector<std::uint8_t> seal_frame(const std::vector<word_t>& payload) {
   w += 8;
   if (body > 0) std::memcpy(w, payload.data(), body);
   w += body;
-  const std::uint64_t sum = grb::fnv1a64(payload.data(), body);
+  const std::uint64_t sum = fnv1a64(payload.data(), body);
   std::memcpy(w, &sum, 8);
   return out;
 }
@@ -353,7 +353,7 @@ std::vector<word_t> unseal_frame(const std::vector<std::uint8_t>& bytes) {
   }
   std::uint64_t stored = 0;
   std::memcpy(&stored, bytes.data() + sizeof frame_magic + 8 + len, 8);
-  if (stored != grb::fnv1a64(payload.data(), len)) {
+  if (stored != fnv1a64(payload.data(), len)) {
     throw checksum_error("kronlab serve: frame checksum mismatch");
   }
   return payload;

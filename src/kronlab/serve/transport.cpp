@@ -11,8 +11,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "kronlab/common/checksum.hpp"
 #include "kronlab/common/random.hpp"
-#include "kronlab/grb/binary_io.hpp"
 
 namespace kronlab::serve {
 
@@ -327,7 +327,7 @@ std::optional<std::vector<word_t>> read_frame(
   if (len > 0) std::memcpy(payload.data(), tail.data(), len);
   std::uint64_t stored = 0;
   std::memcpy(&stored, tail.data() + len, 8);
-  if (stored != grb::fnv1a64(payload.data(), len)) {
+  if (stored != fnv1a64(payload.data(), len)) {
     throw checksum_error("kronlab serve: frame checksum mismatch");
   }
   return payload;

@@ -127,6 +127,56 @@ TEST(BinaryIo, ChecksumDetectsValueBitFlip) {
   }
 }
 
+namespace {
+
+/// Flip every bit of `good` in turn and hand each corrupt copy to
+/// `read`.  Every flip must raise io_error: none may be accepted, and
+/// none may escape as another exception (e.g. std::bad_alloc from a
+/// header count that the reader trusted before it had the bytes).
+template <class Read>
+void expect_every_bit_flip_is_io_error(const std::string& good, Read read) {
+  int escaped = 0;
+  for (std::size_t byte = 0; byte < good.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string data = good;
+      data[byte] = static_cast<char>(data[byte] ^ (1 << bit));
+      auto in = as_stream(data);
+      try {
+        (void)read(in);
+        ADD_FAILURE() << "flip of byte " << byte << " bit " << bit
+                      << " was accepted";
+      } catch (const io_error&) {
+      } catch (const std::exception& e) {
+        if (++escaped <= 5) {
+          ADD_FAILURE() << "flip of byte " << byte << " bit " << bit
+                        << " threw " << e.what() << ", not io_error";
+        }
+      }
+    }
+  }
+  EXPECT_EQ(escaped, 0);
+}
+
+} // namespace
+
+TEST(BinaryIo, EveryBitFlipIsTypedError) {
+  Rng rng(7);
+  const std::string good = serialized(gen::random_bipartite(6, 6, 14, rng));
+  expect_every_bit_flip_is_io_error(
+      good, [](std::istream& in) { return read_binary(in); });
+}
+
+TEST(Snapshot, EveryBitFlipIsTypedError) {
+  Rng rng(12);
+  SnapshotEnvelope snap;
+  snap.meta = {3, -1, 1'000'000};
+  snap.payload = gen::random_bipartite(6, 6, 14, rng);
+  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+  write_snapshot(buf, snap);
+  expect_every_bit_flip_is_io_error(
+      buf.str(), [](std::istream& in) { return read_snapshot(in); });
+}
+
 TEST(BinaryIo, RejectsLegacyV1ByDefault) {
   // The checksum-less KRNLCSR1 format is retired: such a file must be
   // refused with a typed error, never read as an unverified CSR.

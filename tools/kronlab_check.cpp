@@ -38,9 +38,8 @@ struct Options {
 };
 
 [[noreturn]] void usage(const char* argv0, int code) {
-  // Usage text is CLI output for the invoking human, not an operational
-  // event — it stays printf-family by design.
-  // kronlab-lint: allow(obs-log)
+  // kronlab-analyze: allow(obs-log) usage text is CLI output for the
+  // invoking human, not an operational event — it stays printf-family.
   std::fprintf(code == 0 ? stdout : stderr,
                "usage: %s --left SPEC --right SPEC [--mode i|ii|raw]\n"
                "          [--expect-global N] [--check-truth FILE]\n"
@@ -53,7 +52,7 @@ struct Options {
 /// CLI argument diagnostics go straight to the terminal, then the usage
 /// text and exit code 2.
 [[noreturn]] void die_usage(const char* argv0, const std::string& msg) {
-  // kronlab-lint: allow(obs-log)
+  // kronlab-analyze: allow(obs-log) a CLI diagnostic for the terminal.
   std::fprintf(stderr, "kronlab_check: %s\n", msg.c_str());
   usage(argv0, 2);
 }
@@ -62,7 +61,7 @@ struct Options {
 /// Exit codes: 0 = all checks passed, 2 = usage / bad spec, 3 = io,
 /// 4 = validation mismatch, 1 = anything else.
 [[noreturn]] void die(int code, const std::string& msg) {
-  // kronlab-lint: allow(obs-log)
+  // kronlab-analyze: allow(obs-log) the CLI's failure funnel.
   std::fprintf(stderr, "kronlab_check: %s\n", msg.c_str());
   std::exit(code);
 }
@@ -70,7 +69,7 @@ struct Options {
 /// Per-finding diagnostics (WRONG/EXTRA/MISSING lines) are the checker's
 /// primary human-facing output — verbatim stderr, not logfmt.
 void note(const std::string& msg) {
-  // kronlab-lint: allow(obs-log)
+  // kronlab-analyze: allow(obs-log) checker findings are its output.
   std::fprintf(stderr, "%s\n", msg.c_str());
 }
 

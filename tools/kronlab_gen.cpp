@@ -50,9 +50,8 @@ struct Options {
 };
 
 [[noreturn]] void usage(const char* argv0, int code) {
-  // Usage text is CLI output for the invoking human, not an operational
-  // event — it stays printf-family by design.
-  // kronlab-lint: allow(obs-log)
+  // kronlab-analyze: allow(obs-log) usage text is CLI output for the
+  // invoking human, not an operational event — it stays printf-family.
   std::fprintf(
       code == 0 ? stdout : stderr,
       "usage: %s --left SPEC --right SPEC [--mode i|ii|raw]\n"
@@ -81,7 +80,7 @@ struct Options {
 /// CLI argument diagnostics go straight to the terminal, then the usage
 /// text and exit code 2.
 [[noreturn]] void die_usage(const char* argv0, const std::string& msg) {
-  // kronlab-lint: allow(obs-log)
+  // kronlab-analyze: allow(obs-log) a CLI diagnostic for the terminal.
   std::fprintf(stderr, "kronlab_gen: %s\n", msg.c_str());
   usage(argv0, 2);
 }
@@ -91,7 +90,7 @@ struct Options {
 /// 1 = anything else.  Scripts branching on the generator's outcome
 /// depend on these staying distinct.
 [[noreturn]] void die(int code, const std::string& msg) {
-  // kronlab-lint: allow(obs-log)
+  // kronlab-analyze: allow(obs-log) the CLI's failure funnel.
   std::fprintf(stderr, "kronlab_gen: %s\n", msg.c_str());
   std::exit(code);
 }

@@ -35,9 +35,8 @@ struct Options {
 };
 
 [[noreturn]] void usage(const char* argv0, int code) {
-  // Usage text is CLI output for the invoking human, not an operational
-  // event — it stays printf-family by design.
-  // kronlab-lint: allow(obs-log)
+  // kronlab-analyze: allow(obs-log) usage text is CLI output for the
+  // invoking human, not an operational event — it stays printf-family.
   std::fprintf(
       code == 0 ? stdout : stderr,
       "usage: %s (--tcp PORT | --unix PATH) [--timeout MS] [--attempts N]\n"
@@ -60,14 +59,14 @@ struct Options {
 /// One-shot CLI: diagnostics go straight to the invoking terminal, then
 /// the usage text and exit code 2.
 [[noreturn]] void die_usage(const char* argv0, const std::string& msg) {
-  // kronlab-lint: allow(obs-log)
+  // kronlab-analyze: allow(obs-log) a CLI diagnostic for the terminal.
   std::fprintf(stderr, "kronlab_query: %s\n", msg.c_str());
   usage(argv0, 2);
 }
 
 /// Runtime-failure funnel (timeouts, io errors): message, then exit.
 [[noreturn]] void die(int code, const std::string& msg) {
-  // kronlab-lint: allow(obs-log)
+  // kronlab-analyze: allow(obs-log) the CLI's failure funnel.
   std::fprintf(stderr, "kronlab_query: %s\n", msg.c_str());
   std::exit(code);
 }

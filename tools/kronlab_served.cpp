@@ -51,9 +51,8 @@ struct Options {
 };
 
 [[noreturn]] void usage(const char* argv0, int code) {
-  // Usage text is CLI output for the invoking human, not an operational
-  // event — it stays printf-family by design.
-  // kronlab-lint: allow(obs-log)
+  // kronlab-analyze: allow(obs-log) usage text is CLI output for the
+  // invoking human, not an operational event — it stays printf-family.
   std::fprintf(
       code == 0 ? stdout : stderr,
       "usage: %s --left SPEC --right SPEC [--mode i|ii|raw]\n"
@@ -86,7 +85,7 @@ struct Options {
 /// CLI argument diagnostics go straight to the terminal (the logger may
 /// be filtered off) and exit with the usage code.
 [[noreturn]] void die_usage(const char* argv0, const std::string& msg) {
-  // kronlab-lint: allow(obs-log)
+  // kronlab-analyze: allow(obs-log) a CLI diagnostic for the terminal.
   std::fprintf(stderr, "kronlab_served: %s\n", msg.c_str());
   usage(argv0, 2);
 }

@@ -35,9 +35,8 @@ using kronlab::trace::TraceFile;
 namespace {
 
 [[noreturn]] void usage(int code) {
-  // Usage text is CLI output for the invoking human, not an operational
-  // event — it stays printf-family by design.
-  // kronlab-lint: allow(obs-log)
+  // kronlab-analyze: allow(obs-log) usage text is CLI output for the
+  // invoking human, not an operational event — it stays printf-family.
   std::fprintf(code == 0 ? stdout : stderr,
                "usage: kronlab_trace convert [-o OUT.json] IN...\n"
                "       kronlab_trace summary IN\n"
@@ -50,7 +49,7 @@ namespace {
 /// Failure funnel: message to the terminal, then exit.  Exit codes:
 /// 0 ok, 2 usage, 3 unreadable file, 4 unparsable content.
 [[noreturn]] void die(int code, const std::string& msg) {
-  // kronlab-lint: allow(obs-log)
+  // kronlab-analyze: allow(obs-log) the CLI's failure funnel.
   std::fprintf(stderr, "kronlab_trace: %s\n", msg.c_str());
   std::exit(code);
 }
@@ -548,7 +547,7 @@ int main(int argc, char** argv) {
   if (cmd == "convert") return cmd_convert(args);
   if (cmd == "summary") return cmd_summary(args);
   if (cmd == "diff") return cmd_diff(args);
-  // kronlab-lint: allow(obs-log)
+  // kronlab-analyze: allow(obs-log) a CLI diagnostic for the terminal.
   std::fprintf(stderr, "kronlab_trace: unknown command '%s'\n", cmd.c_str());
   usage(2);
 }
