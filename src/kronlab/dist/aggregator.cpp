@@ -23,50 +23,63 @@ Aggregator::Aggregator(Comm& comm, int tag)
 
 Aggregator::~Aggregator() { flush_all(); }
 
-bool Aggregator::is_batch(const Message& msg) {
+bool Aggregator::is_batch(std::span<const word_t> msg) {
   return !msg.empty() && msg.front() == kBatchMagic;
 }
 
-std::vector<Message> Aggregator::unpack(const Message& msg) {
-  KRONLAB_REQUIRE(msg.size() >= 2 && msg[0] == kBatchMagic,
-                  "malformed aggregator batch header");
+void Aggregator::split(std::span<const word_t> msg,
+                       std::vector<Frame>& frames) {
+  frames.clear();
+  if (!is_batch(msg)) {
+    frames.push_back(msg);
+    return;
+  }
+  KRONLAB_REQUIRE(msg.size() >= 2, "malformed aggregator batch header");
+  // Every frame costs at least its length word, so a count larger than
+  // the words left is malformed however the lengths read.
   const auto count = msg[1];
-  KRONLAB_REQUIRE(count >= 0, "malformed aggregator batch count");
-  std::vector<Message> frames;
-  frames.reserve(static_cast<std::size_t>(count));
+  KRONLAB_REQUIRE(count >= 0 &&
+                      static_cast<std::size_t>(count) <= msg.size() - 2,
+                  "malformed aggregator batch count");
   std::size_t i = 2;
   for (word_t f = 0; f < count; ++f) {
     KRONLAB_REQUIRE(i < msg.size(), "truncated aggregator batch");
     const auto len = msg[i++];
-    KRONLAB_REQUIRE(len >= 0 && i + static_cast<std::size_t>(len) <=
-                                    msg.size(),
+    KRONLAB_REQUIRE(len >= 0 && static_cast<std::size_t>(len) <=
+                                    msg.size() - i,
                     "malformed aggregator frame length");
-    frames.emplace_back(msg.begin() + static_cast<std::ptrdiff_t>(i),
-                        msg.begin() + static_cast<std::ptrdiff_t>(
-                                          i + static_cast<std::size_t>(len)));
+    frames.push_back(msg.subspan(i, static_cast<std::size_t>(len)));
     i += static_cast<std::size_t>(len);
   }
   KRONLAB_REQUIRE(i == msg.size(), "trailing words after aggregator batch");
-  return frames;
 }
 
-void Aggregator::enqueue(index_t to, Message frame) {
-  KRONLAB_REQUIRE(!frame.empty() && frame.front() >= 0,
+void Aggregator::append(index_t to, std::span<const word_t> head,
+                        std::span<const word_t> tail) {
+  KRONLAB_REQUIRE(!head.empty() && head.front() >= 0,
                   "aggregated frames must start with a non-negative word");
   ++stats_.frames_enqueued;
   auto& buf = buffers_[static_cast<std::size_t>(to)];
-  if (!buf.frames.empty() && buf.words + frame.size() > kCapacityWords) {
+  const std::size_t words = head.size() + tail.size();
+  if (buf.frames > 0 && buf.words + words > kCapacityWords) {
     flush_buffer(to, buf, FlushReason::capacity);
   }
-  buf.words += frame.size();
-  buf.frames.push_back(std::move(frame));
+  if (buf.frames == 0) {
+    buf.wire.push_back(kBatchMagic);
+    buf.wire.push_back(0); // frame count, filled in at flush
+  }
+  buf.wire.push_back(static_cast<word_t>(words));
+  buf.wire.insert(buf.wire.end(), head.begin(), head.end());
+  buf.wire.insert(buf.wire.end(), tail.begin(), tail.end());
+  ++buf.frames;
+  buf.words += words;
   if (buf.words >= kCapacityWords) {
     flush_buffer(to, buf, FlushReason::capacity);
   }
 }
 
 void Aggregator::flush_buffer(index_t to, Buffer& buf, FlushReason reason) {
-  if (buf.frames.empty()) return;
+  if (buf.frames == 0) return;
   switch (reason) {
     case FlushReason::capacity: ++stats_.capacity_flushes; break;
     case FlushReason::manual: ++stats_.manual_flushes; break;
@@ -80,31 +93,27 @@ void Aggregator::flush_buffer(index_t to, Buffer& buf, FlushReason reason) {
         "dist", "agg/flush",
         trace::intern("rank=" + std::to_string(comm_.rank()) +
                       " dest=" + std::to_string(to) +
-                      " frames=" + std::to_string(buf.frames.size()) +
+                      " frames=" + std::to_string(buf.frames) +
                       " words=" + std::to_string(buf.words) + " reason=" +
                       (reason == FlushReason::capacity ? "capacity"
                                                        : "manual")));
   }
-  if (buf.frames.size() == 1) {
+  // The buffer keeps its storage for the next frames; the wire gets an
+  // exact-size copy.
+  if (buf.frames == 1) {
     // A lone frame ships raw — zero framing overhead, byte-identical to
     // an unbatched send.
     ++stats_.single_flushes;
-    comm_.send(to, tag_, std::move(buf.frames.front()));
+    comm_.send(to, tag_, Message(buf.wire.begin() + 3, buf.wire.end()));
   } else {
-    const auto n = static_cast<count_t>(buf.frames.size());
-    Message batch;
-    batch.reserve(2 + buf.frames.size() + buf.words);
-    batch.push_back(kBatchMagic);
-    batch.push_back(n);
-    for (auto& frame : buf.frames) {
-      batch.push_back(static_cast<word_t>(frame.size()));
-      batch.insert(batch.end(), frame.begin(), frame.end());
-    }
+    const auto n = static_cast<count_t>(buf.frames);
+    buf.wire[1] = n;
     stats_.rows_coalesced += n;
     ++stats_.batches_sent;
-    comm_.send(to, tag_, std::move(batch));
+    comm_.send(to, tag_, Message(buf.wire));
   }
-  buf.frames.clear();
+  buf.wire.clear();
+  buf.frames = 0;
   buf.words = 0;
 }
 
@@ -120,16 +129,12 @@ void Aggregator::flush_all() {
   }
 }
 
-std::optional<std::pair<index_t, std::vector<Message>>>
-Aggregator::recv_frames(std::chrono::milliseconds timeout) {
+std::optional<index_t> Aggregator::recv(std::chrono::milliseconds timeout) {
   auto got = comm_.recv_any(tag_, timeout);
   if (!got) return std::nullopt;
-  if (is_batch(got->second)) {
-    return std::make_pair(got->first, unpack(got->second));
-  }
-  std::vector<Message> one;
-  one.push_back(std::move(got->second));
-  return std::make_pair(got->first, std::move(one));
+  received_ = std::move(got->second);
+  split(received_, frames_);
+  return got->first;
 }
 
 } // namespace kronlab::dist

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "kronlab/common/error.hpp"
 #include "kronlab/grb/binary_io.hpp"
@@ -14,25 +15,55 @@
 #include "kronlab/obs/trace.hpp"
 #include "kronlab/obs/watchdog.hpp"
 #include "kronlab/graph/wedges.hpp"
-#include "kronlab/grb/coo.hpp"
 #include "kronlab/kron/ground_truth.hpp"
 #include "kronlab/kron/stream.hpp"
 
 namespace kronlab::dist {
+
+namespace {
+
+/// Append the row_ptr entries of the product rows of left-factor rows
+/// [lo, hi): product row (i, k) stores deg_M(i) · deg_B(k) entries.
+void push_row_ptr(std::vector<offset_t>& row_ptr,
+                  const kron::BipartiteKronecker& kp, index_t lo,
+                  index_t hi) {
+  const auto& b = kp.right();
+  for (index_t i = lo; i < hi; ++i) {
+    const offset_t dm = kp.left().row_degree(i);
+    for (index_t k = 0; k < b.nrows(); ++k) {
+      row_ptr.push_back(row_ptr.back() + dm * b.row_degree(k));
+    }
+  }
+}
+
+/// Adopt row-ordered shard arrays as a 0/1 matrix over n columns.  The
+/// entry stream is row-major and ascending within a row (M's and B's rows
+/// are sorted), so the columns need no sort; the Csr constructor still
+/// validates every invariant.
+grb::Csr<count_t> shard_csr(index_t n, std::vector<offset_t> row_ptr,
+                            std::vector<index_t> cols) {
+  const auto nrows = static_cast<index_t>(row_ptr.size()) - 1;
+  std::vector<count_t> vals(cols.size(), 1);
+  return {nrows, n, std::move(row_ptr), std::move(cols), std::move(vals)};
+}
+
+} // namespace
 
 Shard generate_shard(const kron::BipartiteKronecker& kp,
                      const kron::PartitionedStream& ps, index_t rank) {
   Shard shard;
   shard.n = kp.num_vertices();
   const auto [plo, phi] = ps.owned_product_rows(rank);
+  const auto [llo, lhi] = ps.owned_left_rows(rank);
   shard.row_begin = plo;
   shard.row_end = phi;
-  grb::Coo<count_t> coo(phi - plo, shard.n);
-  coo.reserve(ps.entries_of(rank));
-  ps.for_each_entry(rank, [&](index_t p, index_t q) {
-    coo.push(p - plo, q, 1);
-  });
-  shard.rows = grb::Csr<count_t>::from_coo(coo);
+  std::vector<offset_t> row_ptr{0};
+  row_ptr.reserve(static_cast<std::size_t>(phi - plo) + 1);
+  push_row_ptr(row_ptr, kp, llo, lhi);
+  std::vector<index_t> cols;
+  cols.reserve(static_cast<std::size_t>(row_ptr.back()));
+  ps.for_each_entry(rank, [&](index_t, index_t q) { cols.push_back(q); });
+  shard.rows = shard_csr(shard.n, std::move(row_ptr), std::move(cols));
   return shard;
 }
 
@@ -65,7 +96,7 @@ constexpr word_t kMsgRows = 1; ///< [epoch, ROWS, v, deg, cols...] or
                                ///< handshake [epoch, ROWS]
 constexpr word_t kMsgAck = 2;  ///< [epoch, ACK, key...], key = row id or
                                ///< kHandshake
-/// Reply-cache and ACK key of the empty handshake (row ids are ≥ 0).
+/// Reply-state and ACK key of the empty handshake (row ids are ≥ 0).
 constexpr index_t kHandshake = -1;
 
 /// Quiescence announcements ride the reliable control channel (negative
@@ -88,29 +119,15 @@ count_t expected_entries(const kron::BipartiteKronecker& kp, index_t lo,
   return m_entries * kp.right().nnz();
 }
 
-/// Append every stored entry of `csr` into `coo`, shifting rows.
-void append_csr_rows(grb::Coo<count_t>& coo, const grb::Csr<count_t>& csr,
-                     index_t row_offset) {
-  for (index_t r = 0; r < csr.nrows(); ++r) {
-    for (const index_t c : csr.row_cols(r)) {
-      coo.push(r + row_offset, c, 1);
-    }
+/// Append `rows` (a validated CSR) after the rows already in
+/// (row_ptr, cols).
+void push_csr_rows(std::vector<offset_t>& row_ptr, std::vector<index_t>& cols,
+                   const grb::Csr<count_t>& rows) {
+  const offset_t base = row_ptr.back();
+  for (index_t r = 0; r < rows.nrows(); ++r) {
+    row_ptr.push_back(base + rows.row_ptr()[static_cast<std::size_t>(r) + 1]);
   }
-}
-
-/// Member position owning global row v given member-ordered row begins.
-std::size_t owner_pos(const std::vector<word_t>& row_begins, index_t v) {
-  std::size_t lo = 0;
-  std::size_t hi = row_begins.size() - 1;
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi + 1) / 2;
-    if (row_begins[mid] <= static_cast<word_t>(v)) {
-      lo = mid;
-    } else {
-      hi = mid - 1;
-    }
-  }
-  return lo;
+  cols.insert(cols.end(), rows.col_idx().begin(), rows.col_idx().end());
 }
 
 /// Timeline annotation for a protocol event: this rank, the peer, the
@@ -145,28 +162,35 @@ milliseconds retry_horizon(const RetryConfig& cfg) {
   return total * 3;
 }
 
+/// Responder-side state of one reply (a served row or the handshake).
+enum ReplyState : std::uint8_t { kUnserved = 0, kUnacked, kAcked };
+
 /// Per-peer protocol state for one exchange epoch.
 struct PeerState {
   index_t rank = -1;
+  // The peer's owned rows.  Each needed row is requested from its owner,
+  // so a ROWS frame counts only if its sender owns the row it carries.
+  index_t row_begin = 0;
+  index_t row_end = 0;
   // Requester side: waiting on this peer's row replies to our requests.
-  // have_reply rises when every requested row has landed (pending empty)
+  // have_reply rises when every requested row has landed (missing == 0)
   // and at least one current-epoch ROWS frame arrived (got_rows — the
   // empty handshake for zero-need peers).
+  const std::vector<index_t>* needed = nullptr; ///< requested rows, ascending
+  std::size_t missing = 0; ///< requested rows not landed yet
   bool have_reply = false;
   bool got_rows = false;
-  std::unordered_set<index_t> pending; // rows still missing from this peer
   int req_attempts = 0;
   milliseconds req_timeout{0};
   clock::time_point req_deadline;
-  // Responder side: every reply frame served to this peer is cached by
-  // key (row id or kHandshake) and resent until an ACK names it.  The
-  // peer is settled once it has requested at least once and nothing it
-  // was served is unacked — or it is done.  A late request unsettles it.
-  struct Reply {
-    Message frame;
-    bool acked = false;
-  };
-  std::unordered_map<index_t, Reply> reply_cache;
+  // Responder side: one ReplyState byte per owned row (and one for the
+  // handshake), plus the keys served, in order.  A served reply is resent
+  // — rebuilt from the immutable shard — until an ACK names it.  The peer
+  // is settled once it has requested at least once and nothing it was
+  // served is unacked — or it is done.  A late request unsettles it.
+  std::vector<std::uint8_t> reply_state;
+  std::uint8_t handshake_state = kUnserved;
+  std::vector<index_t> served_keys;
   std::size_t unacked = 0;
   bool served = false;
   int reply_attempts = 0; ///< resend rounds since the last ACK progress
@@ -180,28 +204,33 @@ struct PeerState {
   }
 };
 
-/// Serialize one owned row as a ROWS frame: [epoch, ROWS, v, deg, cols...].
-Message build_row_frame(const Shard& shard, word_t epoch, index_t v) {
-  const auto cols = shard.rows.row_cols(shard.local(v));
-  Message frame;
-  frame.reserve(4 + cols.size());
-  frame.push_back(epoch);
-  frame.push_back(kMsgRows);
-  frame.push_back(v);
-  frame.push_back(static_cast<word_t>(cols.size()));
-  frame.insert(frame.end(), cols.begin(), cols.end());
-  return frame;
-}
+/// Ghost rows landed by the exchange: one column arena plus n-sized
+/// offset and length tables (length 0 for a row that never landed).
+struct GhostRows {
+  std::vector<index_t> cols;
+  std::vector<std::size_t> offset;
+  std::vector<index_t> length;
 
-/// The idempotent request/reply/ack ghost-row exchange.  Returns the
-/// ghost cache (global row id → column list) for every remote row in
-/// `needed`; `needed` is indexed by member position.  All REQ/ROWS/ACK
-/// frames ride the aggregator; retry semantics are unchanged — a retried
-/// batch is deduplicated row by row on both sides.
-std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
-    Comm& comm, const Shard& shard, const std::vector<index_t>& members,
-    const std::vector<std::vector<index_t>>& needed, word_t epoch,
-    const RetryConfig& cfg, ExchangeStats& stats) {
+  [[nodiscard]] std::span<const index_t> row(index_t v) const {
+    const auto u = static_cast<std::size_t>(v);
+    return {cols.data() + offset[u], static_cast<std::size_t>(length[u])};
+  }
+};
+
+/// The idempotent request/reply/ack ghost-row exchange.  `waiting` is the
+/// n-sized phase-1 mark array (1 for every remote row this rank needs) and
+/// `needed` lists those rows per member position, ascending; a landed row
+/// clears its mark.  Returns the landed rows.  All REQ/ROWS/ACK frames
+/// ride the aggregator; retry semantics are unchanged — a retried batch
+/// is deduplicated row by row on both sides.
+GhostRows exchange_ghost_rows(Comm& comm, const Shard& shard,
+                              const std::vector<index_t>& members,
+                              const std::vector<word_t>& row_begins,
+                              const std::vector<word_t>& row_ends,
+                              std::vector<std::uint8_t>& waiting,
+                              const std::vector<std::vector<index_t>>& needed,
+                              word_t epoch, const RetryConfig& cfg,
+                              ExchangeStats& stats) {
   trace::Span exchange_span(
       "dist", "ghost_exchange",
       trace::enabled()
@@ -211,32 +240,59 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
   static obs::Histogram& epoch_hist = obs::histogram("dist/exchange_epoch");
   obs::LatencyScope epoch_latency(epoch_hist);
   obs::StallGuard stall_guard("dist/exchange_epoch");
-  std::unordered_map<index_t, std::vector<index_t>> ghost;
+  const auto n = static_cast<std::size_t>(shard.n);
+  GhostRows ghost;
+  ghost.offset.assign(n, 0);
+  ghost.length.assign(n, 0);
   Aggregator agg(comm, kExchTag);
   std::vector<PeerState> peers;
-  std::unordered_map<index_t, std::size_t> peer_pos;
+  std::vector<std::size_t> peer_pos(static_cast<std::size_t>(comm.size()),
+                                    members.size());
   for (std::size_t i = 0; i < members.size(); ++i) {
     if (members[i] == comm.rank()) continue;
     PeerState ps;
     ps.rank = members[i];
-    ps.pending.insert(needed[i].begin(), needed[i].end());
+    ps.row_begin = static_cast<index_t>(row_begins[i]);
+    ps.row_end = static_cast<index_t>(row_ends[i]);
+    ps.needed = &needed[i];
+    ps.missing = needed[i].size();
+    ps.reply_state.assign(
+        static_cast<std::size_t>(shard.row_end - shard.row_begin), kUnserved);
+    peer_pos[static_cast<std::size_t>(members[i])] = peers.size();
     peers.push_back(std::move(ps));
-    peer_pos[members[i]] = peers.size() - 1;
   }
   if (peers.empty()) return ghost;
+  const auto reply_state = [&](PeerState& ps, index_t key) -> std::uint8_t& {
+    return key == kHandshake
+               ? ps.handshake_state
+               : ps.reply_state[static_cast<std::size_t>(shard.local(key))];
+  };
 
   // One REQ frame per still-missing row — a retry automatically narrows
   // to the rows that have not landed yet.  A peer this rank needs nothing
   // from gets the empty handshake so the REQ/ROWS/ACK round (and with it
   // quiescence accounting) stays uniform across all peer pairs.
   const auto post_requests = [&](PeerState& ps) {
-    if (ps.pending.empty()) {
-      agg.enqueue(ps.rank, {epoch, kMsgReq});
-    } else {
-      for (const index_t v : ps.pending) {
-        agg.enqueue(ps.rank, {epoch, kMsgReq, v});
+    if (ps.missing == 0) {
+      agg.append(ps.rank, {epoch, kMsgReq});
+      return;
+    }
+    for (const index_t v : *ps.needed) {
+      if (waiting[static_cast<std::size_t>(v)] != 0) {
+        agg.append(ps.rank, {epoch, kMsgReq, v});
       }
     }
+  };
+  // One ROWS frame, [epoch, ROWS, v, deg, cols...] copied straight from
+  // the shard's CSR, or the handshake [epoch, ROWS].
+  const auto post_reply = [&](index_t to, word_t frame_epoch, index_t key) {
+    if (key == kHandshake) {
+      agg.append(to, {frame_epoch, kMsgRows});
+      return;
+    }
+    const auto cols = shard.rows.row_cols(shard.local(key));
+    const auto deg = static_cast<word_t>(cols.size());
+    agg.append(to, {frame_epoch, kMsgRows, key, deg}, cols);
   };
 
   const auto start = clock::now();
@@ -284,13 +340,17 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
   };
 
   clock::time_point wire_time; // arrival of the wire message in hand
-  const auto handle_frame = [&](index_t from, const Message& msg,
-                                std::vector<Message>& acks) {
+  // ACK keys of the wire message in hand, each with the epoch of the ROWS
+  // frame it answers, and those epochs in first-seen order; both are
+  // reused across wire messages.
+  std::vector<std::pair<word_t, word_t>> acks;
+  std::vector<word_t> ack_epochs;
+  const auto handle_frame = [&](index_t from, Aggregator::Frame msg) {
     KRONLAB_REQUIRE(msg.size() >= 2, "malformed exchange message");
     const word_t msg_epoch = msg[0];
     const word_t type = msg[1];
-    const auto it = peer_pos.find(from);
-    PeerState* ps = it != peer_pos.end() ? &peers[it->second] : nullptr;
+    const std::size_t pos = peer_pos[static_cast<std::size_t>(from)];
+    PeerState* ps = pos < peers.size() ? &peers[pos] : nullptr;
     if (type == kMsgReq) {
       KRONLAB_REQUIRE(msg.size() <= 3, "malformed REQ frame");
       if (ps && msg_epoch == epoch) {
@@ -300,12 +360,10 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
         KRONLAB_REQUIRE(key == kHandshake || shard.owns(key),
                         "request routed to wrong owner");
         ps->served = true;
-        auto [cached, inserted] = ps->reply_cache.try_emplace(key);
-        if (inserted) {
-          cached->second.frame = key == kHandshake
-                                     ? Message{epoch, kMsgRows}
-                                     : build_row_frame(shard, epoch, key);
-          cached->second.acked = ps->done;
+        auto& state = reply_state(*ps, key);
+        if (state == kUnserved) {
+          ps->served_keys.push_back(key);
+          state = ps->done ? kAcked : kUnacked;
           if (!ps->done && ps->unacked++ == 0) {
             // First outstanding reply: start the ack clock afresh.
             ps->reply_attempts = 0;
@@ -314,26 +372,27 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
           }
         } else {
           // Retried request (the original REQ or our ROWS frame was
-          // lost): re-serve the cached frame idempotently.
+          // lost): re-serve the row idempotently.
           ++stats.dup_requests;
           note_protocol("exchange/dup_request", comm.rank(), from, epoch,
                         ps->reply_attempts);
         }
-        agg.enqueue(from, Message(cached->second.frame));
+        post_reply(from, epoch, key);
       } else {
         // Straggler from an earlier exchange (or a non-member): serve
         // whatever we still own, stamped with *its* epoch — the sender
         // absorbs or ignores it by sequence number.
         if (msg.size() == 2) {
-          agg.enqueue(from, {msg_epoch, kMsgRows});
+          post_reply(from, msg_epoch, kHandshake);
         } else if (const auto v = static_cast<index_t>(msg[2]);
                    shard.owns(v)) {
-          agg.enqueue(from, build_row_frame(shard, msg_epoch, v));
+          post_reply(from, msg_epoch, v);
         } // not owned: stale request predating a row reassignment
       }
     } else if (type == kMsgRows) {
       bool fresh = false;
       index_t key = kHandshake;
+      Aggregator::Frame cols;
       if (msg.size() > 2) {
         KRONLAB_REQUIRE(msg.size() >= 4, "malformed ROWS frame");
         key = static_cast<index_t>(msg[2]);
@@ -341,7 +400,7 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
                         "malformed ROWS frame");
         // The wedge engine indexes an n-sized table with these columns and
         // stops each scan early, so they must be sorted ids in [0, n).
-        const std::span<const word_t> cols(msg.data() + 4, msg.size() - 4);
+        cols = msg.subspan(4);
         KRONLAB_REQUIRE(
             cols.empty() ||
                 (cols.front() >= 0 && cols.back() < shard.n &&
@@ -352,15 +411,21 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
       if (ps && msg_epoch == epoch) {
         if (key == kHandshake) {
           fresh = !ps->got_rows;
-        } else if (ps->pending.erase(key) > 0) {
-          ghost.emplace(key, std::vector<index_t>(msg.begin() + 4, msg.end()));
+        } else if (key >= ps->row_begin && key < ps->row_end &&
+                   waiting[static_cast<std::size_t>(key)] != 0) {
+          const auto v = static_cast<std::size_t>(key);
+          waiting[v] = 0;
+          --ps->missing;
+          ghost.offset[v] = ghost.cols.size();
+          ghost.length[v] = static_cast<index_t>(cols.size());
+          ghost.cols.insert(ghost.cols.end(), cols.begin(), cols.end());
           fresh = true;
           // The request deadline detects silence, not a bulk transfer
           // still streaming in: each fresh row pushes it out.
           ps->req_deadline = wire_time + ps->req_timeout;
         }
         ps->got_rows = true;
-        if (!ps->have_reply && ps->pending.empty()) {
+        if (!ps->have_reply && ps->missing == 0) {
           ps->have_reply = true;
           --awaiting_replies;
         }
@@ -374,23 +439,21 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
       // it.  Acks are collected per wire message (below), one frame per
       // distinct epoch, so a re-served batch triggers one ack frame rather
       // than an ack storm.
-      auto ack = std::find_if(acks.begin(), acks.end(), [&](const Message& m) {
-        return m[0] == msg_epoch;
-      });
-      if (ack == acks.end()) {
-        acks.push_back({msg_epoch, kMsgAck});
-        ack = acks.end() - 1;
+      if (std::find(ack_epochs.begin(), ack_epochs.end(), msg_epoch) ==
+          ack_epochs.end()) {
+        ack_epochs.push_back(msg_epoch);
       }
-      ack->push_back(key);
+      acks.emplace_back(msg_epoch, key);
     } else if (type == kMsgAck) {
       KRONLAB_REQUIRE(msg.size() >= 3, "malformed ACK frame");
       if (ps && msg_epoch == epoch) {
         bool progress = false;
         for (std::size_t k = 2; k < msg.size(); ++k) {
-          const auto cached =
-              ps->reply_cache.find(static_cast<index_t>(msg[k]));
-          if (cached != ps->reply_cache.end() && !cached->second.acked) {
-            cached->second.acked = true;
+          const auto key = static_cast<index_t>(msg[k]);
+          if (key != kHandshake && !shard.owns(key)) continue;
+          auto& state = reply_state(*ps, key);
+          if (state == kUnacked) {
+            state = kAcked;
             --ps->unacked;
             progress = true;
           }
@@ -408,12 +471,21 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
   };
 
   // Process one wire message — all frames of a batch, or a lone raw
-  // frame — then flush whatever replies/acks it produced.
-  const auto handle_wire = [&](index_t from, std::vector<Message>&& frames) {
-    std::vector<Message> acks;
+  // frame — then flush whatever replies/acks it produced: one ACK frame
+  // [epoch, ACK, keys...] per distinct epoch, in first-seen order.
+  std::vector<word_t> ack_keys;
+  const auto handle_wire = [&](index_t from) {
+    acks.clear();
+    ack_epochs.clear();
     wire_time = clock::now();
-    for (const auto& msg : frames) handle_frame(from, msg, acks);
-    for (auto& ack : acks) agg.enqueue(from, std::move(ack));
+    for (const auto frame : agg.frames()) handle_frame(from, frame);
+    for (const word_t e : ack_epochs) {
+      ack_keys.clear();
+      for (const auto& [ack_epoch, key] : acks) {
+        if (ack_epoch == e) ack_keys.push_back(key);
+      }
+      agg.append(from, {e, kMsgAck}, ack_keys);
+    }
     agg.flush_all();
   };
 
@@ -447,7 +519,7 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
                           std::to_string(comm.rank()) + ":" + detail + ")");
     }
     // Earliest pending deadline, capped so liveness is re-checked often.
-    // Nothing is buffered in the aggregator here: every enqueue above was
+    // Nothing is buffered in the aggregator here: every append above was
     // followed by a flush_all(), so a blocking receive strands no frame.
     auto next = now + cfg.timeout;
     for (const auto& ps : peers) {
@@ -461,8 +533,8 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
       // request — can still arrive.  Serve queued data frames first;
       // otherwise block on the control channel of the first peer that
       // owes DONE, so its arrival ends the wait at once.
-      if (auto got = agg.recv_frames(milliseconds(0))) {
-        handle_wire(got->first, std::move(got->second));
+      if (const auto from = agg.recv(milliseconds(0))) {
+        handle_wire(*from);
         continue;
       }
       auto& ps = *std::find_if(peers.begin(), peers.end(),
@@ -473,8 +545,8 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
       }
       wait = milliseconds(0);
     }
-    if (auto got = agg.recv_frames(wait)) {
-      handle_wire(got->first, std::move(got->second));
+    if (const auto from = agg.recv(wait)) {
+      handle_wire(*from);
       continue;
     }
     // Deadline sweep.
@@ -501,7 +573,7 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
         retry_counter.add();
         note_protocol("exchange/retry", comm.rank(), ps.rank, epoch,
                       ps.req_attempts);
-        post_requests(ps); // only still-pending rows ride the retry
+        post_requests(ps); // only still-waiting rows ride the retry
         ps.req_timeout = backed_off(ps.req_timeout, cfg);
         ps.req_deadline = t + ps.req_timeout;
       }
@@ -528,8 +600,8 @@ std::unordered_map<index_t, std::vector<index_t>> exchange_ghost_rows(
         note_protocol("exchange/resend", comm.rank(), ps.rank, epoch,
                       ps.reply_attempts);
         // Resends stay row-granular: only replies the peer has not acked.
-        for (const auto& [key, reply] : ps.reply_cache) {
-          if (!reply.acked) agg.enqueue(ps.rank, Message(reply.frame));
+        for (const index_t key : ps.served_keys) {
+          if (reply_state(ps, key) == kUnacked) post_reply(ps.rank, epoch, key);
         }
         ps.ack_timeout = backed_off(ps.ack_timeout, cfg);
         ps.ack_deadline = t + ps.ack_timeout;
@@ -560,22 +632,26 @@ Shard generate_shard_checkpointed(Comm& comm,
   shard.n = kp.num_vertices();
   shard.row_begin = llo * nb;
   shard.row_end = lhi * nb;
-  grb::Coo<count_t> coo((lhi - llo) * nb, shard.n);
-  coo.reserve(ps.entries_of(comm.rank()));
+  std::vector<offset_t> row_ptr{0};
+  push_row_ptr(row_ptr, kp, llo, lhi);
+  std::vector<index_t> cols;
+  cols.reserve(static_cast<std::size_t>(row_ptr.back()));
   const kron::EdgeStream es(kp);
   const index_t step = std::max<index_t>(1, ckpt.interval_left_rows);
   for (index_t i = llo; i < lhi; i += step) {
     const index_t end = std::min(lhi, i + step);
-    es.for_each_entry_rows(i, end, [&](index_t p, index_t q) {
-      coo.push(p - shard.row_begin, q, 1);
-    });
+    es.for_each_entry_rows(i, end,
+                           [&](index_t, index_t q) { cols.push_back(q); });
     if (ckpt.enabled() && end < lhi) {
-      grb::Coo<count_t> partial((end - llo) * nb, shard.n);
-      partial.reserve(coo.nnz());
-      for (const auto& t : coo.entries()) partial.push(t.row, t.col, t.val);
+      // The completed blocks are a prefix of the shard's rows.
+      const auto rows_done = static_cast<std::ptrdiff_t>((end - llo) * nb);
       grb::SnapshotEnvelope snap;
       snap.meta = {kCkptVersion, shard.n, llo, lhi, end};
-      snap.payload = grb::Csr<count_t>::from_coo(partial);
+      snap.payload = shard_csr(
+          shard.n,
+          std::vector<offset_t>(row_ptr.begin(),
+                                row_ptr.begin() + rows_done + 1),
+          cols);
       grb::write_snapshot_file(checkpoint_path(ckpt, comm.rank()), snap);
       if (checkpoints_written) ++*checkpoints_written;
       if (trace::enabled()) {
@@ -588,7 +664,7 @@ Shard generate_shard_checkpointed(Comm& comm,
     // checkpoint for the completed blocks has been persisted.
     comm.fault_point("gen-block");
   }
-  shard.rows = grb::Csr<count_t>::from_coo(coo);
+  shard.rows = shard_csr(shard.n, std::move(row_ptr), std::move(cols));
   return shard;
 }
 
@@ -620,24 +696,31 @@ count_t distributed_global_butterflies(Comm& comm, const Shard& shard,
   comm.fault_point("exchange-serve");
 
   // ---- phase 1: figure out which remote rows this rank needs ----------
-  // Wedge counting of owned v walks rows of every neighbor j of v.
-  std::vector<std::unordered_set<index_t>> needed_sets(mcount);
-  for (index_t lv = 0; lv < shard.rows.nrows(); ++lv) {
-    for (const index_t j : shard.rows.row_cols(lv)) {
-      if (!shard.owns(j)) {
-        needed_sets[owner_pos(row_begins, j)].insert(j);
+  // Wedge counting of owned v walks rows of every neighbor j of v.  One
+  // n-sized mark array over the shard's columns; scanning each owner's
+  // row range then lists its needed rows in ascending order.  The marks
+  // go on to serve as the exchange's waiting table.
+  std::vector<std::uint8_t> waiting(static_cast<std::size_t>(shard.n), 0);
+  std::vector<std::vector<index_t>> needed(mcount);
+  {
+    KRONLAB_KERNEL("dist/needed");
+    for (const index_t j : shard.rows.col_idx()) {
+      if (!shard.owns(j)) waiting[static_cast<std::size_t>(j)] = 1;
+    }
+    for (std::size_t i = 0; i < mcount; ++i) {
+      if (members[i] == comm.rank()) continue;
+      for (auto v = static_cast<index_t>(row_begins[i]); v < row_ends[i];
+           ++v) {
+        if (waiting[static_cast<std::size_t>(v)] != 0) needed[i].push_back(v);
       }
     }
-  }
-  std::vector<std::vector<index_t>> needed(mcount);
-  for (std::size_t i = 0; i < mcount; ++i) {
-    needed[i].assign(needed_sets[i].begin(), needed_sets[i].end());
   }
 
   // ---- phase 2: fault-tolerant ghost-row exchange ---------------------
   ExchangeStats local_stats;
-  const auto ghost = exchange_ghost_rows(comm, shard, members, needed,
-                                         epoch, retry, local_stats);
+  const auto ghost =
+      exchange_ghost_rows(comm, shard, members, row_begins, row_ends,
+                          waiting, needed, epoch, retry, local_stats);
   if (stats) *stats = local_stats;
   // The exchange quiesced, but a member may have died after serving us;
   // the reduction below needs every member, so surface it as a typed
@@ -651,18 +734,15 @@ count_t distributed_global_butterflies(Comm& comm, const Shard& shard,
 
   // ---- phase 3: the wedge engine over owned rows ---------------------
   // Owned-plus-ghost rows: every row an owned row's wedges walk.
-  KRONLAB_TRACE_SPAN("dist", "wedge_count");
-  std::vector<std::span<const index_t>> rows(
-      static_cast<std::size_t>(shard.n));
-  for (index_t v = shard.row_begin; v < shard.row_end; ++v) {
-    rows[static_cast<std::size_t>(v)] = shard.rows.row_cols(shard.local(v));
+  count_t local_sum = 0;
+  {
+    KRONLAB_KERNEL("dist/wedge_count");
+    local_sum = graph::halved_pair_sum(
+        shard.n, shard.row_begin, shard.row_end, [&](index_t j) {
+          return shard.owns(j) ? shard.rows.row_cols(shard.local(j))
+                               : ghost.row(j);
+        });
   }
-  for (const auto& [v, cols] : ghost) {
-    rows[static_cast<std::size_t>(v)] = cols;
-  }
-  const count_t local_sum = graph::halved_pair_sum(
-      shard.n, shard.row_begin, shard.row_end,
-      [&](index_t j) { return rows[static_cast<std::size_t>(j)]; });
 
   // Each diagonal pair {v, k < v} is counted by v's owner: Σ = 2 · #C4.
   return comm.allreduce_sum(local_sum, members) / 2;
@@ -745,9 +825,13 @@ RecoveryReport supervised_global_butterflies(
             : kp.left().nrows();
     if (new_lhi > my_lhi) {
       KRONLAB_TRACE_SPAN("dist", "reassign_rows");
-      grb::Coo<count_t> coo((new_lhi - my_llo) * nb, shard.n);
-      coo.reserve(expected_entries(kp, my_llo, new_lhi));
-      append_csr_rows(coo, shard.rows, 0);
+      // The dead ranks' rows follow this rank's in order, so each range
+      // is appended as it is recovered: checkpointed rows, then the tail
+      // regenerated from the factors.
+      std::vector<offset_t> row_ptr = shard.rows.row_ptr();
+      std::vector<index_t> cols = shard.rows.col_idx();
+      cols.reserve(static_cast<std::size_t>(
+          expected_entries(kp, my_llo, new_lhi)));
       const kron::EdgeStream es(kp);
       for (index_t d = me + 1; d < comm.size() && !comm.rank_alive(d);
            ++d) {
@@ -766,7 +850,7 @@ RecoveryReport supervised_global_butterflies(
                 snap.payload.nrows() == (snap.meta[4] - dlo) * nb &&
                 snap.payload.nnz() ==
                     expected_entries(kp, dlo, snap.meta[4])) {
-              append_csr_rows(coo, snap.payload, (dlo - my_llo) * nb);
+              push_csr_rows(row_ptr, cols, snap.payload);
               done = snap.meta[4];
               ++ckpts_restored;
               if (trace::enabled()) {
@@ -781,14 +865,14 @@ RecoveryReport supervised_global_butterflies(
             // to regenerating the dead rank's whole range from factors.
           }
         }
-        es.for_each_entry_rows(done, dhi, [&](index_t p, index_t q) {
-          coo.push(p - my_llo * nb, q, 1);
-        });
+        push_row_ptr(row_ptr, kp, done, dhi);
+        es.for_each_entry_rows(
+            done, dhi, [&](index_t, index_t q) { cols.push_back(q); });
         rows_reassigned += dhi - dlo;
       }
       my_lhi = new_lhi;
       shard.row_end = new_lhi * nb;
-      shard.rows = grb::Csr<count_t>::from_coo(coo);
+      shard.rows = shard_csr(shard.n, std::move(row_ptr), std::move(cols));
     }
   }
 

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "kronlab/dist/comm.hpp"
 #include "kronlab/dist/sharded.hpp"
@@ -11,6 +13,7 @@
 #include "kronlab/gen/random_bipartite.hpp"
 #include "kronlab/graph/butterflies.hpp"
 #include "kronlab/kron/ground_truth.hpp"
+#include "kronlab/obs/stats.hpp"
 
 namespace kronlab::dist {
 namespace {
@@ -122,6 +125,44 @@ TEST(ShardedGeneration, ShardsReassembleTheProduct) {
   }
 }
 
+TEST(ShardedGeneration, DirectCsrShardsAreSlicesOfTheMaterializedProduct) {
+  // generate_shard assembles its CSR straight from the factor degrees and
+  // the entry stream; each shard must be bit-identical — row_ptr, col_idx
+  // and vals — to its row slice of the materialized product, and so must
+  // the checkpointed generator's.
+  for (const std::uint64_t seed : {1, 2, 3, 4}) {
+    const auto kp = sample_product(seed);
+    const auto c = kp.materialize();
+    for (index_t parts = 1; parts <= 5; ++parts) {
+      const kron::PartitionedStream ps(kp, parts);
+      run(parts, [&](Comm& comm) {
+        const auto shards = {generate_shard(kp, ps, comm.rank()),
+                             generate_shard_checkpointed(comm, kp, ps, {})};
+        for (const auto& shard : shards) {
+          const auto lo = static_cast<std::size_t>(shard.row_begin);
+          const auto hi = static_cast<std::size_t>(shard.row_end);
+          const auto e_lo = c.row_ptr()[lo];
+          const auto e_hi = c.row_ptr()[hi];
+          std::vector<offset_t> row_ptr;
+          for (std::size_t r = lo; r <= hi; ++r) {
+            row_ptr.push_back(c.row_ptr()[r] - e_lo);
+          }
+          EXPECT_EQ(shard.n, c.nrows());
+          EXPECT_EQ(shard.rows.ncols(), c.ncols());
+          EXPECT_EQ(shard.rows.row_ptr(), row_ptr)
+              << "seed " << seed << " parts " << parts;
+          EXPECT_EQ(shard.rows.col_idx(),
+                    std::vector<index_t>(c.col_idx().begin() + e_lo,
+                                         c.col_idx().begin() + e_hi));
+          EXPECT_EQ(shard.rows.vals(),
+                    std::vector<count_t>(c.vals().begin() + e_lo,
+                                         c.vals().begin() + e_hi));
+        }
+      });
+    }
+  }
+}
+
 class DistCountTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(DistCountTest, DistributedCountMatchesGroundTruth) {
@@ -150,6 +191,27 @@ TEST(DistCount, AgreesWithSerialWedgeCountOnMaterialized) {
     const auto shard = generate_shard(kp, ps, comm.rank());
     EXPECT_EQ(distributed_global_butterflies(comm, shard), expect);
   });
+}
+
+TEST(DistCount, PhaseTimesLandInTheRegistry) {
+  // One 4-rank count records each of its three phases per rank: needed-row
+  // discovery, the exchange epoch and the wedge count.
+  const bool was_enabled = obs::stats_enabled();
+  obs::set_stats_enabled(true);
+  const auto kp = sample_product(98);
+  const kron::PartitionedStream ps(kp, 4);
+  run(4, [&](Comm& comm) {
+    const auto shard = generate_shard(kp, ps, comm.rank());
+    (void)distributed_global_butterflies(comm, shard);
+  });
+  const auto snap = obs::stats_snapshot();
+  for (const char* name : {"kernel/dist/needed", "dist/exchange_epoch",
+                           "kernel/dist/wedge_count"}) {
+    const auto it = snap.histograms.find(name);
+    ASSERT_NE(it, snap.histograms.end()) << name;
+    EXPECT_GE(it->second.count, 4u) << name;
+  }
+  obs::set_stats_enabled(was_enabled);
 }
 
 } // namespace

@@ -2,8 +2,10 @@
 // and its integration with the row-granular ghost-row exchange.
 //
 // Covers, per the aggregation design contract:
-//   * wire format: singles ship raw, batches frame/unpack losslessly,
-//     malformed batches are rejected with typed errors;
+//   * wire format: singles ship raw, batches frame/split losslessly,
+//     malformed batches are rejected with typed errors, and no single-bit
+//     corruption of a batch or a raw frame escapes as anything but a
+//     typed error or in-bounds frame views;
 //   * flush policy determinism: capacity flushes split a frame stream
 //     into predictable batches at Aggregator::kCapacityWords;
 //   * counter accounting: frames_enqueued == rows_coalesced +
@@ -15,7 +17,9 @@
 //   * deferred DONE: a rank that needs no ghost row announces DONE while
 //     its peers are still trading rows, and the count stays exact;
 //   * a forged ROWS frame (columns out of range or out of order) is
-//     rejected with the typed "malformed ROWS frame" error;
+//     rejected with the typed "malformed ROWS frame" error, and a
+//     well-formed ROWS frame from a peer that does not own the row is
+//     absorbed as a duplicate;
 //   * a many-rank chaos soak with every rank enqueueing, flushing, and
 //     draining concurrently — the TSan target for this subsystem.
 
@@ -23,8 +27,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -51,6 +58,25 @@ Message frame_of(std::size_t words, word_t id) {
   f[0] = 1;
   f[1] = id;
   return f;
+}
+
+/// Aggregator::split, with each frame copied out for comparison.
+std::vector<Message> split_copy(const Message& wire) {
+  std::vector<Aggregator::Frame> views;
+  Aggregator::split(wire, views);
+  std::vector<Message> frames;
+  for (const auto v : views) frames.emplace_back(v.begin(), v.end());
+  return frames;
+}
+
+/// Receive one wire message through `agg`: its sender and frames.
+std::optional<std::pair<index_t, std::vector<Message>>> recv_copy(
+    Aggregator& agg, milliseconds timeout) {
+  const auto from = agg.recv(timeout);
+  if (!from) return std::nullopt;
+  std::vector<Message> frames;
+  for (const auto v : agg.frames()) frames.emplace_back(v.begin(), v.end());
+  return std::make_pair(*from, std::move(frames));
 }
 
 double fault_rate_scale() {
@@ -81,7 +107,7 @@ TEST(AggregatorWire, SingleFrameShipsRawOnTheWire) {
   run(2, [](Comm& comm) {
     if (comm.rank() == 0) {
       Aggregator agg(comm, kTag);
-      agg.enqueue(1, {5, 1, 2, 3});
+      agg.append(1, {5, 1, 2, 3});
       agg.flush(1);
       EXPECT_EQ(agg.stats().single_flushes, 1);
       EXPECT_EQ(agg.stats().batches_sent, 0);
@@ -101,14 +127,14 @@ TEST(AggregatorWire, BatchRoundTripsLosslesslyInOrder) {
         {7, 0, 11}, {7, 1, 22, 23}, {7, 2}, {9, 0, 44, 45, 46}};
     if (comm.rank() == 0) {
       Aggregator agg(comm, kTag);
-      for (const auto& f : frames) agg.enqueue(1, Message(f));
+      for (const auto& f : frames) agg.append(1, f);
       agg.flush_all();
       EXPECT_EQ(agg.stats().batches_sent, 1);
       EXPECT_EQ(agg.stats().rows_coalesced, 4);
     } else {
       const auto raw = comm.recv(0, kTag);
       ASSERT_TRUE(Aggregator::is_batch(raw));
-      const auto got = Aggregator::unpack(raw);
+      const auto got = split_copy(raw);
       ASSERT_EQ(got.size(), frames.size());
       for (std::size_t i = 0; i < frames.size(); ++i) {
         EXPECT_EQ(got[i], frames[i]);
@@ -121,20 +147,20 @@ TEST(AggregatorWire, RecvFramesUnpacksBatchesAndWrapsSingles) {
   run(2, [](Comm& comm) {
     if (comm.rank() == 0) {
       Aggregator agg(comm, kTag);
-      agg.enqueue(1, {1, 10});
-      agg.enqueue(1, {1, 20});
+      agg.append(1, {1, 10});
+      agg.append(1, {1, 20});
       agg.flush(1); // batch of two
-      agg.enqueue(1, {1, 30});
+      agg.append(1, {1, 30});
       agg.flush(1); // raw single
     } else {
       Aggregator agg(comm, kTag);
-      const auto batch = agg.recv_frames(milliseconds(2000));
+      const auto batch = recv_copy(agg, milliseconds(2000));
       ASSERT_TRUE(batch.has_value());
       EXPECT_EQ(batch->first, 0);
       ASSERT_EQ(batch->second.size(), 2u);
       EXPECT_EQ(batch->second[0], (Message{1, 10}));
       EXPECT_EQ(batch->second[1], (Message{1, 20}));
-      const auto single = agg.recv_frames(milliseconds(2000));
+      const auto single = recv_copy(agg, milliseconds(2000));
       ASSERT_TRUE(single.has_value());
       ASSERT_EQ(single->second.size(), 1u);
       EXPECT_EQ(single->second[0], (Message{1, 30}));
@@ -145,23 +171,70 @@ TEST(AggregatorWire, RecvFramesUnpacksBatchesAndWrapsSingles) {
 TEST(AggregatorWire, MalformedBatchesAreRejected) {
   const word_t magic = Aggregator::kBatchMagic;
   // Header truncated.
-  EXPECT_THROW((void)Aggregator::unpack({magic}), invalid_argument);
+  EXPECT_THROW((void)split_copy({magic}), invalid_argument);
   // Negative frame count.
-  EXPECT_THROW((void)Aggregator::unpack({magic, -1}), invalid_argument);
+  EXPECT_THROW((void)split_copy({magic, -1}), invalid_argument);
   // Frame length runs past the end.
-  EXPECT_THROW((void)Aggregator::unpack({magic, 1, 5, 1, 2}),
+  EXPECT_THROW((void)split_copy({magic, 1, 5, 1, 2}),
                invalid_argument);
   // Fewer frames than the count promises.
-  EXPECT_THROW((void)Aggregator::unpack({magic, 2, 1, 7}),
+  EXPECT_THROW((void)split_copy({magic, 2, 1, 7}),
                invalid_argument);
   // Trailing words after the last frame.
-  EXPECT_THROW((void)Aggregator::unpack({magic, 1, 1, 7, 99}),
+  EXPECT_THROW((void)split_copy({magic, 1, 1, 7, 99}),
                invalid_argument);
   // A well-formed batch of one empty + one 2-word frame parses.
-  const auto frames = Aggregator::unpack({magic, 2, 0, 2, 4, 5});
+  const auto frames = split_copy({magic, 2, 0, 2, 4, 5});
   ASSERT_EQ(frames.size(), 2u);
   EXPECT_TRUE(frames[0].empty());
   EXPECT_EQ(frames[1], (Message{4, 5}));
+}
+
+TEST(AggregatorWire, BitFlipsThrowTypedErrorsOrYieldInBoundsViews) {
+  // Wire bytes are untrusted.  Flip every bit of a 3-frame batch and of a
+  // raw frame: split must either throw invalid_argument or return views
+  // that lie inside the message — never over-allocate from a corrupted
+  // count word, read past the end, or throw anything else.
+  const word_t magic = Aggregator::kBatchMagic;
+  const std::vector<Message> wires = {
+      {magic, 3, 2, 4, 5, 1, 6, 1, 7}, // 9 words: frames {4,5}, {6}, {7}
+      {5, 1, 2, 3},                    // raw frame
+  };
+  for (const Message& wire : wires) {
+    count_t rejected = 0;
+    for (std::size_t w = 0; w < wire.size(); ++w) {
+      for (int bit = 0; bit < 64; ++bit) {
+        Message flipped = wire;
+        flipped[w] = static_cast<word_t>(static_cast<std::uint64_t>(
+                                              flipped[w]) ^
+                                          (std::uint64_t{1} << bit));
+        std::vector<Aggregator::Frame> views;
+        try {
+          Aggregator::split(flipped, views);
+        } catch (const invalid_argument&) {
+          ++rejected;
+          continue;
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << "word " << w << " bit " << bit
+                        << " threw a non-typed error: " << e.what();
+          continue;
+        }
+        std::size_t words = 0;
+        for (const auto v : views) {
+          EXPECT_GE(v.data(), flipped.data());
+          EXPECT_LE(v.data() + v.size(), flipped.data() + flipped.size());
+          words += v.size();
+        }
+        EXPECT_LE(words, flipped.size());
+      }
+    }
+    // The batch's framing words reject most flips; a raw frame has none.
+    if (Aggregator::is_batch(wire)) {
+      EXPECT_GT(rejected, 0);
+    } else {
+      EXPECT_EQ(rejected, 0);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -174,7 +247,7 @@ TEST(AggregatorFlush, CapacityFlushesAreDeterministic) {
   run(2, [](Comm& comm) {
     if (comm.rank() == 0) {
       Aggregator agg(comm, kTag);
-      for (word_t i = 0; i < 12; ++i) agg.enqueue(1, frame_of(kWords, i));
+      for (word_t i = 0; i < 12; ++i) agg.append(1, frame_of(kWords, i));
       EXPECT_EQ(agg.stats().capacity_flushes, 3);
       EXPECT_EQ(agg.stats().batches_sent, 3);
       EXPECT_EQ(agg.stats().rows_coalesced, 12);
@@ -182,7 +255,7 @@ TEST(AggregatorFlush, CapacityFlushesAreDeterministic) {
     } else {
       Aggregator agg(comm, kTag);
       for (word_t b = 0; b < 3; ++b) {
-        const auto got = agg.recv_frames(milliseconds(2000));
+        const auto got = recv_copy(agg, milliseconds(2000));
         ASSERT_TRUE(got.has_value());
         ASSERT_EQ(got->second.size(), 4u);
         for (word_t k = 0; k < 4; ++k) {
@@ -199,10 +272,10 @@ TEST(AggregatorFlush, OversizeFrameFlushesBufferThenItself) {
   run(2, [&](Comm& comm) {
     if (comm.rank() == 0) {
       Aggregator agg(comm, kTag);
-      agg.enqueue(1, {1, 7});
+      agg.append(1, {1, 7});
       // Larger than capacity on its own: the buffered frame flushes as a
       // single, then the oversize frame flushes as its own single.
-      agg.enqueue(1, Message(oversize));
+      agg.append(1, oversize);
       EXPECT_EQ(agg.stats().single_flushes, 2);
       EXPECT_EQ(agg.stats().batches_sent, 0);
       EXPECT_EQ(agg.stats().capacity_flushes, 2);
@@ -217,12 +290,12 @@ TEST(AggregatorFlush, DestructorFlushesAsManual) {
   run(2, [](Comm& comm) {
     if (comm.rank() == 0) {
       Aggregator agg(comm, kTag);
-      agg.enqueue(1, {1, 10});
-      agg.enqueue(1, {1, 20});
+      agg.append(1, {1, 10});
+      agg.append(1, {1, 20});
       // No explicit flush: the destructor drains the buffer.
     } else {
       Aggregator agg(comm, kTag);
-      const auto got = agg.recv_frames(milliseconds(2000));
+      const auto got = recv_copy(agg, milliseconds(2000));
       ASSERT_TRUE(got.has_value());
       ASSERT_EQ(got->second.size(), 2u);
     }
@@ -240,10 +313,10 @@ TEST(AggregatorCounters, EnqueuedEqualsCoalescedPlusSingles) {
     if (comm.rank() == 0) {
       Aggregator agg(comm, kTag);
       // A mix of capacity flushes, a manual batch, and a manual single.
-      for (word_t i = 0; i < 9; ++i) agg.enqueue(1, frame_of(kWords, i));
+      for (word_t i = 0; i < 9; ++i) agg.append(1, frame_of(kWords, i));
       agg.flush_all();
-      agg.enqueue(1, {1, 100});
-      agg.enqueue(1, {1, 101});
+      agg.append(1, {1, 100});
+      agg.append(1, {1, 101});
       agg.flush_all();
       const auto& st = agg.stats();
       EXPECT_EQ(st.frames_enqueued, 11);
@@ -255,7 +328,7 @@ TEST(AggregatorCounters, EnqueuedEqualsCoalescedPlusSingles) {
       Aggregator agg(comm, kTag);
       count_t frames = 0;
       while (frames < 11) {
-        const auto got = agg.recv_frames(milliseconds(2000));
+        const auto got = recv_copy(agg, milliseconds(2000));
         ASSERT_TRUE(got.has_value());
         frames += static_cast<count_t>(got->second.size());
       }
@@ -304,9 +377,9 @@ TEST(AggregatedExchange, AggregatedAndPerRowCountsAgree) {
 
 TEST(AggregatedExchange, DuplicatedBatchesDeliverEachRowOnce) {
   // Heavy duplication: whole batched wire messages are delivered twice,
-  // and the per-row dedup (pending-set on the requester, reply cache on
-  // the responder) must absorb every copy — an exact count proves no row
-  // was double-merged into the ghost cache.
+  // and the per-row dedup (the waiting table on the requester, the
+  // reply-state table on the responder) must absorb every copy — an exact
+  // count proves no row was double-merged into the ghost arena.
   const auto kp = sample_product(32);
   const count_t expect = kron::global_squares(kp);
   const double s = fault_rate_scale();
@@ -477,6 +550,46 @@ TEST(AggregatedExchange, ForgedRowsFramesRaiseTypedError) {
   }
 }
 
+TEST(AggregatedExchange, WrongPeerRowsFrameIsAbsorbed) {
+  // A ROWS frame counts only if it comes from the peer the row was
+  // requested from, its owner.  Before joining the exchange, rank 2 sends
+  // rank 0 a well-formed current-epoch ROWS frame for a row rank 1 owns
+  // and rank 0 needs, with wrong columns: rank 0 must absorb it as a
+  // duplicate reply, and every rank's count must stay exact.
+  const auto kp = sample_product(37);
+  const count_t expect = kron::global_squares(kp);
+  const kron::PartitionedStream ps(kp, 3);
+  const index_t n = kp.num_vertices();
+  constexpr int kExchTag = 10; // exchange wire format, as above
+  constexpr word_t kRows = 1;
+  const auto shard0 = generate_shard(kp, ps, 0);
+  const auto [begin1, end1] = ps.owned_product_rows(1);
+  index_t target = -1; // a row of rank 1's that rank 0 requests
+  for (const index_t j : shard0.rows.col_idx()) {
+    if (j >= begin1 && j < end1) {
+      target = j;
+      break;
+    }
+  }
+  ASSERT_GE(target, 0) << "rank 0 needs no row of rank 1's";
+  run(3, [&](Comm& comm) {
+    const auto shard = generate_shard(kp, ps, comm.rank());
+    if (comm.rank() == 2) {
+      // The first exchange's epoch, which the rank has not advanced yet.
+      // The columns are sorted ids in [0, n), so only the sender is wrong.
+      const word_t epoch = 1;
+      comm.send(0, kExchTag, {epoch, kRows, target, 2, 0, n - 1});
+    }
+    ExchangeStats stats;
+    EXPECT_EQ(distributed_global_butterflies(comm, shard, {}, &stats),
+              expect)
+        << "rank " << comm.rank();
+    if (comm.rank() == 0) {
+      EXPECT_GE(stats.dup_replies, 1);
+    }
+  });
+}
+
 // ---------------------------------------------------------------------------
 // Chaos soak: every rank enqueues to every other rank while draining its
 // own tag — the TSan target exercising concurrent aggregator instances
@@ -490,7 +603,7 @@ TEST(AggregatorChaos, AllRanksExchangeThroughAggregatorsConcurrently) {
     std::vector<count_t> got_from(static_cast<std::size_t>(ranks), 0);
     word_t payload_sum = 0;
     const auto drain = [&](milliseconds timeout) -> bool {
-      const auto got = agg.recv_frames(timeout);
+      const auto got = recv_copy(agg, timeout);
       if (!got) return false;
       for (const auto& f : got->second) {
         EXPECT_EQ(f.size(), 3u);
@@ -504,7 +617,7 @@ TEST(AggregatorChaos, AllRanksExchangeThroughAggregatorsConcurrently) {
     for (word_t i = 0; i < per_peer; ++i) {
       for (index_t r = 0; r < ranks; ++r) {
         if (r == comm.rank()) continue;
-        agg.enqueue(r, {1, comm.rank(), i});
+        agg.append(r, {1, comm.rank(), i});
       }
       if (i % 16 == 15) agg.flush_all();
       drain(milliseconds(0));
