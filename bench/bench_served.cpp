@@ -202,9 +202,6 @@ int main(int argc, char** argv) {
   h.counter("stats_overhead_pct", overhead_pct);
 
   server.stop();
-  const auto stats = server.stats();
-  h.counter("cache_hits", static_cast<double>(stats.cache_hits));
-  h.counter("cache_misses", static_cast<double>(stats.cache_misses));
   h.counter("in_flight_after_stop", static_cast<double>(server.in_flight()));
 
   std::printf("bench_served: %d clients x %d frames x %d probes\n", clients,
@@ -215,8 +212,5 @@ int main(int argc, char** argv) {
   std::printf("  stats overhead: %.2f%% (best of %d paired rounds: "
               "%.0f off vs %.0f on probes/s)\n",
               overhead_pct, pair_rounds, qps_off, qps_on);
-  std::printf("  cache        : %llu hits / %llu misses\n",
-              static_cast<unsigned long long>(stats.cache_hits),
-              static_cast<unsigned long long>(stats.cache_misses));
   return 0;
 }

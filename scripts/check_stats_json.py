@@ -9,7 +9,7 @@ Checks, in order:
      (bool), uptime_seconds (non-negative number), server (object),
      probes_by_op / counters / gauges / histograms (objects).
   3. The server section carries every serve counter as a non-negative
-     integer, plus cache_hit_rate in [0, 1].
+     integer.
   4. Every histogram entry has count/mean_us/p50_us/p90_us/p99_us/max_us,
      all non-negative, with monotone quantiles p50 <= p90 <= p99 <= max
      whenever the histogram is non-empty.
@@ -37,8 +37,6 @@ SERVER_COUNTERS = (
     "shed_shutdown",
     "in_flight",
     "queue_depth",
-    "cache_hits",
-    "cache_misses",
 )
 
 HIST_FIELDS = ("count", "mean_us", "p50_us", "p90_us", "p99_us", "max_us")
@@ -72,9 +70,6 @@ def check(doc, require_hist: list[str]) -> None:
         v = server.get(name)
         if not is_num(v) or v < 0 or v != int(v):
             fail(f"server.{name} missing or not a non-negative integer")
-    rate = server.get("cache_hit_rate")
-    if not is_num(rate) or not 0.0 <= rate <= 1.0:
-        fail("server.cache_hit_rate missing or outside [0, 1]")
 
     for op, v in doc["probes_by_op"].items():
         if not is_num(v) or v < 0 or v != int(v):

@@ -50,23 +50,30 @@ namespace {
 /// a truncated body is a typed protocol_error, never an out-of-range read.
 class Cursor {
 public:
-  explicit Cursor(const std::vector<word_t>& words) : words_(&words) {}
+  explicit Cursor(std::span<const word_t> words) : words_(words) {}
+
+  [[nodiscard]] std::size_t pos() const { return pos_; }
 
   [[nodiscard]] std::size_t remaining() const {
-    return words_->size() - pos_;
+    return words_.size() - pos_;
   }
 
-  word_t next(const char* what) {
-    if (pos_ >= words_->size()) {
+  /// The next `n` words, as one view.
+  std::span<const word_t> take(std::size_t n, const char* what) {
+    if (n > remaining()) {
       throw protocol_error(std::string("kronlab serve: payload truncated "
                                        "while reading ") +
                            what);
     }
-    return (*words_)[pos_++];
+    const auto out = words_.subspan(pos_, n);
+    pos_ += n;
+    return out;
   }
 
+  word_t next(const char* what) { return take(1, what)[0]; }
+
 private:
-  const std::vector<word_t>* words_;
+  std::span<const word_t> words_;
   std::size_t pos_ = 0;
 };
 
@@ -93,19 +100,17 @@ std::vector<word_t> encode_request(const Request& req) {
   return out;
 }
 
-Request decode_request(const std::vector<word_t>& words) {
+std::vector<ProbeView> parse_request(std::span<const word_t> words) {
   Cursor c(words);
-  Request req;
-  req.id = static_cast<std::uint64_t>(c.next("frame id"));
+  (void)c.next("frame id");
   const word_t n = c.next("probe count");
   if (n <= 0 || static_cast<std::size_t>(n) > max_batch_probes) {
     throw protocol_error("kronlab serve: probe count " + std::to_string(n) +
                          " outside (0, " + std::to_string(max_batch_probes) +
                          "]");
   }
-  req.probes.reserve(static_cast<std::size_t>(n));
-  for (word_t i = 0; i < n; ++i) {
-    Probe p;
+  std::vector<ProbeView> probes(static_cast<std::size_t>(n));
+  for (ProbeView& p : probes) {
     p.op = static_cast<Op>(c.next("opcode"));
     const word_t nargs = c.next("arg count");
     if (nargs < 0 || nargs > kMaxProbeArgs) {
@@ -113,14 +118,27 @@ Request decode_request(const std::vector<word_t>& words) {
                            std::to_string(nargs) + " outside [0, " +
                            std::to_string(kMaxProbeArgs) + "]");
     }
-    p.args.reserve(static_cast<std::size_t>(nargs));
-    for (word_t a = 0; a < nargs; ++a) p.args.push_back(c.next("probe arg"));
-    req.probes.push_back(std::move(p));
+    // The payload is capped at max_frame_bytes, so offsets fit 32 bits.
+    p.offset = static_cast<std::uint32_t>(c.pos());
+    p.argc = static_cast<std::uint32_t>(nargs);
+    (void)c.take(p.argc, "probe arg");
   }
   if (c.remaining() != 0) {
     throw protocol_error("kronlab serve: request carries " +
                          std::to_string(c.remaining()) +
                          " words past the last probe");
+  }
+  return probes;
+}
+
+Request decode_request(const std::vector<word_t>& words) {
+  const std::vector<ProbeView> views = parse_request(words);
+  Request req;
+  req.id = static_cast<std::uint64_t>(words[0]);
+  req.probes.reserve(views.size());
+  for (const ProbeView& v : views) {
+    const auto args = words.begin() + v.offset;
+    req.probes.push_back({v.op, std::vector<word_t>(args, args + v.argc)});
   }
   return req;
 }
@@ -162,10 +180,9 @@ Response decode_response(const std::vector<word_t>& words) {
                            std::to_string(nwords) + " outside [0, " +
                            std::to_string(kMaxResultWords) + "]");
     }
-    r.words.reserve(static_cast<std::size_t>(nwords));
-    for (word_t w = 0; w < nwords; ++w) {
-      r.words.push_back(c.next("result word"));
-    }
+    const auto body =
+        c.take(static_cast<std::size_t>(nwords), "result words");
+    r.words.assign(body.begin(), body.end());
     resp.results.push_back(std::move(r));
   }
   if (c.remaining() != 0) {
@@ -180,28 +197,33 @@ std::uint64_t peek_request_id(const std::vector<word_t>& words) {
   return words.empty() ? 0 : static_cast<std::uint64_t>(words[0]);
 }
 
-std::vector<word_t> encode_record(const kron::VertexRecord& r) {
-  return {r.p, r.degree, r.two_hop, r.squares, double_bits(r.closure)};
+void append_record(std::vector<word_t>& out, const kron::VertexRecord& r) {
+  out.insert(out.end(),
+             {r.p, r.degree, r.two_hop, r.squares, double_bits(r.closure)});
 }
 
-std::vector<word_t> encode_record(const kron::EdgeRecord& r) {
-  return {r.p,       r.q,      r.degree_p,
-          r.degree_q, r.squares, double_bits(r.gamma)};
+void append_record(std::vector<word_t>& out, const kron::EdgeRecord& r) {
+  out.insert(out.end(), {r.p, r.q, r.degree_p, r.degree_q, r.squares,
+                         double_bits(r.gamma)});
 }
 
-std::vector<word_t> encode_record(const StatsRecord& r) {
-  return {r.num_vertices, r.num_edges, r.global_squares};
+void append_record(std::vector<word_t>& out, const StatsRecord& r) {
+  out.insert(out.end(), {r.num_vertices, r.num_edges, r.global_squares});
 }
 
-std::vector<word_t> encode_hist(
-    const std::vector<std::pair<count_t, index_t>>& pairs) {
-  std::vector<word_t> out;
-  out.reserve(1 + pairs.size() * 2);
+void append_hist(std::vector<word_t>& out,
+                 std::span<const std::pair<count_t, index_t>> pairs) {
   out.push_back(static_cast<word_t>(pairs.size()));
   for (const auto& [degree, vertices] : pairs) {
     out.push_back(degree);
     out.push_back(vertices);
   }
+}
+
+std::vector<word_t> encode_hist(
+    std::span<const std::pair<count_t, index_t>> pairs) {
+  std::vector<word_t> out;
+  append_hist(out, pairs);
   return out;
 }
 

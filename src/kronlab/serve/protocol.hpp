@@ -53,6 +53,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -176,9 +177,24 @@ struct StatsRecord {
   count_t global_squares = 0;
 };
 
+/// One probe of a parsed request payload: its opcode and where its
+/// `argc` args sit among the payload words.  A view — valid as long as
+/// the payload it was parsed from.
+struct ProbeView {
+  Op op = Op::stats;
+  std::uint32_t offset = 0;
+  std::uint32_t argc = 0;
+};
+
 // ---------------------------------------------------------------------------
 // Payload grammar: words <-> structs.  Decoders throw protocol_error on
 // grammar violations (oversized batch, wrong arg count, truncated body).
+
+/// The one request grammar: check a whole request payload and return one
+/// view per probe (the frame id is word 0).  decode_request and the
+/// server both read requests through it.
+[[nodiscard]] std::vector<ProbeView> parse_request(
+    std::span<const word_t> words);
 
 [[nodiscard]] std::vector<word_t> encode_request(const Request& req);
 [[nodiscard]] Request decode_request(const std::vector<word_t>& words);
@@ -190,12 +206,23 @@ struct StatsRecord {
 /// the malformed response; 0 when the payload is empty.
 [[nodiscard]] std::uint64_t peek_request_id(const std::vector<word_t>& words);
 
-// Record <-> result words (the per-opcode layouts documented above).
-[[nodiscard]] std::vector<word_t> encode_record(const kron::VertexRecord& r);
-[[nodiscard]] std::vector<word_t> encode_record(const kron::EdgeRecord& r);
-[[nodiscard]] std::vector<word_t> encode_record(const StatsRecord& r);
+// Record -> result words (the per-opcode layouts documented above).  The
+// append forms write onto the end of `out`, which is how the server fills
+// its one response buffer; encode_record / encode_hist wrap them.
+void append_record(std::vector<word_t>& out, const kron::VertexRecord& r);
+void append_record(std::vector<word_t>& out, const kron::EdgeRecord& r);
+void append_record(std::vector<word_t>& out, const StatsRecord& r);
+void append_hist(std::vector<word_t>& out,
+                 std::span<const std::pair<count_t, index_t>> pairs);
+
+template <typename Record>
+[[nodiscard]] std::vector<word_t> encode_record(const Record& r) {
+  std::vector<word_t> out;
+  append_record(out, r);
+  return out;
+}
 [[nodiscard]] std::vector<word_t> encode_hist(
-    const std::vector<std::pair<count_t, index_t>>& pairs);
+    std::span<const std::pair<count_t, index_t>> pairs);
 
 [[nodiscard]] kron::VertexRecord decode_vertex_record(
     const std::vector<word_t>& words);

@@ -27,7 +27,7 @@ struct Server::Connection {
 };
 
 Server::Server(const kron::BipartiteKronecker& kp, ServerOptions opt)
-    : oracle_(kp), opt_(opt), cache_(opt.cache_capacity) {
+    : oracle_(kp), opt_(opt) {
   KRONLAB_REQUIRE(opt_.executors > 0, "server needs at least one executor");
   KRONLAB_REQUIRE(opt_.queue_depth > 0, "queue depth must be positive");
   KRONLAB_REQUIRE(opt_.max_connections > 0,
@@ -172,132 +172,144 @@ void Server::process(WorkItem& item) {
   trace::Span span("serve", "request");
   obs::LatencyScope latency(*request_hist_);
   obs::StallGuard stall_guard("serve/request");
-  Response resp;
+  const std::vector<word_t>& payload = item.payload;
+  std::vector<word_t> out;
   try {
-    const Request req = decode_request(item.payload);
-    resp.id = req.id;
-    const auto n = static_cast<index_t>(req.probes.size());
-    resp.results.resize(req.probes.size());
-    probes_.fetch_add(req.probes.size(), std::memory_order_relaxed);
-    if (req.probes.size() >= opt_.parallel_batch_threshold) {
-      // Large batches fan out through the dynamic dispatcher; concurrent
-      // executors serialize on the pool's run mutex, which is the
-      // documented multi-caller discipline of ThreadPool::run.
-      parallel_for_dynamic(
-          0, n,
-          [&](index_t i) {
-            resp.results[static_cast<std::size_t>(i)] =
-                exec_probe(req.probes[static_cast<std::size_t>(i)]);
-          },
-          global_pool(), /*grain=*/32);
-    } else {
-      for (index_t i = 0; i < n; ++i) {
-        resp.results[static_cast<std::size_t>(i)] =
-            exec_probe(req.probes[static_cast<std::size_t>(i)]);
+    const std::vector<ProbeView> probes = parse_request(payload);
+    // Per-op totals are tallied here and added once per frame, so the
+    // executors share no counter cache line per probe.
+    std::array<std::uint64_t, 8> tally{};
+    for (const ProbeView& p : probes) {
+      const auto opi = static_cast<std::size_t>(p.op);
+      if (opi < tally.size()) ++tally[opi];
+    }
+    for (std::size_t i = 0; i < tally.size(); ++i) {
+      if (tally[i] > 0) {
+        probes_by_op_[i].fetch_add(tally[i], std::memory_order_relaxed);
       }
+    }
+    probes_.fetch_add(probes.size(), std::memory_order_relaxed);
+    out.reserve(3 + 8 * probes.size());
+    out.insert(out.end(), {payload[0], static_cast<word_t>(Status::ok),
+                           static_cast<word_t>(probes.size())});
+    if (probes.size() >= opt_.parallel_batch_threshold) {
+      // Large batches fan out in 32-probe chunks through the dynamic
+      // dispatcher and are joined in order; concurrent executors
+      // serialize on the pool's run mutex, which is the documented
+      // multi-caller discipline of ThreadPool::run.
+      constexpr std::size_t kChunk = 32;
+      std::vector<std::vector<word_t>> chunks((probes.size() + kChunk - 1) /
+                                              kChunk);
+      parallel_for_dynamic(
+          0, static_cast<index_t>(chunks.size()),
+          [&](index_t c) {
+            const auto first = static_cast<std::size_t>(c) * kChunk;
+            encode_probes(payload,
+                          std::span(probes).subspan(
+                              first, std::min(kChunk, probes.size() - first)),
+                          chunks[static_cast<std::size_t>(c)]);
+          },
+          global_pool(), /*grain=*/1);
+      for (const auto& chunk : chunks) {
+        out.insert(out.end(), chunk.begin(), chunk.end());
+      }
+    } else {
+      encode_probes(payload, probes, out);
     }
   } catch (const protocol_error&) {
     malformed_.fetch_add(1, std::memory_order_relaxed);
-    resp = Response{peek_request_id(item.payload), Status::malformed, {}};
+    out = encode_response({peek_request_id(payload), Status::malformed, {}});
   }
-  send(*item.conn, encode_response(resp));
+  send(*item.conn, out);
   responses_.fetch_add(1, std::memory_order_relaxed);
   in_flight_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-ProbeResult Server::exec_probe(const Probe& probe) {
-  ProbeResult r;
-  r.op = probe.op;
-  const auto opi = static_cast<std::size_t>(probe.op);
-  if (opi < probes_by_op_.size()) {
-    probes_by_op_[opi].fetch_add(1, std::memory_order_relaxed);
-  }
-  // Sampled (1-in-8): a probe runs in well under a microsecond, so the
-  // two clock reads of an unconditional scope would cost ~10% of
-  // throughput (X18).  probes_by_op_ above keeps the exact totals.
-  obs::SampledLatencyScope latency(opi < op_hist_.size() ? op_hist_[opi]
-                                                         : nullptr);
-  const auto bad = [&r] {
-    r.status = Status::bad_probe;
-    r.words.clear();
-    return r;
-  };
-  try {
-    switch (probe.op) {
-      case Op::vertex: {
-        if (probe.args.size() != 1) return bad();
-        const index_t p = probe.args[0];
-        if (p < 0 || p >= oracle_.num_vertices()) return bad();
-        r.words = encode_record(cached_vertex(p));
-        return r;
-      }
-      case Op::edge: {
-        if (probe.args.size() != 2) return bad();
-        const auto rec = oracle_.try_edge(probe.args[0], probe.args[1]);
-        if (!rec) {
-          r.status = Status::not_an_edge;
-          return r;
-        }
-        r.words = encode_record(*rec);
-        return r;
-      }
-      case Op::degree_hist: {
-        if (probe.args.size() != 2) return bad();
-        const count_t lo = probe.args[0];
-        const count_t hi = probe.args[1];
-        if (lo > hi) return bad();
-        const auto key = [](const std::pair<count_t, index_t>& e,
-                            count_t d) { return e.first < d; };
-        const auto begin = std::lower_bound(degree_hist_.begin(),
-                                            degree_hist_.end(), lo, key);
-        const auto end = std::lower_bound(degree_hist_.begin(),
-                                          degree_hist_.end(), hi + 1, key);
-        r.words = encode_hist({begin, end});
-        return r;
-      }
-      case Op::sample_vertex: {
-        if (probe.args.size() != 1) return bad();
-        Rng rng(static_cast<std::uint64_t>(probe.args[0]));
-        r.words = encode_record(oracle_.sample_vertex(rng));
-        return r;
-      }
-      case Op::sample_edge: {
-        if (probe.args.size() != 1) return bad();
-        Rng rng(static_cast<std::uint64_t>(probe.args[0]));
-        r.words = encode_record(oracle_.sample_edge(rng));
-        return r;
-      }
-      case Op::stats: {
-        if (!probe.args.empty()) return bad();
-        r.words = encode_record(stats_record_);
-        return r;
-      }
-      case Op::server_stats: {
-        if (probe.args.size() != 1) return bad();
-        const auto format = static_cast<StatsFormat>(probe.args[0]);
-        if (format != StatsFormat::json &&
-            format != StatsFormat::prometheus) {
-          return bad();
-        }
-        r.words = encode_stats_text(format, stats_text(format));
-        return r;
+void Server::encode_probes(std::span<const word_t> payload,
+                           std::span<const ProbeView> probes,
+                           std::vector<word_t>& out) {
+  for (const ProbeView& p : probes) {
+    const std::size_t start = out.size();
+    out.insert(out.end(), {static_cast<word_t>(p.op), 0, 0});
+    Status status = Status::bad_probe;
+    {
+      // Sampled (1-in-8): a probe runs in well under a microsecond, so
+      // the two clock reads of an unconditional scope would cost ~10% of
+      // throughput (X18).  probes_by_op_ keeps the exact totals.
+      const auto opi = static_cast<std::size_t>(p.op);
+      obs::SampledLatencyScope latency(opi < op_hist_.size() ? op_hist_[opi]
+                                                             : nullptr);
+      try {
+        status = exec_probe(p.op, payload.subspan(p.offset, p.argc), out);
+      } catch (const error&) {
+        // A probe must never take the daemon down; the typed error
+        // becomes a typed status (e.g. sample_edge on an edgeless
+        // product).
       }
     }
-    return bad(); // unknown opcode
-  } catch (const error&) {
-    // A probe must never take the daemon down; the typed error becomes a
-    // typed status (e.g. sample_edge on an edgeless product).
-    return bad();
+    if (status != Status::ok) out.resize(start + 3); // roll back its words
+    out[start + 1] = static_cast<word_t>(status);
+    out[start + 2] = static_cast<word_t>(out.size() - start - 3);
   }
 }
 
-kron::VertexRecord Server::cached_vertex(index_t p) {
-  if (auto hit = cache_.get(p)) return *hit;
-  // Miss: compute outside any shard lock so concurrent misses overlap; a
-  // racing double-insert of the same record is benign.
-  const auto rec = oracle_.vertex(p);
-  cache_.put(p, rec);
-  return rec;
+Status Server::exec_probe(Op op, std::span<const word_t> args,
+                          std::vector<word_t>& out) {
+  switch (op) {
+    case Op::vertex:
+      if (args.size() != 1 || args[0] < 0 ||
+          args[0] >= oracle_.num_vertices()) {
+        return Status::bad_probe;
+      }
+      append_record(out, oracle_.vertex(args[0]));
+      return Status::ok;
+    case Op::edge: {
+      if (args.size() != 2) return Status::bad_probe;
+      const auto rec = oracle_.try_edge(args[0], args[1]);
+      if (!rec) return Status::not_an_edge;
+      append_record(out, *rec);
+      return Status::ok;
+    }
+    case Op::degree_hist: {
+      if (args.size() != 2 || args[0] > args[1]) return Status::bad_probe;
+      using Entry = std::pair<count_t, index_t>;
+      const auto begin = std::lower_bound(
+          degree_hist_.begin(), degree_hist_.end(), args[0],
+          [](const Entry& e, count_t d) { return e.first < d; });
+      const auto end = std::upper_bound(
+          begin, degree_hist_.end(), args[1],
+          [](count_t d, const Entry& e) { return d < e.first; });
+      append_hist(out, {begin, end});
+      return Status::ok;
+    }
+    case Op::sample_vertex: {
+      if (args.size() != 1) return Status::bad_probe;
+      Rng rng(static_cast<std::uint64_t>(args[0]));
+      append_record(out, oracle_.sample_vertex(rng));
+      return Status::ok;
+    }
+    case Op::sample_edge: {
+      if (args.size() != 1) return Status::bad_probe;
+      Rng rng(static_cast<std::uint64_t>(args[0]));
+      append_record(out, oracle_.sample_edge(rng));
+      return Status::ok;
+    }
+    case Op::stats:
+      if (!args.empty()) return Status::bad_probe;
+      append_record(out, stats_record_);
+      return Status::ok;
+    case Op::server_stats: {
+      if (args.size() != 1) return Status::bad_probe;
+      const auto format = static_cast<StatsFormat>(args[0]);
+      if (format != StatsFormat::json && format != StatsFormat::prometheus) {
+        return Status::bad_probe;
+      }
+      const auto words = encode_stats_text(format, stats_text(format));
+      out.insert(out.end(), words.begin(), words.end());
+      return Status::ok;
+    }
+  }
+  return Status::bad_probe; // unknown opcode
 }
 
 void Server::send(Connection& conn, const std::vector<word_t>& payload) {
@@ -402,11 +414,6 @@ std::string Server::stats_text(StatsFormat format) {
   }
   const double uptime =
       static_cast<double>(timer::now_ns() - start_ns_) / 1e9;
-  const std::uint64_t lookups = s.cache_hits + s.cache_misses;
-  const double hit_rate =
-      lookups == 0 ? 0.0
-                   : static_cast<double>(s.cache_hits) /
-                         static_cast<double>(lookups);
 
   if (format == StatsFormat::prometheus) {
     std::string out;
@@ -422,7 +429,6 @@ std::string Server::stats_text(StatsFormat format) {
            static_cast<double>(in_flight()));
     scalar("kronlab_server_queue_depth", "gauge",
            static_cast<double>(queue_depth));
-    scalar("kronlab_server_cache_hit_rate", "gauge", hit_rate);
     scalar("kronlab_server_connections_accepted_total", "counter",
            static_cast<double>(s.connections_accepted));
     scalar("kronlab_server_connections_rejected_total", "counter",
@@ -461,10 +467,6 @@ std::string Server::stats_text(StatsFormat format) {
   out += ",\"shed_shutdown\":" + std::to_string(s.shed_shutdown);
   out += ",\"in_flight\":" + std::to_string(in_flight());
   out += ",\"queue_depth\":" + std::to_string(queue_depth);
-  out += ",\"cache_hits\":" + std::to_string(s.cache_hits);
-  out += ",\"cache_misses\":" + std::to_string(s.cache_misses);
-  std::snprintf(buf, sizeof buf, ",\"cache_hit_rate\":%.4f", hit_rate);
-  out += buf;
   out += "},\"probes_by_op\":{";
   for (std::size_t i = 1; i < s.probes_by_op.size(); ++i) {
     if (i > 1) out += ',';
@@ -492,8 +494,6 @@ ServerStats Server::stats() const {
   s.overloaded = overloaded_.load(std::memory_order_relaxed);
   s.malformed = malformed_.load(std::memory_order_relaxed);
   s.shed_shutdown = shed_shutdown_.load(std::memory_order_relaxed);
-  s.cache_hits = cache_.hits();
-  s.cache_misses = cache_.misses();
   for (std::size_t i = 0; i < s.probes_by_op.size(); ++i) {
     s.probes_by_op[i] = probes_by_op_[i].load(std::memory_order_relaxed);
   }

@@ -18,9 +18,10 @@
 //   * a fixed pool of executor threads popping frames off the queue,
 //     running every probe in the batch (large batches fan out through the
 //     parallel runtime's dynamic dispatcher), and writing the response
-//     under the connection's write mutex;
-//   * an LRU cache (lru.hpp) of hot vertex records in front of the
-//     oracle, keyed by product vertex id;
+//     under the connection's write mutex.  An executor parses the
+//     request once into views over the reader's buffer and writes every
+//     result straight into one response word vector; vertex probes go
+//     to the oracle directly (at ~25 ns, nothing in front of it pays);
 //   * a per-request obs/trace span and "serve/request" latency
 //     histogram, so a traced run shows one "request" span per frame and
 //     the bench harness folds serve-side latency into its JSON.
@@ -40,13 +41,13 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "kronlab/common/sync.hpp"
 #include "kronlab/kron/oracle.hpp"
 #include "kronlab/obs/stats.hpp"
-#include "kronlab/serve/lru.hpp"
 #include "kronlab/serve/protocol.hpp"
 #include "kronlab/serve/transport.hpp"
 
@@ -56,7 +57,9 @@ struct ServerOptions {
   std::size_t executors = 2;        ///< request-executor threads
   std::size_t queue_depth = 64;     ///< admitted-but-unserved frame cap
   std::size_t max_connections = 64; ///< concurrent connection slots
-  std::size_t cache_capacity = 4096; ///< vertex-record LRU entries; 0 = off
+  /// Always 0: the vertex-record cache is gone.  Kept only for the
+  /// benchmark's frozen context field; nothing reads or sets it.
+  static constexpr std::size_t cache_capacity = 0;
   /// Batches with at least this many probes fan out through the parallel
   /// runtime (parallel_for_dynamic); smaller ones run on the executor.
   std::size_t parallel_batch_threshold = 256;
@@ -73,8 +76,9 @@ struct ServerStats {
   std::uint64_t overloaded = 0;           ///< frames refused at admission
   std::uint64_t malformed = 0;            ///< corrupt/ill-formed frames
   std::uint64_t shed_shutdown = 0;        ///< frames refused while draining
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
+  /// Always 0, like ServerOptions::cache_capacity.
+  static constexpr std::uint64_t cache_hits = 0;
+  static constexpr std::uint64_t cache_misses = 0;
   std::array<std::uint64_t, 8> probes_by_op{};
 };
 
@@ -111,9 +115,9 @@ public:
   [[nodiscard]] ServerStats stats() const;
 
   /// Live telemetry snapshot (what Op::server_stats answers): the
-  /// ServerStats counters plus queue depth, in-flight count, cache hit
-  /// rate, uptime, and the whole obs registry — per-verb latency
-  /// histograms included — as kronlab-stats-v1 JSON or Prometheus text.
+  /// ServerStats counters plus queue depth, in-flight count, uptime, and
+  /// the whole obs registry — per-verb latency histograms included — as
+  /// kronlab-stats-v1 JSON or Prometheus text.
   [[nodiscard]] std::string stats_text(StatsFormat format);
 
   [[nodiscard]] const kron::GroundTruthOracle& oracle() const {
@@ -131,8 +135,15 @@ private:
   void reader_loop(const std::shared_ptr<Connection>& conn);
   void executor_loop(std::size_t id);
   void process(WorkItem& item);
-  [[nodiscard]] ProbeResult exec_probe(const Probe& probe);
-  [[nodiscard]] kron::VertexRecord cached_vertex(index_t p);
+  /// Append the results of `probes` (views into `payload`) to `out`, in
+  /// order — the one chunk encoder of the serial and fan-out paths.
+  void encode_probes(std::span<const word_t> payload,
+                     std::span<const ProbeView> probes,
+                     std::vector<word_t>& out);
+  /// Append one probe's result words to `out`; returns its status.  On
+  /// any status but ok the caller drops whatever was appended.
+  [[nodiscard]] Status exec_probe(Op op, std::span<const word_t> args,
+                                  std::vector<word_t>& out);
   void send(Connection& conn, const std::vector<word_t>& payload);
   /// Join reader threads of connections whose readers have exited.
   void reap_connections() REQUIRES(conn_mu_);
@@ -147,11 +158,6 @@ private:
   /// Full degree histogram, precomputed (ascending degree) — sliced by
   /// Op::degree_hist without touching the oracle.
   std::vector<std::pair<count_t, index_t>> degree_hist_;
-
-  /// Hash-sharded vertex-record cache: executors probing different
-  /// vertices contend only on same-shard collisions.  Owns the hit/miss
-  /// counters stats() reports.
-  ShardedLru<index_t, kron::VertexRecord> cache_;
 
   Mutex queue_mu_;
   CondVar queue_cv_;

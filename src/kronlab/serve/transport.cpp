@@ -319,14 +319,15 @@ std::optional<std::vector<word_t>> read_frame(
     throw protocol_error("kronlab serve: implausible frame length " +
                          std::to_string(len));
   }
-  std::vector<word_t> payload(len / sizeof(word_t));
-  std::vector<std::uint8_t> tail(static_cast<std::size_t>(len) + 8);
-  if (!t.read_exact(tail.data(), tail.size(), deadline)) {
+  // Payload and checksum land in the word vector in one read; the
+  // checksum word is then popped off its end.
+  std::vector<word_t> payload(len / sizeof(word_t) + 1);
+  if (!t.read_exact(payload.data(), static_cast<std::size_t>(len) + 8,
+                    deadline)) {
     throw io_error("kronlab serve: peer closed mid-frame");
   }
-  if (len > 0) std::memcpy(payload.data(), tail.data(), len);
-  std::uint64_t stored = 0;
-  std::memcpy(&stored, tail.data() + len, 8);
+  const auto stored = static_cast<std::uint64_t>(payload.back());
+  payload.pop_back();
   if (stored != fnv1a64(payload.data(), len)) {
     throw checksum_error("kronlab serve: frame checksum mismatch");
   }

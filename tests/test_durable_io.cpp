@@ -209,6 +209,74 @@ TEST(DurableFormat, SegmentCorruptionIsTyped) {
   EXPECT_THROW((void)read_segment(ops, path), io_error);
 }
 
+TEST(DurableFormat, EveryBitFlipIsTypedOrHarmless) {
+  // Fuzz parity with the other decoders: every single-bit flip of a
+  // KRNLSEG1 segment and of a KRNLMAN1 manifest raises a typed
+  // validation_error / io_error or reads back the original value.  Any
+  // other exception (bad_alloc included) fails the test.
+  const TempDir tmp("durable_bit_flips");
+  const auto& dir = tmp.path();
+  FileOps& ops = real_file_ops();
+  SegmentHeader h;
+  h.spec_hash = 0x5eed;
+  h.shard = 1;
+  h.seg_index = 2;
+  h.first_edge = 64;
+  h.num_edges = 2;
+  SegmentBuffer buf(2);
+  buf.push(1, 2);
+  buf.push(3, 4);
+  std::uint64_t chain = kFnvBasis;
+  (void)buf.seal(h, chain);
+  const std::string seg(static_cast<const char*>(buf.data()),
+                        buf.size_bytes());
+  const auto flip = [](std::string bytes, std::size_t bit) {
+    bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+    return bytes;
+  };
+  for (std::size_t bit = 0; bit < seg.size() * 8; ++bit) {
+    try {
+      const auto back = decode_segment(flip(seg, bit), "flipped");
+      EXPECT_EQ(back.header.spec_hash, h.spec_hash) << "bit " << bit;
+      EXPECT_EQ(back.header.first_edge, h.first_edge) << "bit " << bit;
+      std::vector<index_t> words;
+      back.for_each_edge([&](index_t p, index_t q) {
+        words.insert(words.end(), {p, q});
+      });
+      EXPECT_EQ(words, (std::vector<index_t>{1, 2, 3, 4})) << "bit " << bit;
+    } catch (const validation_error&) {
+    } catch (const io_error&) {
+    }
+  }
+
+  Manifest man;
+  man.spec_hash = 77;
+  man.segment_edges = 64;
+  man.shards = {{2, 128, 0xaa}, {1, 40, 0xbb}};
+  write_manifest(ops, dir, man);
+  const std::string path = dir + "/MANIFEST";
+  const std::string good = *ops.read_file(path);
+  for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
+    const std::string bytes = flip(good, bit);
+    auto f = ops.create(path);
+    write_all(*f, bytes.data(), bytes.size());
+    f->close();
+    try {
+      const auto back = read_manifest(ops, dir);
+      ASSERT_TRUE(back.has_value()) << "bit " << bit;
+      EXPECT_EQ(back->spec_hash, man.spec_hash) << "bit " << bit;
+      EXPECT_EQ(back->segment_edges, man.segment_edges) << "bit " << bit;
+      ASSERT_EQ(back->shards.size(), man.shards.size()) << "bit " << bit;
+      for (std::size_t s = 0; s < man.shards.size(); ++s) {
+        EXPECT_EQ(back->shards[s].edges, man.shards[s].edges);
+        EXPECT_EQ(back->shards[s].chain_hash, man.shards[s].chain_hash);
+      }
+    } catch (const validation_error&) {
+    } catch (const io_error&) {
+    }
+  }
+}
+
 TEST(DurableFormat, ManifestRoundTripAndCorruption) {
   const TempDir tmp("durable_man_roundtrip");
   const auto& dir = tmp.path();

@@ -2,7 +2,7 @@
 // chaos thread disconnecting mid-frame, shutdown under load, and the
 // graceful-drain invariant (in_flight() == 0 after stop(), every admitted
 // frame answered).  CI runs this suite under TSan — the locking
-// discipline of the reader/executor/cache paths is what is on trial, so
+// discipline of the reader/executor paths is what is on trial, so
 // the test leans on genuine parallelism, not sleeps.
 
 #include <gtest/gtest.h>
@@ -65,6 +65,17 @@ TEST(ServeConcurrency, MultiClientSoakEveryFrameAnswered) {
   EXPECT_EQ(stats.responses, stats.frames);
   EXPECT_EQ(stats.probes, 2u * static_cast<std::uint64_t>(kClients) *
                               static_cast<std::uint64_t>(kFrames));
+  // Per-op totals are tallied once per frame; they must stay exact.
+  std::uint64_t by_op = 0;
+  for (std::size_t op = 0; op < stats.probes_by_op.size(); ++op) {
+    const bool sent = op == static_cast<std::size_t>(Op::vertex) ||
+                      op == static_cast<std::size_t>(Op::stats);
+    EXPECT_EQ(stats.probes_by_op[op],
+              sent ? static_cast<std::uint64_t>(kClients * kFrames) : 0u)
+        << op_name(static_cast<Op>(op));
+    by_op += stats.probes_by_op[op];
+  }
+  EXPECT_EQ(by_op, stats.probes);
 }
 
 TEST(ServeConcurrency, ChaosDisconnectsNeverDisturbTheSoak) {

@@ -273,6 +273,55 @@ TEST_F(ServeMalformedTest, EveryByteFlipIsStructuredOrClose) {
   assert_still_serving();
 }
 
+TEST_F(ServeMalformedTest, EveryRequestBitFlipDecodesOrIsMalformed) {
+  // Exhaustive single-bit-flip fuzz of the request grammar, one layer
+  // inside the envelope: each mutated payload is resealed, so it passes
+  // the checksum and reaches the parser.  decode_request either throws
+  // protocol_error or decodes; the server, sent the same frame, answers
+  // malformed in exactly the first case and a whole, well-formed
+  // response in the second.
+  const index_t n = kp_->num_vertices();
+  std::vector<Probe> probes;
+  for (index_t i = 0; i < 240; ++i) {
+    const auto seed = static_cast<std::uint64_t>(1000 + i);
+    switch (i % 6) {
+      case 0: probes.push_back(Probe::vertex(i % n)); break;
+      case 1: probes.push_back(Probe::edge(i % n, i * 5 % n)); break;
+      case 2: probes.push_back(Probe::degree_hist(1, 8)); break;
+      case 3: probes.push_back(Probe::sample_vertex(seed)); break;
+      case 4: probes.push_back(Probe::sample_edge(seed)); break;
+      default: probes.push_back(Probe::stats()); break;
+    }
+  }
+  const auto base = encode_request({1, probes});
+  auto t = connect();
+  for (std::size_t bit = 0; bit < base.size() * 64; ++bit) {
+    auto words = base;
+    words[bit / 64] ^= static_cast<word_t>(std::uint64_t{1} << (bit % 64));
+    std::optional<Request> req;
+    try {
+      req = decode_request(words);
+    } catch (const protocol_error&) {
+    }
+    const auto frame = seal_frame(words);
+    t->write_all(frame.data(), frame.size());
+    const auto reply = read_frame(*t, std::chrono::milliseconds(5000));
+    ASSERT_TRUE(reply.has_value()) << "bit " << bit;
+    const Response resp = decode_response(*reply);
+    if (!req) {
+      ASSERT_EQ(resp.status, Status::malformed) << "bit " << bit;
+      continue;
+    }
+    ASSERT_EQ(resp.status, Status::ok) << "bit " << bit;
+    ASSERT_EQ(resp.id, req->id) << "bit " << bit;
+    ASSERT_EQ(resp.results.size(), req->probes.size()) << "bit " << bit;
+    for (std::size_t i = 0; i < req->probes.size(); ++i) {
+      ASSERT_EQ(resp.results[i].op, req->probes[i].op) << "bit " << bit;
+    }
+  }
+  assert_still_serving();
+}
+
 TEST_F(ServeMalformedTest, UnsealFrameMirrorsStreamErrors) {
   // unseal_frame is the in-memory twin of the reader path: same taxonomy.
   const auto base = good_frame();

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "kronlab/gen/canonical.hpp"
 #include "kronlab/gen/random_bipartite.hpp"
+#include "kronlab/graph/graph.hpp"
 #include "kronlab/serve/client.hpp"
 #include "kronlab/serve/protocol.hpp"
 #include "kronlab/serve/server.hpp"
@@ -361,6 +364,89 @@ TEST(ServeEndToEnd, BadProbesGetTypedStatusNotDisconnect) {
   }
   EXPECT_EQ(resp.results[4].status, Status::ok);
   server.stop();
+}
+
+/// What the direct oracle says one probe of the mixed frame below must
+/// answer: the record words when ok, none otherwise.
+ProbeResult direct_answer(const kron::GroundTruthOracle& direct,
+                          const Probe& probe) {
+  const auto& a = probe.args;
+  try {
+    switch (probe.op) {
+      case Op::vertex:
+        if (a.size() != 1 || a[0] < 0 || a[0] >= direct.num_vertices()) break;
+        return {probe.op, Status::ok, encode_record(direct.vertex(a[0]))};
+      case Op::edge:
+        if (a.size() != 2) break;
+        if (const auto e = direct.try_edge(a[0], a[1])) {
+          return {probe.op, Status::ok, encode_record(*e)};
+        }
+        return {probe.op, Status::not_an_edge, {}};
+      case Op::sample_edge: {
+        Rng rng(static_cast<std::uint64_t>(a[0]));
+        return {probe.op, Status::ok, encode_record(direct.sample_edge(rng))};
+      }
+      default: break;
+    }
+  } catch (const error&) {
+  }
+  return {probe.op, Status::bad_probe, {}};
+}
+
+TEST(ServeEndToEnd, MidFrameErrorsKeepTheirSlots) {
+  // One 84-probe frame mixes ok vertex and edge probes, not_an_edge, a
+  // wrong arg count, an out-of-range vertex and a sample_edge, which
+  // throws inside the oracle on the edgeless product, so its partly
+  // written result must be rolled back.  Below and above the fan-out
+  // threshold (three 32-probe chunks), every probe keeps its own status
+  // in order and every ok record equals the direct oracle's words.
+  const auto normal = make_product();
+  const auto edgeless = kron::BipartiteKronecker::raw(
+      graph::from_undirected_edges(3, {}), gen::path_graph(4));
+  for (const auto* kp : {&normal, &edgeless}) {
+    const kron::GroundTruthOracle direct(*kp);
+    const index_t n = kp->num_vertices();
+    std::vector<Probe> frame;
+    for (index_t i = 0; i < 12; ++i) {
+      frame.push_back(Probe::vertex(i * 5 % n));
+      frame.push_back(Probe::edge(i % n, (i * 7 + 3) % n));
+      frame.push_back(Probe::edge(i % n, (i * 3 + 1) % n));
+      frame.push_back(Probe::edge(-1, i));
+      frame.push_back({Op::vertex, {i, i}});
+      frame.push_back(Probe::vertex(n + i));
+      frame.push_back(Probe::sample_edge(static_cast<std::uint64_t>(i)));
+    }
+    std::set<std::pair<Op, Status>> seen;
+    for (const std::size_t threshold : {std::size_t{256}, std::size_t{16}}) {
+      ServerOptions opt;
+      opt.parallel_batch_threshold = threshold;
+      Server server(*kp, opt);
+      auto [client_end, server_end] = local_pair();
+      server.adopt(std::move(server_end));
+      Client client(std::move(client_end));
+      const Response resp = client.call(frame);
+      ASSERT_EQ(resp.status, Status::ok);
+      ASSERT_EQ(resp.results.size(), frame.size());
+      for (std::size_t i = 0; i < frame.size(); ++i) {
+        const ProbeResult want = direct_answer(direct, frame[i]);
+        const ProbeResult& got = resp.results[i];
+        EXPECT_EQ(got.op, want.op) << "probe " << i;
+        EXPECT_EQ(got.status, want.status) << "probe " << i;
+        EXPECT_EQ(got.words, want.words) << "probe " << i;
+        seen.emplace(got.op, got.status);
+      }
+      server.stop();
+    }
+    EXPECT_TRUE(seen.count({Op::vertex, Status::ok}));
+    EXPECT_TRUE(seen.count({Op::edge, Status::not_an_edge}));
+    EXPECT_TRUE(seen.count({Op::vertex, Status::bad_probe}));
+    if (kp == &normal) {
+      EXPECT_TRUE(seen.count({Op::edge, Status::ok}));
+      EXPECT_TRUE(seen.count({Op::sample_edge, Status::ok}));
+    } else {
+      EXPECT_TRUE(seen.count({Op::sample_edge, Status::bad_probe}));
+    }
+  }
 }
 
 } // namespace

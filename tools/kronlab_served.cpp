@@ -57,7 +57,7 @@ struct Options {
       code == 0 ? stdout : stderr,
       "usage: %s --left SPEC --right SPEC [--mode i|ii|raw]\n"
       "          (--tcp PORT | --unix PATH)\n"
-      "          [--executors N] [--queue-depth N] [--cache N]\n"
+      "          [--executors N] [--queue-depth N]\n"
       "          [--watchdog-ms N] [--log LEVEL]\n\n"
       "factor SPEC forms:\n%s\n\n"
       "--tcp PORT     listen on 127.0.0.1:PORT (0 = ephemeral; the bound\n"
@@ -65,7 +65,6 @@ struct Options {
       "--unix PATH    listen on a Unix-domain socket at PATH\n"
       "--executors N  request-executor threads (default %d)\n"
       "--queue-depth N  admitted-frame queue bound (default %d)\n"
-      "--cache N      vertex-record LRU entries, 0 disables (default %d)\n"
       "--watchdog-ms N  stall-watchdog deadline in ms, 0 disables\n"
       "               (default 1000) — a request/exchange/commit stuck\n"
       "               longer than this logs a structured warning\n"
@@ -77,8 +76,7 @@ struct Options {
       "histogram recording).\n",
       argv0, gen::graph_spec_help().c_str(),
       static_cast<int>(serve::ServerOptions{}.executors),
-      static_cast<int>(serve::ServerOptions{}.queue_depth),
-      static_cast<int>(serve::ServerOptions{}.cache_capacity));
+      static_cast<int>(serve::ServerOptions{}.queue_depth));
   std::exit(code);
 }
 
@@ -134,8 +132,6 @@ Options parse_args(int argc, char** argv) {
       if (opt.server.queue_depth == 0) {
         die_usage(argv[0], "--queue-depth requires at least 1");
       }
-    } else if (arg == "--cache") {
-      opt.server.cache_capacity = need_size("--cache");
     } else if (arg == "--watchdog-ms") {
       opt.watchdog_ms = need_size("--watchdog-ms");
     } else if (arg == "--log") {
@@ -182,9 +178,7 @@ void log_summary(const serve::ServerStats& s) {
       .field("responses", s.responses)
       .field("overloaded", s.overloaded)
       .field("malformed", s.malformed)
-      .field("shed_shutdown", s.shed_shutdown)
-      .field("cache_hits", s.cache_hits)
-      .field("cache_misses", s.cache_misses);
+      .field("shed_shutdown", s.shed_shutdown);
 }
 
 } // namespace
