@@ -19,6 +19,7 @@
 #include "kronlab/dist/sharded.hpp"
 #include "kronlab/gen/random_bipartite.hpp"
 #include "kronlab/graph/butterflies.hpp"
+#include "kronlab/io/stream_gen.hpp"
 #include "kronlab/kron/ground_truth.hpp"
 #include "kronlab/obs/trace.hpp"
 
@@ -166,59 +167,62 @@ int main(int argc, char** argv) {
 
   // -------------------------------------------------------------------
   // Fault-injected recovery: the same pipeline under a hostile network
-  // (3% drop, 1% duplicate) with one rank killed mid-generation.  The
-  // supervisor reassigns the dead rank's rows, restores its checkpoint,
-  // and the count must still be bit-identical to the factored truth.
+  // (3% drop, 1% duplicate) with one rank killed while it loads its shard
+  // from the durable store.  The supervisor reassigns the dead rank's
+  // rows, a survivor loads its shard from the same store, and the count
+  // must still be bit-identical to the factored truth.
   std::printf("\n== fault-injected recovery (supervised pipeline) ==\n\n");
 
   const index_t ft_ranks = 4;
   // A directory of this process's own, so concurrent bench runs never
-  // share or delete each other's checkpoints.
-  std::string ckpt_root = (std::filesystem::temp_directory_path() /
-                           "kronlab_bench_ckpt_XXXXXX")
+  // share or delete each other's stores.
+  std::string store_dir = (std::filesystem::temp_directory_path() /
+                           "kronlab_bench_store_XXXXXX")
                               .string();
-  if (::mkdtemp(ckpt_root.data()) == nullptr) {
+  if (::mkdtemp(store_dir.data()) == nullptr) {
     std::perror("bench_distributed: mkdtemp");
     return 1;
   }
-  dist::CheckpointConfig ckpt;
-  ckpt.dir = ckpt_root + "/clean";
-  ckpt.interval_left_rows = 2;
-  std::filesystem::create_directories(ckpt.dir);
+  // Generated once, outside both timers; both runs only read it.
+  io::StreamGenOptions store_opt;
+  store_opt.dir = store_dir;
+  store_opt.shards = ft_ranks;
+  store_opt.segment_edges = 4096; // several segments per shard
+  (void)io::generate_durable(io::real_file_ops(), kp, store_opt);
 
   dist::RecoveryReport clean_rep;
   Timer t_clean;
   dist::run(ft_ranks, [&](dist::Comm& comm) {
     const kron::PartitionedStream ps(kp, comm.size());
-    const auto rep = dist::supervised_global_butterflies(comm, kp, ps, ckpt);
+    const auto rep = dist::supervised_global_butterflies(
+        comm, kp, ps, io::real_file_ops(), store_dir);
     if (comm.rank() == 0) clean_rep = rep;
   });
   const double clean_s = t_clean.seconds();
-  std::printf("clean run   (%lld ranks): %s  verified=%s  ckpts=%s\n",
+  std::printf("clean run   (%lld ranks): %s  verified=%s  reassigned=%s\n",
               static_cast<long long>(ft_ranks),
               format_duration(clean_s).c_str(),
               clean_rep.verified ? "yes" : "NO",
-              format_count(clean_rep.checkpoints_written).c_str());
+              format_count(clean_rep.left_rows_reassigned).c_str());
 
-  ckpt.dir = ckpt_root + "/faulted";
-  std::filesystem::create_directories(ckpt.dir);
   dist::FaultPlan plan;
   plan.seed = 1;
   plan.drop = 0.03;
   plan.duplicate = 0.01;
   plan.kill_rank = 1;
-  plan.kill_point = "gen-block";
+  plan.kill_point = "load-segment";
   plan.kill_hits = 2;
 
   dist::RecoveryReport rep;
   Timer t_fault;
   dist::run(ft_ranks, plan, [&](dist::Comm& comm) {
     const kron::PartitionedStream ps(kp, comm.size());
-    const auto r = dist::supervised_global_butterflies(comm, kp, ps, ckpt);
+    const auto r = dist::supervised_global_butterflies(
+        comm, kp, ps, io::real_file_ops(), store_dir);
     if (comm.rank() == 0) rep = r;
   });
   const double fault_s = t_fault.seconds();
-  std::filesystem::remove_all(ckpt_root);
+  std::filesystem::remove_all(store_dir);
 
   std::string dead;
   for (const auto r : rep.dead_ranks) {
@@ -229,17 +233,15 @@ int main(int argc, char** argv) {
               static_cast<long long>(ft_ranks),
               format_duration(fault_s).c_str(),
               rep.verified ? "yes" : "NO");
-  std::printf("  plan: drop=3%% dup=1%% kill rank 1 at gen-block (hit 2), "
+  std::printf("  plan: drop=3%% dup=1%% kill rank 1 at load-segment (hit 2), "
               "seed=%llu\n",
               static_cast<unsigned long long>(plan.seed));
   std::printf("  injected: %lld dropped, %lld duplicated, %lld delayed\n",
               static_cast<long long>(rep.faults.dropped),
               static_cast<long long>(rep.faults.duplicated),
               static_cast<long long>(rep.faults.delayed));
-  std::printf("  recovery: dead ranks {%s}, %s left rows reassigned, "
-              "%s checkpoint(s) restored\n",
-              dead.c_str(), format_count(rep.left_rows_reassigned).c_str(),
-              format_count(rep.checkpoints_restored).c_str());
+  std::printf("  recovery: dead ranks {%s}, %s left rows reassigned\n",
+              dead.c_str(), format_count(rep.left_rows_reassigned).c_str());
   std::printf("  protocol: %s req retries, %s reply resends, %s dup "
               "requests, %s dup replies absorbed\n",
               format_count(rep.exchange.retries).c_str(),

@@ -15,10 +15,14 @@
 //   verify_store      full offline re-validation (read every segment,
 //                     replay through the oracle validator).
 
+#include <stdlib.h> // mkdtemp (POSIX)
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <system_error>
 
 #include "harness/harness.hpp"
 #include "kronlab/common/timer.hpp"
@@ -32,19 +36,44 @@ using namespace kronlab;
 
 namespace {
 
-/// Wipe and recreate the bench's store directory.
-std::string fresh_dir(const std::string& name) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / ("kronlab_bench_" + name);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
+/// This run's own temp directory (mkdtemp), removed with its stores on
+/// exit, so concurrent bench runs never share or delete each other's
+/// live stores.
+class RunDir {
+public:
+  RunDir()
+      : root_((std::filesystem::temp_directory_path() /
+               "kronlab_bench_streaming_XXXXXX")
+                  .string()) {
+    if (::mkdtemp(root_.data()) == nullptr) {
+      throw std::system_error(errno, std::generic_category(),
+                              "mkdtemp " + root_);
+    }
+  }
+  ~RunDir() {
+    std::error_code ec; // best effort: a destructor must not throw
+    std::filesystem::remove_all(root_, ec);
+  }
+  RunDir(const RunDir&) = delete;
+  RunDir& operator=(const RunDir&) = delete;
+
+  /// Wipe and recreate the store directory `name` under the run's root.
+  [[nodiscard]] std::string fresh(const std::string& name) const {
+    const auto dir = std::filesystem::path(root_) / name;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir.string();
+  }
+
+private:
+  std::string root_;
+};
 
 } // namespace
 
 int main(int argc, char** argv) {
   bench::Harness h("streaming", bench::parse_args(argc, argv));
+  const RunDir run_dir;
   std::printf("== durable streaming generation (crash-tolerant store) ==\n\n");
 
   // Instance sized so a cold run is long enough for the ≤5% resume-
@@ -84,7 +113,7 @@ int main(int argc, char** argv) {
   // are compared against.
   {
     io::StreamGenOptions o = opt;
-    o.dir = fresh_dir("stream_warmup");
+    o.dir = run_dir.fresh("stream_warmup");
     (void)io::generate_durable(io::real_file_ops(), kp, o);
   }
   // -------------------------------------------------------------------
@@ -102,13 +131,13 @@ int main(int argc, char** argv) {
   const count_t kill_seg = std::max<count_t>(1, total_segments / 4);
   for (int r = 0; r < reps; ++r) {
     io::StreamGenOptions o = opt;
-    o.dir = fresh_dir("stream_cold");
+    o.dir = run_dir.fresh("stream_cold");
     Timer t_cold;
     const auto cold_rep = io::generate_durable(io::real_file_ops(), kp, o);
     const double cold_s = t_cold.seconds();
     if (best_cold < 0 || cold_s < best_cold) best_cold = cold_s;
 
-    o.dir = fresh_dir("stream_resume");
+    o.dir = run_dir.fresh("stream_resume");
     io::FsFaultPlan plan;
     plan.kill_point = "segment:rename:after";
     plan.kill_hits = static_cast<std::uint64_t>(kill_seg);
@@ -174,7 +203,7 @@ int main(int argc, char** argv) {
   // whole run is manifest scan + segment re-checksum.
   {
     io::StreamGenOptions o = opt;
-    o.dir = fresh_dir("stream_scan");
+    o.dir = run_dir.fresh("stream_scan");
     (void)io::generate_durable(io::real_file_ops(), kp, o);
     o.resume = true;
     const auto scan = h.time_section(

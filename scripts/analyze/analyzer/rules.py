@@ -297,8 +297,8 @@ def emit_audit_skeleton(functions: List[ir.Function], root: str) -> str:
 
 NODISCARD_APIS = {
     "fnv1a64", "fnv1a64_words", "read_binary", "read_binary_file",
-    "read_snapshot", "read_snapshot_file", "read_segment", "read_manifest",
-    "scan_store", "recv", "recv_deadline", "recv_any",
+    "read_segment", "read_manifest", "scan_store", "recv", "recv_deadline",
+    "recv_any",
     "allreduce_sum", "allgather", "alltoall", "decode_request",
     "decode_response", "peek_request_id",
 }
@@ -631,8 +631,8 @@ def _durable_io(rel: str, src: Source):
         for m in _DURABLE_CALL_RE.finditer(line):
             fn = m.group(1)
             if fn != "fopen":
-                yield idx, (f"naked {fn}() outside src/kronlab/io/ — use "
-                            "io::publish_file / io::remove_file (atomic, "
+                yield idx, (f"naked {fn}() outside src/kronlab/io/ — go "
+                            "through io::FileOps (real_file_ops(): atomic, "
                             "fault-injectable) instead")
                 continue
             # The mode string is blanked: read it from the source line.

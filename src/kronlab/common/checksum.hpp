@@ -4,7 +4,7 @@
 //
 // Two folds share the offset basis and prime:
 //
-//   fnv1a64        byte-serial FNV-1a — KRNLCSR2 / KRNLCKP1 files
+//   fnv1a64        byte-serial FNV-1a — KRNLCSR2 files
 //                  (grb/binary_io.hpp), KRNLSRV1 serve frames
 //                  (serve/protocol.hpp) and the stream-spec hash.
 //   fnv1a64_words  word-folded FNV-1a — KRNLSEG1 segments, the KRNLMAN1

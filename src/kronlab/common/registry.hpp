@@ -55,9 +55,6 @@ namespace kronlab::magic {
 /// Checksummed binary CSR (grb/binary_io.hpp).
 inline constexpr char kCsr2[8] = {'K', 'R', 'N', 'L', 'C', 'S', 'R', '2'};
 
-/// Checkpoint snapshot envelope: metadata words + embedded CSR.
-inline constexpr char kCkp1[8] = {'K', 'R', 'N', 'L', 'C', 'K', 'P', '1'};
-
 /// Durable edge-stream segment (io/durable.hpp).
 inline constexpr char kSeg1[8] = {'K', 'R', 'N', 'L', 'S', 'E', 'G', '1'};
 

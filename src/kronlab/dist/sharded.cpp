@@ -6,34 +6,42 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "kronlab/common/error.hpp"
-#include "kronlab/grb/binary_io.hpp"
+#include "kronlab/io/stream_gen.hpp"
 #include "kronlab/obs/stats.hpp"
 #include "kronlab/obs/trace.hpp"
 #include "kronlab/obs/watchdog.hpp"
 #include "kronlab/graph/wedges.hpp"
 #include "kronlab/kron/ground_truth.hpp"
-#include "kronlab/kron/stream.hpp"
 
 namespace kronlab::dist {
 
 namespace {
 
-/// Append the row_ptr entries of the product rows of left-factor rows
-/// [lo, hi): product row (i, k) stores deg_M(i) · deg_B(k) entries.
-void push_row_ptr(std::vector<offset_t>& row_ptr,
-                  const kron::BipartiteKronecker& kp, index_t lo,
-                  index_t hi) {
+/// Set `shard`'s n and row range for `rank`, and return the row_ptr the
+/// factor degrees fix: product row (i, k) stores deg_M(i) · deg_B(k)
+/// entries.
+std::vector<offset_t> shard_layout(const kron::BipartiteKronecker& kp,
+                                   const kron::PartitionedStream& ps,
+                                   index_t rank, Shard& shard) {
+  shard.n = kp.num_vertices();
+  std::tie(shard.row_begin, shard.row_end) = ps.owned_product_rows(rank);
+  const auto [llo, lhi] = ps.owned_left_rows(rank);
   const auto& b = kp.right();
-  for (index_t i = lo; i < hi; ++i) {
+  std::vector<offset_t> row_ptr{0};
+  row_ptr.reserve(static_cast<std::size_t>(shard.row_end - shard.row_begin) +
+                  1);
+  for (index_t i = llo; i < lhi; ++i) {
     const offset_t dm = kp.left().row_degree(i);
     for (index_t k = 0; k < b.nrows(); ++k) {
       row_ptr.push_back(row_ptr.back() + dm * b.row_degree(k));
     }
   }
+  return row_ptr;
 }
 
 /// Adopt row-ordered shard arrays as a 0/1 matrix over n columns.  The
@@ -52,14 +60,7 @@ grb::Csr<count_t> shard_csr(index_t n, std::vector<offset_t> row_ptr,
 Shard generate_shard(const kron::BipartiteKronecker& kp,
                      const kron::PartitionedStream& ps, index_t rank) {
   Shard shard;
-  shard.n = kp.num_vertices();
-  const auto [plo, phi] = ps.owned_product_rows(rank);
-  const auto [llo, lhi] = ps.owned_left_rows(rank);
-  shard.row_begin = plo;
-  shard.row_end = phi;
-  std::vector<offset_t> row_ptr{0};
-  row_ptr.reserve(static_cast<std::size_t>(phi - plo) + 1);
-  push_row_ptr(row_ptr, kp, llo, lhi);
+  auto row_ptr = shard_layout(kp, ps, rank, shard);
   std::vector<index_t> cols;
   cols.reserve(static_cast<std::size_t>(row_ptr.back()));
   ps.for_each_entry(rank, [&](index_t, index_t q) { cols.push_back(q); });
@@ -67,18 +68,85 @@ Shard generate_shard(const kron::BipartiteKronecker& kp,
   return shard;
 }
 
-std::string checkpoint_path(const CheckpointConfig& cfg, index_t rank) {
-  return cfg.dir + "/kronlab-shard-" + std::to_string(rank) + ".ckpt";
+namespace {
+
+/// load_shard, hitting comm's "load-segment" fault point after every
+/// segment when `comm` is given.
+Shard load_shard_impl(io::FileOps& ops, const std::string& dir,
+                      const kron::BipartiteKronecker& kp,
+                      const kron::PartitionedStream& ps, index_t rank,
+                      Comm* comm) {
+  KRONLAB_TRACE_SPAN("dist", "load_shard");
+  const auto man = io::read_manifest(ops, dir);
+  if (!man) throw io_error("durable store: " + dir + " has no manifest");
+  const std::string where =
+      "durable store " + dir + ", shard " + std::to_string(rank) + ": ";
+  const std::uint64_t spec = io::spec_hash(kp);
+  if (man->spec_hash != spec) {
+    throw validation_error(where + "generated from a different spec");
+  }
+  if (static_cast<index_t>(man->shards.size()) != ps.parts()) {
+    throw validation_error(where + "the store has " +
+                           std::to_string(man->shards.size()) +
+                           " shards but the partition " +
+                           std::to_string(ps.parts()));
+  }
+  Shard shard;
+  auto row_ptr = shard_layout(kp, ps, rank, shard);
+  const offset_t total = row_ptr.back();
+  const auto& prog = man->shards[static_cast<std::size_t>(rank)];
+  if (prog.edges != total) {
+    throw validation_error(where + "holds " + std::to_string(prog.edges) +
+                           " of its " + std::to_string(total) +
+                           " records (incomplete shard)");
+  }
+  // Records must fill the layout the factor degrees fix, in order: record
+  // e lies in the row whose row_ptr range holds e, with columns in range
+  // and strictly ascending within the row.
+  std::vector<index_t> cols(static_cast<std::size_t>(total));
+  offset_t e = 0;
+  std::size_t r = 0; // local row of record e
+  io::for_each_committed_segment(
+      dir, spec, rank, prog,
+      [&](const std::string& path) { return ops.read_file(path); },
+      [&](const io::SegmentData& seg) {
+        if (seg.header.num_edges > total - e) {
+          throw validation_error(where + "more records than its rows hold");
+        }
+        seg.for_each_edge([&](index_t p, index_t q) {
+          while (row_ptr[r + 1] == e) ++r;
+          const index_t row = shard.row_begin + static_cast<index_t>(r);
+          if (p != row) {
+            throw validation_error(where + "record " + std::to_string(e) +
+                                   " lies in row " + std::to_string(p) +
+                                   ", not row " + std::to_string(row));
+          }
+          if (q < 0 || q >= shard.n ||
+              (e > row_ptr[r] && q <= cols[static_cast<std::size_t>(e) - 1])) {
+            throw validation_error(where + "column " + std::to_string(q) +
+                                   " of row " + std::to_string(p) +
+                                   " is out of range or out of order");
+          }
+          cols[static_cast<std::size_t>(e++)] = q;
+        });
+        if (comm) comm->fault_point("load-segment");
+      });
+  shard.rows = shard_csr(shard.n, std::move(row_ptr), std::move(cols));
+  return shard;
+}
+
+} // namespace
+
+Shard load_shard(io::FileOps& ops, const std::string& dir,
+                 const kron::BipartiteKronecker& kp,
+                 const kron::PartitionedStream& ps, index_t rank) {
+  return load_shard_impl(ops, dir, kp, ps, rank, nullptr);
 }
 
 namespace {
 
 using clock = std::chrono::steady_clock;
 using std::chrono::milliseconds;
-
-/// Snapshot metadata layout: {version, n, left_lo, left_hi, left_done}.
-constexpr std::int64_t kCkptVersion = 1;
-constexpr std::size_t kCkptMetaWords = 5;
 
 /// Exchange protocol: one tag, typed by the second payload word.  The
 /// first word is the exchange epoch (per-rank counter advanced in
@@ -620,54 +688,6 @@ GhostRows exchange_ghost_rows(Comm& comm, const Shard& shard,
 
 } // namespace
 
-Shard generate_shard_checkpointed(Comm& comm,
-                                  const kron::BipartiteKronecker& kp,
-                                  const kron::PartitionedStream& ps,
-                                  const CheckpointConfig& ckpt,
-                                  count_t* checkpoints_written) {
-  KRONLAB_TRACE_SPAN("dist", "generate_shard");
-  const auto [llo, lhi] = ps.owned_left_rows(comm.rank());
-  const index_t nb = kp.right().nrows();
-  Shard shard;
-  shard.n = kp.num_vertices();
-  shard.row_begin = llo * nb;
-  shard.row_end = lhi * nb;
-  std::vector<offset_t> row_ptr{0};
-  push_row_ptr(row_ptr, kp, llo, lhi);
-  std::vector<index_t> cols;
-  cols.reserve(static_cast<std::size_t>(row_ptr.back()));
-  const kron::EdgeStream es(kp);
-  const index_t step = std::max<index_t>(1, ckpt.interval_left_rows);
-  for (index_t i = llo; i < lhi; i += step) {
-    const index_t end = std::min(lhi, i + step);
-    es.for_each_entry_rows(i, end,
-                           [&](index_t, index_t q) { cols.push_back(q); });
-    if (ckpt.enabled() && end < lhi) {
-      // The completed blocks are a prefix of the shard's rows.
-      const auto rows_done = static_cast<std::ptrdiff_t>((end - llo) * nb);
-      grb::SnapshotEnvelope snap;
-      snap.meta = {kCkptVersion, shard.n, llo, lhi, end};
-      snap.payload = shard_csr(
-          shard.n,
-          std::vector<offset_t>(row_ptr.begin(),
-                                row_ptr.begin() + rows_done + 1),
-          cols);
-      grb::write_snapshot_file(checkpoint_path(ckpt, comm.rank()), snap);
-      if (checkpoints_written) ++*checkpoints_written;
-      if (trace::enabled()) {
-        trace::instant("dist", "checkpoint/write",
-                       trace::intern("rank=" + std::to_string(comm.rank()) +
-                                     " left_done=" + std::to_string(end)));
-      }
-    }
-    // A fault plan can kill this rank here — "mid-generation", after the
-    // checkpoint for the completed blocks has been persisted.
-    comm.fault_point("gen-block");
-  }
-  shard.rows = shard_csr(shard.n, std::move(row_ptr), std::move(cols));
-  return shard;
-}
-
 count_t distributed_global_butterflies(Comm& comm, const Shard& shard,
                                        const RetryConfig& retry,
                                        ExchangeStats* stats) {
@@ -790,18 +810,16 @@ count_t distributed_ground_truth_squares(
 
 RecoveryReport supervised_global_butterflies(
     Comm& comm, const kron::BipartiteKronecker& kp,
-    const kron::PartitionedStream& ps, const CheckpointConfig& ckpt,
-    const RetryConfig& retry) {
+    const kron::PartitionedStream& ps, io::FileOps& ops,
+    const std::string& dir, const RetryConfig& retry) {
   KRONLAB_TRACE_SPAN("dist", "supervised_butterflies");
   KRONLAB_REQUIRE(ps.parts() == comm.size(),
                   "partition width must equal the rank count");
   const index_t me = comm.rank();
   const index_t nb = kp.right().nrows();
 
-  // ---- phase 1: checkpointed generation (kills happen in here) --------
-  count_t ckpts_written = 0;
-  Shard shard = generate_shard_checkpointed(comm, kp, ps, ckpt,
-                                            &ckpts_written);
+  // ---- phase 1: load this rank's shard (kills happen in here) ---------
+  Shard shard = load_shard_impl(ops, dir, kp, ps, me, &comm);
   auto [my_llo, my_lhi] = ps.owned_left_rows(me);
 
   // A dead rank never reaches this barrier; the runtime releases it for
@@ -811,11 +829,11 @@ RecoveryReport supervised_global_butterflies(
   // ---- phase 2: supervisor view — detect deaths, reassign rows --------
   const auto members = comm.live_ranks();
   KRONLAB_REQUIRE(members.front() == 0, "supervisor (rank 0) must survive");
-  count_t ckpts_restored = 0;
   count_t rows_reassigned = 0;
   if (static_cast<index_t>(members.size()) < comm.size()) {
     // Ownership heals by extension: each survivor's range grows to the
-    // next survivor's begin, absorbing the dead ranks in between.
+    // next survivor's begin, absorbing the dead ranks in between, whose
+    // shards it loads from the store in order.
     const auto pos = static_cast<std::size_t>(
         std::lower_bound(members.begin(), members.end(), me) -
         members.begin());
@@ -825,49 +843,15 @@ RecoveryReport supervised_global_butterflies(
             : kp.left().nrows();
     if (new_lhi > my_lhi) {
       KRONLAB_TRACE_SPAN("dist", "reassign_rows");
-      // The dead ranks' rows follow this rank's in order, so each range
-      // is appended as it is recovered: checkpointed rows, then the tail
-      // regenerated from the factors.
       std::vector<offset_t> row_ptr = shard.rows.row_ptr();
       std::vector<index_t> cols = shard.rows.col_idx();
       cols.reserve(static_cast<std::size_t>(
           expected_entries(kp, my_llo, new_lhi)));
-      const kron::EdgeStream es(kp);
       for (index_t d = me + 1; d < comm.size() && !comm.rank_alive(d);
            ++d) {
+        push_csr_rows(row_ptr, cols,
+                      load_shard_impl(ops, dir, kp, ps, d, nullptr).rows);
         const auto [dlo, dhi] = ps.owned_left_rows(d);
-        index_t done = dlo; // left rows recovered from the checkpoint
-        if (ckpt.enabled()) {
-          try {
-            const auto snap =
-                grb::read_snapshot_file(checkpoint_path(ckpt, d));
-            const bool meta_ok =
-                snap.meta.size() == kCkptMetaWords &&
-                snap.meta[0] == kCkptVersion && snap.meta[1] == shard.n &&
-                snap.meta[2] == dlo && snap.meta[3] == dhi &&
-                snap.meta[4] > dlo && snap.meta[4] <= dhi;
-            if (meta_ok &&
-                snap.payload.nrows() == (snap.meta[4] - dlo) * nb &&
-                snap.payload.nnz() ==
-                    expected_entries(kp, dlo, snap.meta[4])) {
-              push_csr_rows(row_ptr, cols, snap.payload);
-              done = snap.meta[4];
-              ++ckpts_restored;
-              if (trace::enabled()) {
-                trace::instant(
-                    "dist", "checkpoint/restore",
-                    trace::intern("dead_rank=" + std::to_string(d) +
-                                  " left_done=" + std::to_string(done)));
-              }
-            }
-          } catch (const io_error&) {
-            // Missing or corrupt (checksum-failed) checkpoint: fall back
-            // to regenerating the dead rank's whole range from factors.
-          }
-        }
-        push_row_ptr(row_ptr, kp, done, dhi);
-        es.for_each_entry_rows(
-            done, dhi, [&](index_t, index_t q) { cols.push_back(q); });
         rows_reassigned += dhi - dlo;
       }
       my_lhi = new_lhi;
@@ -924,10 +908,6 @@ RecoveryReport supervised_global_butterflies(
       comm.allreduce_sum(xs.agg.capacity_flushes, members);
   report.exchange.agg.manual_flushes =
       comm.allreduce_sum(xs.agg.manual_flushes, members);
-  report.checkpoints_written =
-      comm.allreduce_sum(ckpts_written, members);
-  report.checkpoints_restored =
-      comm.allreduce_sum(ckpts_restored, members);
   report.left_rows_reassigned =
       comm.allreduce_sum(rows_reassigned, members);
   report.counted = counted;

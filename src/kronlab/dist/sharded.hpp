@@ -3,10 +3,11 @@
 // Distributed Kronecker generation and validation over the simulated
 // runtime (dist/comm.hpp) — the miniature of the paper group's
 // extreme-scale workflow: every rank generates its row shard of
-// C = M ⊗ B from replicated factor matrices (no communication), runs the
-// distributed analytic (global 4-cycle count via ghost-row exchange), and
-// the result is validated against the factored ground truth, which each
-// rank also evaluates for its own rows in factor space.
+// C = M ⊗ B from replicated factor matrices (no communication) or loads
+// it from the durable store generate_durable wrote (io/stream_gen.hpp),
+// runs the distributed analytic (global 4-cycle count via ghost-row
+// exchange), and the result is validated against the factored ground
+// truth, which each rank also evaluates for its own rows in factor space.
 //
 // Fault tolerance (the production posture the paper lineage demands — at
 // a million processes, dropped messages and dead ranks are the norm):
@@ -20,11 +21,9 @@
 //    per-destination message aggregator (dist/aggregator.hpp), which
 //    coalesces them into batches flushed on capacity and at phase
 //    boundaries without touching the retry semantics;
-//  * generation can checkpoint progress through the checksummed snapshot
-//    envelope (grb/binary_io.hpp), and supervised_global_butterflies
-//    reassigns a dead rank's row range to the next surviving rank,
-//    restoring from the last checkpoint and regenerating the tail from
-//    the (replicated) factors;
+//  * supervised_global_butterflies loads every shard from the durable
+//    store and reassigns a dead rank's row range to the next surviving
+//    rank, which loads the dead rank's shard from the same store;
 //  * after recovery every rank cross-checks its shard statistics and the
 //    distributed count against the factor-space ground truth — the
 //    paper's exact oracle doubling as an online corruption detector —
@@ -40,6 +39,7 @@
 #include "kronlab/dist/aggregator.hpp"
 #include "kronlab/dist/comm.hpp"
 #include "kronlab/grb/csr.hpp"
+#include "kronlab/io/file_ops.hpp"
 #include "kronlab/kron/partition.hpp"
 #include "kronlab/kron/product.hpp"
 
@@ -81,17 +81,6 @@ struct ExchangeStats {
   AggregatorStats agg;        ///< message-aggregation layer counters
 };
 
-/// Checkpoint policy for generate_shard_checkpointed.
-struct CheckpointConfig {
-  std::string dir; ///< checkpoint directory; empty disables checkpointing
-  index_t interval_left_rows = 4; ///< snapshot every this many left rows
-
-  [[nodiscard]] bool enabled() const { return !dir.empty(); }
-};
-
-/// Checkpoint file for `rank`'s shard under `cfg.dir`.
-std::string checkpoint_path(const CheckpointConfig& cfg, index_t rank);
-
 /// Structured outcome of one supervised fault-tolerant run.  Every
 /// surviving rank returns an identical report.
 struct RecoveryReport {
@@ -99,8 +88,6 @@ struct RecoveryReport {
   std::vector<index_t> dead_ranks;  ///< ranks killed by the fault plan
   FaultStats faults;                ///< faults the runtime injected
   ExchangeStats exchange;           ///< protocol totals across ranks
-  count_t checkpoints_written = 0;
-  count_t checkpoints_restored = 0;
   count_t left_rows_reassigned = 0; ///< left-factor rows taken over
   count_t counted = -1;             ///< distributed 4-cycle count
   count_t ground_truth = -1;        ///< factored ground truth (Thms 3–5)
@@ -113,16 +100,18 @@ struct RecoveryReport {
 Shard generate_shard(const kron::BipartiteKronecker& kp,
                      const kron::PartitionedStream& ps, index_t rank);
 
-/// Checkpointed variant: generates in blocks of `ckpt.interval_left_rows`
-/// left-factor rows, writing a checksummed snapshot after each block (when
-/// checkpointing is enabled) and hitting the "gen-block" fault point so a
-/// fault plan can kill the rank mid-generation.  `checkpoints_written`
-/// (optional) receives the number of snapshots persisted.
-Shard generate_shard_checkpointed(Comm& comm,
-                                  const kron::BipartiteKronecker& kp,
-                                  const kron::PartitionedStream& ps,
-                                  const CheckpointConfig& ckpt,
-                                  count_t* checkpoints_written = nullptr);
+/// Load rank `rank`'s shard from the complete durable store in `dir`
+/// (generate_durable at ps.parts() shards): row_ptr comes from the factor
+/// degrees, as in generate_shard, and the columns from the committed
+/// KRNLSEG1 records, read through the walk verify_store uses.  Throws
+/// io_error when the store is missing or unreadable, and validation_error
+/// when it is corrupt or does not fit the partition: a different spec or
+/// shard count, an incomplete shard, a record in the wrong row, or a
+/// column out of range or out of order.  Safe to call from several ranks
+/// at once (FileOps reads may run concurrently).
+Shard load_shard(io::FileOps& ops, const std::string& dir,
+                 const kron::BipartiteKronecker& kp,
+                 const kron::PartitionedStream& ps, index_t rank);
 
 /// Distributed exact global 4-cycle count over a row-sharded graph.
 /// The ghost-row exchange runs the idempotent request/reply/ack protocol
@@ -151,16 +140,19 @@ count_t distributed_ground_truth_squares(
     std::pair<index_t, index_t> owned_left_rows,
     const std::vector<index_t>& members);
 
-/// The full fault-tolerant pipeline: checkpointed generation, death
-/// detection, reassignment of dead ranks' row ranges to survivors
-/// (checkpoint restore + tail regeneration), resilient exchange + count,
-/// and ground-truth self-verification.  Rank 0 acts as supervisor and
-/// must survive the fault plan.  Every surviving rank returns the same
-/// RecoveryReport; `report.verified` is the bit a production deployment
-/// would alarm on.
+/// The full fault-tolerant pipeline over the durable store in `dir`:
+/// each rank loads its shard (load_shard, with a "load-segment" fault
+/// point after every segment), then death detection, reassignment of
+/// dead ranks' row ranges to survivors (each loads the dead shards that
+/// follow it), resilient exchange + count, and ground-truth
+/// self-verification.  Rank 0 acts as supervisor and must survive the
+/// fault plan.  Every surviving rank returns the same RecoveryReport;
+/// `report.verified` is the bit a production deployment would alarm on.
+/// A corrupt store is never worked around: load_shard's
+/// validation_error surfaces from the run.
 RecoveryReport supervised_global_butterflies(
     Comm& comm, const kron::BipartiteKronecker& kp,
-    const kron::PartitionedStream& ps, const CheckpointConfig& ckpt = {},
-    const RetryConfig& retry = {});
+    const kron::PartitionedStream& ps, io::FileOps& ops,
+    const std::string& dir, const RetryConfig& retry = {});
 
 } // namespace kronlab::dist

@@ -10,7 +10,6 @@
 #include "kronlab/common/checksum.hpp"
 #include "kronlab/common/error.hpp"
 #include "kronlab/common/registry.hpp"
-#include "kronlab/io/file_ops.hpp"
 #include "kronlab/obs/trace.hpp"
 
 namespace kronlab::grb {
@@ -25,9 +24,8 @@ const char* io_detail(const std::string& path) {
 namespace {
 
 // One definition per magic lives in common/registry.hpp (the analyzer's
-// registry rule keeps it that way); these are local aliases.
+// registry rule keeps it that way); this is a local alias.
 constexpr const char (&kMagicV2)[8] = magic::kCsr2;
-constexpr const char (&kMagicCkp)[8] = magic::kCkp1;
 
 /// Hard sanity cap on any single dimension/count read from a file: far
 /// above every real workload, far below anything that could overflow the
@@ -154,67 +152,6 @@ Csr<count_t> read_binary_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw io_error("cannot open: " + path);
   return read_binary(in);
-}
-
-void write_snapshot(std::ostream& out, const SnapshotEnvelope& snap) {
-  out.write(kMagicCkp, sizeof kMagicCkp);
-  const auto n_meta = static_cast<std::int64_t>(snap.meta.size());
-  std::uint64_t hash = fnv1a64(&n_meta, sizeof n_meta);
-  hash = fnv1a64(snap.meta.data(),
-                 snap.meta.size() * sizeof(std::int64_t), hash);
-  put_words(out, &n_meta, 1);
-  put_words(out, snap.meta.data(), snap.meta.size());
-  const auto checksum = static_cast<std::int64_t>(hash);
-  put_words(out, &checksum, 1);
-  write_binary(out, snap.payload);
-  if (!out) throw io_error("failed writing kronlab snapshot");
-}
-
-SnapshotEnvelope read_snapshot(std::istream& in) {
-  char magic[8];
-  in.read(magic, sizeof magic);
-  if (!in || std::memcmp(magic, kMagicCkp, sizeof kMagicCkp) != 0) {
-    throw io_error("not a kronlab snapshot (bad magic)");
-  }
-  std::int64_t n_meta = 0;
-  get_words(in, &n_meta, 1, nullptr, "snapshot meta length");
-  if (n_meta < 0 || n_meta > (std::int64_t{1} << 20)) {
-    throw io_error("kronlab snapshot: implausible metadata length " +
-                   std::to_string(n_meta));
-  }
-  SnapshotEnvelope snap;
-  get_array(in, snap.meta, static_cast<std::size_t>(n_meta), nullptr,
-            "snapshot metadata");
-  std::int64_t stored = 0;
-  get_words(in, &stored, 1, nullptr, "snapshot checksum");
-  std::uint64_t hash = fnv1a64(&n_meta, sizeof n_meta);
-  hash = fnv1a64(snap.meta.data(),
-                 snap.meta.size() * sizeof(std::int64_t), hash);
-  if (static_cast<std::uint64_t>(stored) != hash) {
-    throw io_error("kronlab snapshot: metadata checksum mismatch "
-                   "(file is corrupt)");
-  }
-  snap.payload = read_binary(in);
-  return snap;
-}
-
-void write_snapshot_file(const std::string& path,
-                         const SnapshotEnvelope& snap) {
-  trace::Span span("io", "write_snapshot", io_detail(path));
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw io_error("cannot open for writing: " + tmp);
-    write_snapshot(out, snap);
-  }
-  io::publish_file(tmp, path);
-}
-
-SnapshotEnvelope read_snapshot_file(const std::string& path) {
-  trace::Span span("io", "read_snapshot", io_detail(path));
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw io_error("cannot open: " + path);
-  return read_snapshot(in);
 }
 
 } // namespace kronlab::grb

@@ -21,17 +21,13 @@
 // header that overstates a count is a "truncated" io_error, never a
 // huge allocation.
 //
-// A second envelope, "KRNLCKP1", wraps a metadata word vector plus an
-// embedded CSR — the checkpoint format of the fault-tolerant distributed
-// pipeline (dist/sharded.hpp).  The metadata words carry their own FNV-1a
-// checksum; the embedded CSR is protected by its KRNLCSR2 checksum.
+// Generated products are persisted elsewhere: the durable KRNLSEG1/KRNLMAN1
+// store of io/stream_gen.hpp, which the distributed ranks also load from.
 
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "kronlab/common/types.hpp"
 #include "kronlab/grb/csr.hpp"
@@ -43,21 +39,5 @@ void write_binary(std::ostream& out, const Csr<count_t>& a);
 
 void write_binary_file(const std::string& path, const Csr<count_t>& a);
 [[nodiscard]] Csr<count_t> read_binary_file(const std::string& path);
-
-/// Checksummed snapshot: free-form metadata words + one CSR payload.
-struct SnapshotEnvelope {
-  std::vector<std::int64_t> meta;
-  Csr<count_t> payload;
-};
-
-void write_snapshot(std::ostream& out, const SnapshotEnvelope& snap);
-[[nodiscard]] SnapshotEnvelope read_snapshot(std::istream& in);
-
-/// File variants.  write_snapshot_file is atomic: it writes `path.tmp`
-/// and renames, so a crash mid-checkpoint never leaves a torn file under
-/// the final name.
-void write_snapshot_file(const std::string& path,
-                         const SnapshotEnvelope& snap);
-[[nodiscard]] SnapshotEnvelope read_snapshot_file(const std::string& path);
 
 } // namespace kronlab::grb

@@ -223,6 +223,33 @@ void require_committed_at(const SegmentData& seg, const std::string& path,
   }
 }
 
+void for_each_committed_segment(
+    const std::string& dir, std::uint64_t spec_hash, index_t shard,
+    const ShardProgress& prog, const StoreReader& read,
+    const std::function<void(const SegmentData&)>& visit) {
+  std::uint64_t chain = kFnvBasis;
+  count_t edges = 0;
+  for (count_t g = 0; g < prog.segments; ++g) {
+    static obs::Histogram& validate_hist =
+        obs::histogram("io/segment_validate");
+    obs::LatencyScope validate_latency(validate_hist);
+    const std::string path = dir + "/" + segment_name(shard, g);
+    auto bytes = read(path);
+    if (!bytes) throw io_error("durable store: missing segment " + path);
+    const SegmentData seg = decode_segment(std::move(*bytes), path, chain);
+    require_committed_at(seg, path, spec_hash, shard, g, edges);
+    visit(seg);
+    chain = seg.chain_hash;
+    edges += seg.header.num_edges;
+  }
+  if (edges != prog.edges || chain != prog.chain_hash) {
+    throw validation_error(
+        "durable store: shard " + std::to_string(shard) +
+        " committed segments do not reproduce the manifest's cursor/"
+        "chain hash (corrupt store)");
+  }
+}
+
 void write_manifest(FileOps& ops, const std::string& dir,
                     const Manifest& man) {
   KRONLAB_TRACE_SPAN("io", "commit_manifest");
@@ -352,25 +379,10 @@ ScanResult scan_store(FileOps& ops, const std::string& dir,
     auto& prog = res.manifest.shards[static_cast<std::size_t>(s)];
     // 1. Every committed segment must verify and chain-hash to the
     //    manifest record.
-    std::uint64_t chain = kFnvBasis;
-    count_t edges = 0;
-    for (count_t g = 0; g < prog.segments; ++g) {
-      static obs::Histogram& validate_hist =
-          obs::histogram("io/segment_validate");
-      obs::LatencyScope validate_latency(validate_hist);
-      const std::string path = dir + "/" + segment_name(s, g);
-      const SegmentData seg = read_segment(ops, path, chain);
-      require_committed_at(seg, path, expected.spec_hash, s, g, edges);
-      chain = seg.chain_hash;
-      edges += seg.header.num_edges;
-      ++res.verified_segments;
-    }
-    if (edges != prog.edges || chain != prog.chain_hash) {
-      throw validation_error(
-          "durable store: shard " + std::to_string(s) +
-          " committed segments do not reproduce the manifest's cursor/"
-          "chain hash (corrupt store)");
-    }
+    for_each_committed_segment(
+        dir, expected.spec_hash, s, prog,
+        [&](const std::string& path) { return ops.read_file(path); },
+        [&](const SegmentData&) { ++res.verified_segments; });
     // 2. Adopt the crash window: the exact next sealed segment, if whole.
     for (;;) {
       const std::string next_name = segment_name(s, prog.segments);

@@ -53,6 +53,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -168,6 +169,22 @@ struct ShardProgress {
   count_t edges = 0;    ///< committed edge records = resume cursor
   std::uint64_t chain_hash = kFnvBasis; ///< FNV over committed payloads
 };
+
+/// Reads one store file, as FileOps::read_file does (nullopt = missing).
+using StoreReader =
+    std::function<std::optional<std::string>(const std::string& path)>;
+
+/// The one walk over shard `shard`'s committed segments, shared by
+/// scan_store, verify_store and dist::load_shard.  Each segment, in
+/// order, is read with `read`, decoded (decode_segment), required where
+/// `prog` puts it (require_committed_at) and handed to visit(seg); after
+/// the last one the segments must reproduce prog's cursor and chain
+/// hash.  io_error when a segment is missing, validation_error on any
+/// other mismatch.
+void for_each_committed_segment(
+    const std::string& dir, std::uint64_t spec_hash, index_t shard,
+    const ShardProgress& prog, const StoreReader& read,
+    const std::function<void(const SegmentData&)>& visit);
 
 struct Manifest {
   std::uint64_t spec_hash = 0;

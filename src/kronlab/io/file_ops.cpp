@@ -83,7 +83,7 @@ public:
   }
 
   bool remove(const std::string& path) override {
-    // kronlab-analyze: allow(durable-io) the helper's remove_file.
+    // kronlab-analyze: allow(durable-io) the helper's remove.
     if (std::remove(path.c_str()) == 0) return true;
     if (errno == ENOENT) return false;
     throw_errno("cannot remove", path);
@@ -127,15 +127,6 @@ public:
 FileOps& real_file_ops() {
   static RealFileOps ops;
   return ops;
-}
-
-void publish_file(const std::string& tmp_path,
-                  const std::string& final_path) {
-  real_file_ops().publish(tmp_path, final_path);
-}
-
-bool remove_file(const std::string& path) {
-  return real_file_ops().remove(path);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,11 @@
 // remove, list, read.  Implementations need not be thread-safe: the
 // durable layer runs a store's shards concurrently but makes its FileOps
 // calls (and those on the files they create) one at a time, under one
-// store lock.  Production uses RealFileOps (stdio + POSIX fsync);
+// store lock.  The one exception is reading: read_file and list_dir may
+// be called concurrently while nothing writes the store, which is how
+// distributed ranks load their shards at once (dist::load_shard).
+// RealFileOps is stateless, and FaultyFileOps passes reads straight
+// through.  Production uses RealFileOps (stdio + POSIX fsync);
 // tests substitute FaultyFileOps, which wraps the real one and injects
 // the filesystem's unkind moments deterministically per seed:
 //
@@ -110,15 +114,6 @@ public:
 /// Stateless; one shared instance.
 FileOps& real_file_ops();
 
-/// Atomic replace through real_file_ops() — the one rename helper
-/// non-durable code (e.g. grb::write_snapshot_file) is expected to use
-/// instead of calling std::rename directly (enforced by the lint's
-/// durable-io rule).
-void publish_file(const std::string& tmp_path, const std::string& final_path);
-
-/// Remove through real_file_ops(); missing files are not an error.
-bool remove_file(const std::string& path);
-
 /// Deterministic filesystem fault plan (the dist FaultPlan idiom).  Point
 /// names are "<tag>:<op>:<phase>" as documented above, e.g.
 /// "segment:rename:after", "manifest:sync:before", "segment:write:torn".
@@ -143,10 +138,11 @@ struct FsFaultPlan {
 
 /// FileOps decorator injecting the plan above.  Classifies files by path:
 /// anything whose basename starts with "MANIFEST" is tagged "manifest",
-/// everything else "segment".  Single-threaded by contract: the durable
-/// layer calls it one call at a time under its store lock, even while
-/// shards generate concurrently, so a kill still lands at one
-/// instruction boundary and nothing touches the store after it.  Which
+/// everything else "segment".  Single-threaded by contract, reads aside
+/// (see the file comment): the durable layer calls it one call at a time
+/// under its store lock, even while shards generate concurrently, so a
+/// kill still lands at one instruction boundary and nothing touches the
+/// store after it.  Which
 /// shard reaches the n-th hit depends on scheduling; the resumed store
 /// does not.
 class FaultyFileOps final : public FileOps {

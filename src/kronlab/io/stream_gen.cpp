@@ -30,7 +30,7 @@ struct sibling_failed {};
 
 /// The store as the concurrent shard workers share it.  Every FileOps
 /// call and every touch of the manifest happen under one lock (FileOps
-/// implementations are single-threaded by contract); each shard streams,
+/// writes are single-threaded by contract); each shard streams,
 /// validates, encodes and hashes outside it.  The first failure — an
 /// io_error, a validation_error or a simulated kill alike — is recorded
 /// under the lock, so no FileOps call ever follows it.
@@ -373,33 +373,20 @@ VerifyReport verify_store(FileOps& ops,
     const auto& prog = man->shards[static_cast<std::size_t>(s)];
     StreamValidator validator(oracle, opt.sample_seed, opt.sample_rate);
     validator.begin_shard(/*first_row_partial=*/false);
-    std::uint64_t chain = kFnvBasis;
-    count_t edges = 0;
-    for (count_t g = 0; g < prog.segments; ++g) {
-      static obs::Histogram& validate_hist =
-          obs::histogram("io/segment_validate");
-      obs::LatencyScope validate_latency(validate_hist);
-      const std::string path = opt.dir + "/" + segment_name(s, g);
-      auto bytes = store.locked(
-          [&](FileOps& fs, Manifest&) { return fs.read_file(path); });
-      if (!bytes) throw io_error("durable store: missing segment " + path);
-      const SegmentData seg = decode_segment(std::move(*bytes), path, chain);
-      require_committed_at(seg, path, spec, s, g, edges);
-      seg.for_each_edge(
-          [&](index_t p, index_t q) { validator.observe(p, q); });
-      chain = seg.chain_hash;
-      edges += seg.header.num_edges;
-    }
+    for_each_committed_segment(
+        opt.dir, spec, s, prog,
+        [&](const std::string& path) {
+          return store.locked(
+              [&](FileOps& fs, Manifest&) { return fs.read_file(path); });
+        },
+        [&](const SegmentData& seg) {
+          seg.for_each_edge(
+              [&](index_t p, index_t q) { validator.observe(p, q); });
+        });
     validator.end_shard();
-    if (edges != prog.edges || chain != prog.chain_hash) {
-      throw validation_error(
-          "durable store: shard " + std::to_string(s) +
-          " committed segments do not reproduce the manifest's cursor/"
-          "chain hash (corrupt store)");
-    }
     auto& mine = per_shard[static_cast<std::size_t>(s)];
     mine.segments = prog.segments;
-    mine.edges = edges;
+    mine.edges = prog.edges;
     mine.rows_checked = validator.rows_checked();
     mine.edges_checked = validator.edges_checked();
   });

@@ -50,33 +50,6 @@ public:
     }
   }
 
-  /// Visit fn(p, q) for every stored entry whose product row derives from
-  /// left-factor rows [left_lo, left_hi) — the restartable unit of the
-  /// checkpointed sharded generator (dist/sharded.hpp): generation can
-  /// resume at any left-row boundary with no other state.
-  template <typename Fn>
-  void for_each_entry_rows(index_t left_lo, index_t left_hi,
-                           Fn&& fn) const {
-    const auto& m = kp_->left();
-    const auto& b = kp_->right();
-    KRONLAB_REQUIRE(left_lo >= 0 && left_lo <= left_hi &&
-                        left_hi <= m.nrows(),
-                    "left-factor row range out of bounds");
-    const index_t nb = b.nrows();
-    const index_t ncb = b.ncols();
-    for (index_t i = left_lo; i < left_hi; ++i) {
-      const auto mc = m.row_cols(i);
-      for (index_t k = 0; k < nb; ++k) {
-        const index_t p = i * nb + k;
-        const auto bc = b.row_cols(k);
-        for (const index_t j : mc) {
-          const index_t base = j * ncb;
-          for (const index_t l : bc) fn(p, base + l);
-        }
-      }
-    }
-  }
-
   /// Visit fn(p, q) for every undirected edge once (p < q).
   template <typename Fn>
   void for_each_edge(Fn&& fn) const {

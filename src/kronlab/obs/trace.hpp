@@ -76,7 +76,7 @@ void emit_span(const char* cat, const char* name, std::uint64_t begin_ns,
                std::uint64_t end_ns, const char* detail = nullptr);
 
 /// Zero-duration annotation on the calling thread's track (fault
-/// injections, retries, checkpoint writes, ...).
+/// injections, retries, resume adoptions, ...).
 void instant(const char* cat, const char* name,
              const char* detail = nullptr);
 

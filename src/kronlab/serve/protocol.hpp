@@ -9,7 +9,7 @@
 // travel in; server.hpp executes them, client.hpp issues them.
 //
 // Frame envelope (all integers little-endian, same discipline as the
-// KRNLCSR2/KRNLCKP1 envelopes in grb/binary_io):
+// KRNLCSR2 envelope in grb/binary_io):
 //
 //   magic "KRNLSRV1" | u64 payload bytes | payload | u64 fnv1a64(payload)
 //

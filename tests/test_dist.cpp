@@ -12,8 +12,10 @@
 #include "kronlab/gen/canonical.hpp"
 #include "kronlab/gen/random_bipartite.hpp"
 #include "kronlab/graph/butterflies.hpp"
+#include "kronlab/io/stream_gen.hpp"
 #include "kronlab/kron/ground_truth.hpp"
 #include "kronlab/obs/stats.hpp"
+#include "support/temp_dir.hpp"
 
 namespace kronlab::dist {
 namespace {
@@ -129,15 +131,22 @@ TEST(ShardedGeneration, DirectCsrShardsAreSlicesOfTheMaterializedProduct) {
   // generate_shard assembles its CSR straight from the factor degrees and
   // the entry stream; each shard must be bit-identical — row_ptr, col_idx
   // and vals — to its row slice of the materialized product, and so must
-  // the checkpointed generator's.
+  // load_shard's from a durable store of the same partition.
   for (const std::uint64_t seed : {1, 2, 3, 4}) {
     const auto kp = sample_product(seed);
     const auto c = kp.materialize();
     for (index_t parts = 1; parts <= 5; ++parts) {
       const kron::PartitionedStream ps(kp, parts);
-      run(parts, [&](Comm& comm) {
-        const auto shards = {generate_shard(kp, ps, comm.rank()),
-                             generate_shard_checkpointed(comm, kp, ps, {})};
+      const test_support::TempDir dir("dist_load");
+      io::StreamGenOptions opt;
+      opt.dir = dir.path();
+      opt.shards = parts;
+      opt.segment_edges = 100; // several segments per shard
+      (void)io::generate_durable(io::real_file_ops(), kp, opt);
+      for (index_t rank = 0; rank < parts; ++rank) {
+        const auto shards = {
+            generate_shard(kp, ps, rank),
+            load_shard(io::real_file_ops(), dir.path(), kp, ps, rank)};
         for (const auto& shard : shards) {
           const auto lo = static_cast<std::size_t>(shard.row_begin);
           const auto hi = static_cast<std::size_t>(shard.row_end);
@@ -158,7 +167,7 @@ TEST(ShardedGeneration, DirectCsrShardsAreSlicesOfTheMaterializedProduct) {
                     std::vector<count_t>(c.vals().begin() + e_lo,
                                          c.vals().begin() + e_hi));
         }
-      });
+      }
     }
   }
 }

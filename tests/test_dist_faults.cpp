@@ -1,7 +1,8 @@
 // Fault-injection tests for the distributed runtime and the fault-tolerant
 // generation + counting pipeline: seeded drop/delay/duplicate plans, rank
 // kills at named fault points, deadline receives, retry exhaustion, and
-// checkpoint/restart recovery verified against the factored ground truth.
+// supervised recovery over the durable store, verified against the
+// factored ground truth.
 //
 // The CI release job re-runs this suite with KRONLAB_FAULT_RATE=high,
 // which scales the probabilistic plans up (see fault_rate_scale below);
@@ -10,13 +11,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "kronlab/dist/comm.hpp"
@@ -24,6 +27,7 @@
 #include "kronlab/gen/canonical.hpp"
 #include "kronlab/gen/random_bipartite.hpp"
 #include "kronlab/graph/butterflies.hpp"
+#include "kronlab/io/stream_gen.hpp"
 #include "kronlab/kron/ground_truth.hpp"
 #include "support/temp_dir.hpp"
 
@@ -61,7 +65,7 @@ TEST(FaultPlan, ValidatesProbabilitiesAndKillRank) {
   EXPECT_THROW(run(2, plan, [](Comm&) {}), invalid_argument);
   FaultPlan bad_kill;
   bad_kill.kill_rank = 5;
-  bad_kill.kill_point = "gen-block";
+  bad_kill.kill_point = "load-segment";
   EXPECT_THROW(run(2, bad_kill, [](Comm&) {}), invalid_argument);
 }
 
@@ -352,7 +356,66 @@ TEST(FaultyExchange, PeerKilledBeforeServingThrowsRankFailed) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint/restart recovery, self-verified against the factored oracle.
+// Supervised recovery over the durable store, self-verified against the
+// factored oracle.
+
+/// A 4-shard store of kp in `dir`, in segments small enough that every
+/// rank loads several and a "load-segment" kill lands mid-shard.
+io::StreamGenOptions store_options(const std::string& dir,
+                                   index_t shards = 4) {
+  io::StreamGenOptions opt;
+  opt.dir = dir;
+  opt.shards = shards;
+  opt.segment_edges = 64;
+  return opt;
+}
+
+/// generate_durable over a FaultyFileOps that kills it at `point`'s
+/// `hits`-th hit; true when the kill fired.
+bool generate_until_killed(const kron::BipartiteKronecker& kp,
+                           const io::StreamGenOptions& opt,
+                           const std::string& point, std::uint64_t hits) {
+  io::FsFaultPlan fs_plan;
+  fs_plan.kill_point = point;
+  fs_plan.kill_hits = hits;
+  io::FaultyFileOps faulty(io::real_file_ops(), fs_plan);
+  try {
+    (void)io::generate_durable(faulty, kp, opt);
+  } catch (const io::killed_at&) {
+    return true;
+  }
+  return false;
+}
+
+/// Shard `shard`'s records, from its only segment.
+std::vector<std::pair<index_t, index_t>> records_of(const std::string& dir,
+                                                    index_t shard) {
+  std::vector<std::pair<index_t, index_t>> recs;
+  io::read_segment(io::real_file_ops(),
+                   dir + "/" + io::segment_name(shard, 0))
+      .for_each_edge([&](index_t p, index_t q) { recs.emplace_back(p, q); });
+  return recs;
+}
+
+/// Rewrite shard `shard`'s only segment with `recs` and re-chain the
+/// manifest, so every checksum and chain hash of the store is valid.
+void reseal(const kron::BipartiteKronecker& kp, const std::string& dir,
+            index_t shard,
+            const std::vector<std::pair<index_t, index_t>>& recs) {
+  auto& ops = io::real_file_ops();
+  io::SegmentHeader h;
+  h.spec_hash = io::spec_hash(kp);
+  h.shard = shard;
+  h.num_edges = static_cast<count_t>(recs.size());
+  io::SegmentBuffer buf(h.num_edges);
+  for (const auto& [p, q] : recs) buf.push(p, q);
+  std::uint64_t chain = kFnvBasis;
+  (void)buf.seal(h, chain);
+  io::publish_segment(ops, dir, buf);
+  auto man = *io::read_manifest(ops, dir);
+  man.shards[static_cast<std::size_t>(shard)].chain_hash = chain;
+  io::write_manifest(ops, dir, man);
+}
 
 /// Collect every survivor's report and require them to be identical on
 /// the fields the supervisor aggregates.
@@ -370,7 +433,6 @@ struct ReportCollector {
       EXPECT_EQ(r.ground_truth, reports.front().ground_truth);
       EXPECT_EQ(r.verified, reports.front().verified);
       EXPECT_EQ(r.dead_ranks, reports.front().dead_ranks);
-      EXPECT_EQ(r.checkpoints_restored, reports.front().checkpoints_restored);
       EXPECT_EQ(r.left_rows_reassigned, reports.front().left_rows_reassigned);
     }
   }
@@ -380,8 +442,12 @@ TEST(Recovery, CleanSupervisedRunVerifies) {
   const auto kp = sample_product(31);
   const count_t expect = kron::global_squares(kp);
   const kron::PartitionedStream ps(kp, 4);
+  const TempDir dir("recovery_clean");
+  (void)io::generate_durable(io::real_file_ops(), kp,
+                             store_options(dir.path()));
   run(4, [&](Comm& comm) {
-    const auto report = supervised_global_butterflies(comm, kp, ps);
+    const auto report = supervised_global_butterflies(
+        comm, kp, ps, io::real_file_ops(), dir.path());
     EXPECT_TRUE(report.verified);
     EXPECT_EQ(report.counted, expect);
     EXPECT_EQ(report.ground_truth, expect);
@@ -390,18 +456,25 @@ TEST(Recovery, CleanSupervisedRunVerifies) {
   });
 }
 
-// The acceptance scenario: messages dropped and duplicated at ~1% (scaled
-// by KRONLAB_FAULT_RATE in CI), rank 1 killed mid-generation, recovery
-// from its last checkpoint — and the recovered distributed count must be
-// bit-identical to the factored ground truth.
-TEST(Recovery, KillMidGenerationRestoresCheckpointAndVerifies) {
+// The acceptance scenario: the store's generation is killed and resumed,
+// then messages are dropped and duplicated at ~1% (scaled by
+// KRONLAB_FAULT_RATE in CI) and rank 1 dies mid-load; its survivor loads
+// rank 1's shard from the store, and the recovered distributed count
+// must be bit-identical to the factored ground truth.
+TEST(Recovery, KillMidGenerationResumesAndVerifies) {
   const auto kp = sample_product(32);
   const count_t expect = kron::global_squares(kp);
   const kron::PartitionedStream ps(kp, 4);
-  // Rank 1 must run >= 2 generation blocks so a checkpoint exists when the
-  // second "gen-block" fault point kills it.
   const auto [llo, lhi] = ps.owned_left_rows(1);
-  ASSERT_GE(lhi - llo, 2);
+  const TempDir dir("recovery_resume");
+  auto opt = store_options(dir.path());
+  ASSERT_TRUE(generate_until_killed(kp, opt, "segment:rename:after", 5));
+  opt.resume = true;
+  const auto resumed = io::generate_durable(io::real_file_ops(), kp, opt);
+  EXPECT_GT(resumed.edges_resumed, 0);
+  // More than two segments, so the second "load-segment" point is
+  // mid-shard.
+  ASSERT_GT(resumed.manifest.shards[1].segments, 2);
 
   const double s = fault_rate_scale();
   FaultPlan plan;
@@ -409,122 +482,116 @@ TEST(Recovery, KillMidGenerationRestoresCheckpointAndVerifies) {
   plan.drop = std::min(0.01 * s, 0.2);
   plan.duplicate = std::min(0.01 * s, 0.2);
   plan.kill_rank = 1;
-  plan.kill_point = "gen-block";
+  plan.kill_point = "load-segment";
   plan.kill_hits = 2;
-
-  const TempDir ckpt_dir("faults_restore");
-  CheckpointConfig ckpt;
-  ckpt.dir = ckpt_dir.path();
-  ckpt.interval_left_rows = 1;
 
   ReportCollector collector;
   run(4, plan, [&](Comm& comm) {
-    const auto report = supervised_global_butterflies(comm, kp, ps, ckpt);
+    const auto report = supervised_global_butterflies(
+        comm, kp, ps, io::real_file_ops(), dir.path());
     collector.add(report);
     EXPECT_TRUE(report.verified);
     EXPECT_EQ(report.counted, expect);
     EXPECT_EQ(report.ground_truth, expect);
     EXPECT_TRUE(report.shard_stats_ok);
     EXPECT_EQ(report.dead_ranks, (std::vector<index_t>{1}));
-    EXPECT_EQ(report.checkpoints_restored, 1);
     EXPECT_EQ(report.left_rows_reassigned, lhi - llo);
-    EXPECT_GT(report.checkpoints_written, 0);
   });
   collector.expect_consistent(3);
 }
 
-TEST(Recovery, KillWithoutCheckpointsRegeneratesFromFactors) {
+TEST(Recovery, TornTailIsDiscardedByResumeAndVerifies) {
   const auto kp = sample_product(33);
   const count_t expect = kron::global_squares(kp);
   const kron::PartitionedStream ps(kp, 4);
   const auto [llo, lhi] = ps.owned_left_rows(2);
+  const TempDir dir("recovery_torn");
+  auto opt = store_options(dir.path());
+  // A torn segment .tmp, then an uncommitted tail far past shard 2's
+  // committed range: resume discards both and completes the store.
+  ASSERT_TRUE(generate_until_killed(kp, opt, "segment:write:torn", 3));
+  std::ofstream(dir.file(io::segment_name(2, 999)), std::ios::binary)
+      << "not a segment";
+  opt.resume = true;
+  const auto resumed = io::generate_durable(io::real_file_ops(), kp, opt);
+  EXPECT_GE(resumed.discarded_files, 2);
 
+  // Rank 2 dies before its first segment: rank 1 loads the whole shard.
   FaultPlan plan;
   plan.seed = 505;
   plan.kill_rank = 2;
-  plan.kill_point = "gen-block";
-  plan.kill_hits = 1;
-
+  plan.kill_point = "load-segment";
   run(4, plan, [&](Comm& comm) {
-    // ckpt disabled: the survivor regenerates the whole dead range.
-    const auto report = supervised_global_butterflies(comm, kp, ps);
+    const auto report = supervised_global_butterflies(
+        comm, kp, ps, io::real_file_ops(), dir.path());
     EXPECT_TRUE(report.verified);
     EXPECT_EQ(report.counted, expect);
     EXPECT_EQ(report.dead_ranks, (std::vector<index_t>{2}));
-    EXPECT_EQ(report.checkpoints_written, 0);
-    EXPECT_EQ(report.checkpoints_restored, 0);
     EXPECT_EQ(report.left_rows_reassigned, lhi - llo);
   });
 }
 
-TEST(Recovery, CorruptCheckpointFallsBackToRegeneration) {
+TEST(Recovery, CorruptCommittedSegmentIsRejected) {
+  // Per scan_store's invariants a committed segment that fails its
+  // checksum is a corrupt store, not a crash window: the run surfaces
+  // it and never regenerates around it.
   const auto kp = sample_product(34);
-  const count_t expect = kron::global_squares(kp);
   const kron::PartitionedStream ps(kp, 4);
-  const auto [llo, lhi] = ps.owned_left_rows(1);
-  ASSERT_GE(lhi - llo, 2);
-
-  FaultPlan plan;
-  plan.seed = 606;
-  plan.kill_rank = 1;
-  plan.kill_point = "gen-block";
-  plan.kill_hits = 2;
-
-  const TempDir ckpt_dir("faults_corrupt");
-  CheckpointConfig ckpt;
-  ckpt.dir = ckpt_dir.path();
-  ckpt.interval_left_rows = 1;
-
-  // Run once to produce rank 1's genuine checkpoint, flip one byte of the
-  // payload checksum, and drive recovery a second time with an interval so
-  // coarse that the killed rank never overwrites the corrupt file.
-  run(4, plan, [&](Comm& comm) {
-    supervised_global_butterflies(comm, kp, ps, ckpt);
-  });
+  const TempDir dir("recovery_corrupt");
+  (void)io::generate_durable(io::real_file_ops(), kp,
+                             store_options(dir.path()));
   {
-    const auto path = checkpoint_path(ckpt, 1);
-    ASSERT_TRUE(std::filesystem::exists(path));
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    std::fstream f(dir.file(io::segment_name(1, 1)),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    const auto at = static_cast<std::streamoff>(
+        io::kSegmentHeadWords * sizeof(std::int64_t) + 3);
     char b = 0;
-    f.seekg(-1, std::ios::end);
+    f.seekg(at);
     f.get(b);
-    f.seekp(-1, std::ios::end);
-    f.put(static_cast<char>(b ^ 0x5a));
+    f.seekp(at);
+    f.put(static_cast<char>(b ^ 0x10));
   }
-  FaultPlan early_kill = plan;
-  early_kill.kill_hits = 1;
-  CheckpointConfig coarse = ckpt;
-  coarse.interval_left_rows = 1 << 20; // one block: no snapshot rewritten
-  run(4, early_kill, [&](Comm& comm) {
-    const auto report =
-        supervised_global_butterflies(comm, kp, ps, coarse);
-    // The checksum rejects the planted file; recovery regenerates and the
-    // self-verification still passes bit-identically.
-    EXPECT_TRUE(report.verified);
-    EXPECT_EQ(report.counted, expect);
-    EXPECT_EQ(report.checkpoints_restored, 0);
-  });
+  // Rank 1 meets the flip itself, or dies before it and the survivor
+  // that loads its shard does.
+  FaultPlan survivor_meets_it;
+  survivor_meets_it.kill_rank = 1;
+  survivor_meets_it.kill_point = "load-segment";
+  for (const auto& plan : {FaultPlan{}, survivor_meets_it}) {
+    EXPECT_THROW(run(4, plan,
+                     [&](Comm& comm) {
+                       (void)supervised_global_butterflies(
+                           comm, kp, ps, io::real_file_ops(), dir.path());
+                     }),
+                 validation_error);
+  }
 }
 
 TEST(Recovery, SupervisorDeathIsRejected) {
   const auto kp = sample_product(35);
   const kron::PartitionedStream ps(kp, 3);
+  const TempDir dir("recovery_supervisor");
+  (void)io::generate_durable(io::real_file_ops(), kp,
+                             store_options(dir.path(), 3));
   FaultPlan plan;
   plan.kill_rank = 0;
-  plan.kill_point = "gen-block";
+  plan.kill_point = "load-segment";
   EXPECT_THROW(run(3, plan,
                    [&](Comm& comm) {
-                     supervised_global_butterflies(comm, kp, ps);
+                     (void)supervised_global_butterflies(
+                         comm, kp, ps, io::real_file_ops(), dir.path());
                    }),
                invalid_argument);
 }
 
 TEST(Recovery, KillAndMessageFaultsCombined) {
-  // Everything at once: drops, duplicates, reorders, and a mid-generation
-  // kill with checkpoint restore — the full production nightmare.
+  // Everything at once: drops, duplicates, reorders, and a mid-load kill
+  // whose shard a survivor loads — the full production nightmare.
   const auto kp = sample_product(36);
   const count_t expect = kron::global_squares(kp);
   const kron::PartitionedStream ps(kp, 4);
+  const TempDir dir("recovery_combined");
+  (void)io::generate_durable(io::real_file_ops(), kp,
+                             store_options(dir.path()));
   const double s = fault_rate_scale();
   FaultPlan plan;
   plan.seed = 707;
@@ -532,23 +599,124 @@ TEST(Recovery, KillAndMessageFaultsCombined) {
   plan.duplicate = std::min(0.05 * s, 0.25);
   plan.delay = std::min(0.05 * s, 0.25);
   plan.kill_rank = 3;
-  plan.kill_point = "gen-block";
+  plan.kill_point = "load-segment";
   plan.kill_hits = 2;
-
-  const TempDir ckpt_dir("faults_combined");
-  CheckpointConfig ckpt;
-  ckpt.dir = ckpt_dir.path();
-  ckpt.interval_left_rows = 1;
 
   ReportCollector collector;
   run(4, plan, [&](Comm& comm) {
-    const auto report = supervised_global_butterflies(comm, kp, ps, ckpt);
+    const auto report = supervised_global_butterflies(
+        comm, kp, ps, io::real_file_ops(), dir.path());
     collector.add(report);
     EXPECT_TRUE(report.verified);
     EXPECT_EQ(report.counted, expect);
     EXPECT_EQ(report.dead_ranks, (std::vector<index_t>{3}));
   });
   collector.expect_consistent(3);
+}
+
+TEST(Recovery, DegreePreservingSwapIsNeverVerified) {
+  // A generator bug that swaps the endpoints of two edges keeps every row
+  // degree, and a store resealed around it passes every byte check; the
+  // supervised run must still never call it verified.
+  const auto kp = sample_product(37);
+  const count_t expect = kron::global_squares(kp);
+  const kron::PartitionedStream ps(kp, 4);
+  const TempDir dir("recovery_swap");
+  // One segment per shard, so the last one holds many rows to swap in.
+  auto opt = store_options(dir.path());
+  opt.segment_edges = 1 << 14;
+  (void)io::generate_durable(io::real_file_ops(), kp, opt);
+
+  // Swap the columns of two records in different rows of shard 1's last
+  // (and only) committed segment, such that both rows stay strictly
+  // ascending and the direct 4-cycle count changes.  Resealed, the store
+  // passes every checksum and chain-hash check.
+  const auto c = kp.materialize();
+  const auto slot = [&](index_t p, index_t q) {
+    const auto cols = c.row_cols(p);
+    return static_cast<std::size_t>(
+        std::lower_bound(cols.begin(), cols.end(), q) - cols.begin());
+  };
+  const auto fits = [&](index_t p, index_t q_old, index_t q_new) {
+    const auto cols = c.row_cols(p);
+    const std::size_t k = slot(p, q_old);
+    return (k == 0 || cols[k - 1] < q_new) &&
+           (k + 1 == cols.size() || q_new < cols[k + 1]);
+  };
+  auto recs = records_of(dir.path(), 1);
+  std::optional<std::pair<std::size_t, std::size_t>> swap;
+  for (std::size_t a = 0; a < recs.size() && !swap; ++a) {
+    for (std::size_t b = a + 1; b < recs.size() && !swap; ++b) {
+      const auto [pa, qa] = recs[a];
+      const auto [pb, qb] = recs[b];
+      if (pa == pb || qa == qb || !fits(pa, qa, qb) || !fits(pb, qb, qa)) {
+        continue;
+      }
+      auto cols = c.col_idx();
+      cols[static_cast<std::size_t>(c.row_ptr()[pa]) + slot(pa, qa)] = qb;
+      cols[static_cast<std::size_t>(c.row_ptr()[pb]) + slot(pb, qb)] = qa;
+      const grb::Csr<count_t> mutated(c.nrows(), c.ncols(), c.row_ptr(),
+                                      std::move(cols), c.vals());
+      if (graph::global_butterflies(mutated) != expect) swap = {{a, b}};
+    }
+  }
+  ASSERT_TRUE(swap) << "no count-changing degree-preserving swap found";
+  std::swap(recs[swap->first].second, recs[swap->second].second);
+
+  reseal(kp, dir.path(), 1, recs);
+
+  try {
+    run(4, [&](Comm& comm) {
+      const auto report = supervised_global_butterflies(
+          comm, kp, ps, io::real_file_ops(), dir.path());
+      EXPECT_FALSE(report.verified);
+      EXPECT_NE(report.counted, report.ground_truth);
+    });
+  } catch (const validation_error&) {
+    // load_shard refused the store: not verified either.
+  }
+}
+
+TEST(Recovery, LoadShardRejectsStoresThatDoNotFitThePartition) {
+  // Every mismatch is a validation_error raised before the Csr
+  // constructor could throw invalid_argument.
+  const auto kp = sample_product(38);
+  const kron::PartitionedStream ps(kp, 4);
+  const TempDir dir("recovery_layout");
+  auto opt = store_options(dir.path());
+  opt.segment_edges = 1 << 14;
+  auto& ops = io::real_file_ops();
+  (void)io::generate_durable(ops, kp, opt);
+  const auto load = [&] {
+    (void)load_shard(ops, dir.path(), kp, ps, 1);
+  };
+  EXPECT_NO_THROW(load());
+  const auto other = sample_product(39);
+  EXPECT_THROW((void)load_shard(ops, dir.path(), other,
+                                kron::PartitionedStream(other, 4), 1),
+               validation_error);
+  EXPECT_THROW((void)load_shard(ops, dir.path(), kp,
+                                kron::PartitionedStream(kp, 3), 1),
+               validation_error);
+
+  const auto recs = records_of(dir.path(), 1);
+  ASSERT_EQ(recs[0].first, recs[1].first);
+  auto unsorted = recs;
+  std::swap(unsorted[0].second, unsorted[1].second);
+  auto wrong_row = recs;
+  wrong_row[0].first += 1;
+  auto out_of_range = recs;
+  out_of_range.back().second = kp.num_vertices();
+  for (const auto& bad : {unsorted, wrong_row, out_of_range}) {
+    reseal(kp, dir.path(), 1, bad);
+    EXPECT_THROW(load(), validation_error);
+  }
+
+  reseal(kp, dir.path(), 1, recs);
+  auto man = *io::read_manifest(ops, dir.path());
+  man.shards[1].edges -= 1; // an incomplete shard
+  io::write_manifest(ops, dir.path(), man);
+  EXPECT_THROW(load(), validation_error);
 }
 
 } // namespace

@@ -127,14 +127,12 @@ TEST(BinaryIo, ChecksumDetectsValueBitFlip) {
   }
 }
 
-namespace {
-
-/// Flip every bit of `good` in turn and hand each corrupt copy to
-/// `read`.  Every flip must raise io_error: none may be accepted, and
-/// none may escape as another exception (e.g. std::bad_alloc from a
-/// header count that the reader trusted before it had the bytes).
-template <class Read>
-void expect_every_bit_flip_is_io_error(const std::string& good, Read read) {
+TEST(BinaryIo, EveryBitFlipIsTypedError) {
+  // Every flip must raise io_error: none may be accepted, and none may
+  // escape as another exception (e.g. std::bad_alloc from a header count
+  // that the reader trusted before it had the bytes).
+  Rng rng(7);
+  const std::string good = serialized(gen::random_bipartite(6, 6, 14, rng));
   int escaped = 0;
   for (std::size_t byte = 0; byte < good.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
@@ -142,7 +140,7 @@ void expect_every_bit_flip_is_io_error(const std::string& good, Read read) {
       data[byte] = static_cast<char>(data[byte] ^ (1 << bit));
       auto in = as_stream(data);
       try {
-        (void)read(in);
+        (void)read_binary(in);
         ADD_FAILURE() << "flip of byte " << byte << " bit " << bit
                       << " was accepted";
       } catch (const io_error&) {
@@ -155,26 +153,6 @@ void expect_every_bit_flip_is_io_error(const std::string& good, Read read) {
     }
   }
   EXPECT_EQ(escaped, 0);
-}
-
-} // namespace
-
-TEST(BinaryIo, EveryBitFlipIsTypedError) {
-  Rng rng(7);
-  const std::string good = serialized(gen::random_bipartite(6, 6, 14, rng));
-  expect_every_bit_flip_is_io_error(
-      good, [](std::istream& in) { return read_binary(in); });
-}
-
-TEST(Snapshot, EveryBitFlipIsTypedError) {
-  Rng rng(12);
-  SnapshotEnvelope snap;
-  snap.meta = {3, -1, 1'000'000};
-  snap.payload = gen::random_bipartite(6, 6, 14, rng);
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  write_snapshot(buf, snap);
-  expect_every_bit_flip_is_io_error(
-      buf.str(), [](std::istream& in) { return read_snapshot(in); });
 }
 
 TEST(BinaryIo, RejectsLegacyV1ByDefault) {
@@ -208,87 +186,6 @@ TEST(BinaryIo, RejectsNnzExceedingMatrixCapacity) {
   } catch (const io_error& e) {
     EXPECT_NE(std::string(e.what()).find("exceeds"), std::string::npos);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot envelope (the distributed checkpoint format).
-
-TEST(Snapshot, RoundTripsMetaAndPayload) {
-  Rng rng(9);
-  SnapshotEnvelope snap;
-  snap.meta = {1, 42, -7, 1'000'000};
-  snap.payload = gen::random_bipartite(5, 9, 20, rng);
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  write_snapshot(buf, snap);
-  const auto back = read_snapshot(buf);
-  EXPECT_EQ(back.meta, snap.meta);
-  EXPECT_EQ(back.payload, snap.payload);
-}
-
-TEST(Snapshot, FileRoundTripIsAtomic) {
-  const test_support::TempDir dir("snapshot");
-  const std::string path = dir.file("snapshot.ckpt");
-  Rng rng(10);
-  SnapshotEnvelope snap;
-  snap.meta = {1, 2, 3};
-  snap.payload = gen::random_bipartite(4, 4, 9, rng);
-  write_snapshot_file(path, snap);
-  std::ifstream tmp(path + ".tmp");
-  EXPECT_FALSE(tmp.good()) << "temp file left behind after rename";
-  const auto back = read_snapshot_file(path);
-  EXPECT_EQ(back.meta, snap.meta);
-  EXPECT_EQ(back.payload, snap.payload);
-}
-
-TEST(Snapshot, MetaCorruptionIsDetected) {
-  SnapshotEnvelope snap;
-  snap.meta = {5, 6, 7};
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  write_snapshot(buf, snap);
-  std::string data = buf.str();
-  data[8 + 8 + 4] ^= 0x10; // flip a bit inside meta[0]
-  auto bad = as_stream(data);
-  try {
-    (void)read_snapshot(bad);
-    FAIL() << "corrupt metadata accepted";
-  } catch (const io_error& e) {
-    EXPECT_NE(std::string(e.what()).find("metadata checksum"),
-              std::string::npos);
-  }
-}
-
-TEST(Snapshot, PayloadCorruptionIsDetected) {
-  Rng rng(11);
-  SnapshotEnvelope snap;
-  snap.meta = {1};
-  snap.payload = gen::random_bipartite(4, 4, 10, rng);
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  write_snapshot(buf, snap);
-  std::string data = buf.str();
-  data[data.size() - 9] ^= 0x01; // inside the embedded CSR's last value
-  auto bad = as_stream(data);
-  EXPECT_THROW(read_snapshot(bad), io_error);
-}
-
-TEST(Snapshot, RejectsTruncationAndBadMagic) {
-  SnapshotEnvelope snap;
-  snap.meta = {1, 2};
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  write_snapshot(buf, snap);
-  std::string data = buf.str();
-  data.resize(20); // cut inside the metadata
-  auto cut = as_stream(data);
-  EXPECT_THROW(read_snapshot(cut), io_error);
-  auto wrong = as_stream("KRNLCSR2whatever........");
-  EXPECT_THROW(read_snapshot(wrong), io_error);
-}
-
-TEST(Snapshot, RejectsImplausibleMetaLength) {
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  buf.write("KRNLCKP1", 8);
-  const std::int64_t n_meta = std::int64_t{1} << 30;
-  buf.write(reinterpret_cast<const char*>(&n_meta), sizeof n_meta);
-  EXPECT_THROW(read_snapshot(buf), io_error);
 }
 
 } // namespace

@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
@@ -26,6 +25,7 @@
 #include "kronlab/obs/stats.hpp"
 #include "kronlab/obs/trace.hpp"
 #include "kronlab/parallel/parallel_for.hpp"
+#include "support/temp_dir.hpp"
 
 namespace kronlab::trace {
 namespace {
@@ -224,12 +224,10 @@ TEST_F(TraceTest, BinaryRoundTripIsLossless) {
   const auto before = snapshot();
   ASSERT_EQ(before.size(), 3u);
 
-  const auto path = (std::filesystem::temp_directory_path() /
-                     "kronlab_test_roundtrip.trace")
-                        .string();
+  const test_support::TempDir dir("trace_roundtrip");
+  const auto path = dir.file("roundtrip.trace");
   write_binary_file(path, before);
   const TraceFile after = read_binary_file(path);
-  std::filesystem::remove(path);
 
   EXPECT_GT(after.epoch_unix_ns, 0u);
   ASSERT_EQ(after.events.size(), before.size());
@@ -247,12 +245,10 @@ TEST_F(TraceTest, BinaryRoundTripIsLossless) {
 }
 
 TEST_F(TraceTest, CorruptBinaryFilesAreRejected) {
-  const auto dir = std::filesystem::temp_directory_path();
-  const auto missing = (dir / "kronlab_test_missing.trace").string();
-  std::filesystem::remove(missing);
-  EXPECT_THROW(read_binary_file(missing), io_error);
+  const test_support::TempDir dir("trace_corrupt");
+  EXPECT_THROW(read_binary_file(dir.file("missing.trace")), io_error);
 
-  const auto bad = (dir / "kronlab_test_badmagic.trace").string();
+  const auto bad = dir.file("badmagic.trace");
   {
     std::FILE* f = std::fopen(bad.c_str(), "wb");
     ASSERT_NE(f, nullptr);
@@ -260,7 +256,6 @@ TEST_F(TraceTest, CorruptBinaryFilesAreRejected) {
     std::fclose(f);
   }
   EXPECT_THROW(read_binary_file(bad), io_error);
-  std::filesystem::remove(bad);
 }
 
 TEST_F(TraceTest, ChromeJsonCarriesEventsAndSchema) {
