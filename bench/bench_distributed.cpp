@@ -261,7 +261,7 @@ int main(int argc, char** argv) {
             rep.verified && rep.counted == truth ? 1.0 : 0.0);
   if (!rep.verified || rep.counted != truth || !clean_rep.verified) return 1;
 
-  // Under --trace <dir>, split the timeline into per-rank binary traces —
+  // Under --trace <dir>, split the timeline into per-rank trace files —
   // the miniature of each MPI rank writing its own file — for
   // `kronlab_trace convert` to merge back into one clock-aligned view.
   if (!h.trace_dir().empty()) {
@@ -274,9 +274,9 @@ int main(int argc, char** argv) {
       }
       const std::string path =
           (std::filesystem::path(h.trace_dir()) /
-           ("rank_" + std::to_string(r) + ".trace"))
+           ("rank_" + std::to_string(r) + ".json"))
               .string();
-      trace::write_binary_file(path, mine);
+      trace::write_chrome_file(path, mine);
       std::fprintf(stderr, "[bench harness] wrote %s (%zu events)\n",
                    path.c_str(), mine.size());
     }

@@ -8,13 +8,6 @@
 // sustained queries/sec plus p50/p99 frame latency in the
 // kronlab-bench-v1 JSON schema (counters qps, p50_ms, p99_ms).
 //
-// The telemetry cost (EXPERIMENTS.md X18, budgeted at <= 2%) is measured
-// with interleaved paired rounds: several alternating off/on sub-runs,
-// comparing the best round of each arm.  A single off-then-on pair is
-// useless on a shared machine — a control with telemetry disabled in
-// BOTH arms still reports "overhead" anywhere from -29% to +6% from
-// scheduling drift alone; best-of-k per arm cancels that drift.
-//
 // The serve path itself is traced (one "request" span per frame), so a
 // --trace run doubles as the CI check that the daemon's spans appear in
 // kronlab_trace summary.
@@ -26,7 +19,6 @@
 
 #include "harness/harness.hpp"
 #include "kronlab/kronlab.hpp"
-#include "kronlab/obs/stats.hpp"
 
 using namespace kronlab;
 
@@ -136,42 +128,9 @@ int main(int argc, char** argv) {
     }
     for (auto& t : threads) t.join();
   };
-  const auto qps_of = [&] {
-    double seconds = 0;
-    std::uint64_t probes = 0;
-    for (const auto& r : results) {
-      seconds = std::max(seconds, r.seconds);
-      probes += r.probes;
-    }
-    return seconds > 0 ? static_cast<double>(probes) / seconds : 0.0;
-  };
-
-  // Warm caches and code paths so the off/on comparison below is not
-  // just measuring first-touch effects.
+  // Warm caches and code paths so the timed load is not just measuring
+  // first-touch effects.
   run_load(std::max(1, frames / 8), /*seed_base=*/0xC0FFEEull);
-
-  // Paired rounds, alternating telemetry off (every record() is one
-  // relaxed load and a branch) and on, same per-round frame budget and
-  // seeds.  Best-of per arm: environmental slowdowns only ever subtract
-  // throughput, so the max over rounds is each arm's least-disturbed
-  // measurement.
-  const int pair_rounds = h.quick() ? 3 : 5;
-  const int pair_frames = std::max(64, frames / 4);
-  double qps_off = 0, qps_on = 0;
-  h.time_section(
-      "serve/load_stats_off",
-      [&] {
-        for (int round = 0; round < pair_rounds; ++round) {
-          const auto seed = 0xD15ABull + std::uint64_t(round) * 0x1000;
-          obs::set_stats_enabled(false);
-          run_load(pair_frames, seed);
-          qps_off = std::max(qps_off, qps_of());
-          obs::set_stats_enabled(true);
-          run_load(pair_frames, seed + 0x800);
-          qps_on = std::max(qps_on, qps_of());
-        }
-      },
-      /*default_reps=*/1);
 
   h.time_section("serve/load",
                  [&] { run_load(frames, /*seed_base=*/0x5EEDull); },
@@ -191,15 +150,11 @@ int main(int argc, char** argv) {
       seconds > 0 ? static_cast<double>(total_probes) / seconds : 0;
   const double p50 = percentile(latencies, 0.50);
   const double p99 = percentile(latencies, 0.99);
-  const double overhead_pct =
-      qps_off > 0 ? (qps_off - qps_on) / qps_off * 100.0 : 0.0;
   h.counter("total_probes", static_cast<double>(total_probes));
   h.counter("total_frames", static_cast<double>(total_frames));
   h.counter("qps", qps);
   h.counter("p50_ms", p50);
   h.counter("p99_ms", p99);
-  h.counter("qps_stats_off", qps_off);
-  h.counter("stats_overhead_pct", overhead_pct);
 
   server.stop();
   h.counter("in_flight_after_stop", static_cast<double>(server.in_flight()));
@@ -209,8 +164,5 @@ int main(int argc, char** argv) {
   std::printf("  sustained    : %.0f probes/s (%.0f frames/s)\n", qps,
               seconds > 0 ? static_cast<double>(total_frames) / seconds : 0);
   std::printf("  frame latency: p50 %.3f ms, p99 %.3f ms\n", p50, p99);
-  std::printf("  stats overhead: %.2f%% (best of %d paired rounds: "
-              "%.0f off vs %.0f on probes/s)\n",
-              overhead_pct, pair_rounds, qps_off, qps_on);
   return 0;
 }

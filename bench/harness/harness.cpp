@@ -236,12 +236,9 @@ void Harness::export_trace() {
       std::fprintf(stderr, "[bench harness] wrote %s\n",
                    opt_.trace_path.c_str());
     } else {
-      const std::string bin = trace_dir_ + "/trace.bin";
       const std::string json = trace_dir_ + "/trace.json";
-      trace::write_binary_file(bin, events);
       trace::write_chrome_file(json, events);
-      std::fprintf(stderr, "[bench harness] wrote %s and %s\n", bin.c_str(),
-                   json.c_str());
+      std::fprintf(stderr, "[bench harness] wrote %s\n", json.c_str());
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench harness: trace export failed: %s\n",
@@ -251,8 +248,9 @@ void Harness::export_trace() {
   if (const auto dropped = trace::dropped_events()) {
     std::fprintf(stderr,
                  "[bench harness] trace ring overflow: %llu events lost "
-                 "(raise KRONLAB_TRACE_BUFFER)\n",
-                 static_cast<unsigned long long>(dropped));
+                 "(each thread keeps its newest %zu)\n",
+                 static_cast<unsigned long long>(dropped),
+                 trace::kRingEvents);
   }
 }
 

@@ -23,8 +23,8 @@
 //   --trace PATH   enable obs/trace recording and export the timeline on
 //                  exit.  PATH ending in ".json" writes Chrome trace JSON
 //                  only; anything else is treated as a directory that
-//                  receives trace.bin + trace.json (and, for distributed
-//                  benches, per-rank rank_<r>.trace files).
+//                  receives trace.json (and, for distributed benches,
+//                  per-rank rank_<r>.json files).
 
 #pragma once
 

@@ -5,9 +5,9 @@ prints, produced by Server::stats_text).
 Checks, in order:
 
   1. Parses as JSON with schema == "kronlab-stats-v1".
-  2. Required top-level keys, each of the right shape: stats_enabled
-     (bool), uptime_seconds (non-negative number), server (object),
-     probes_by_op / counters / gauges / histograms (objects).
+  2. Required top-level keys, each of the right shape: uptime_seconds
+     (non-negative number), server (object), probes_by_op / counters /
+     gauges / histograms (objects).
   3. The server section carries every serve counter as a non-negative
      integer.
   4. Every histogram entry has count/mean_us/p50_us/p90_us/p99_us/max_us,
@@ -15,7 +15,7 @@ Checks, in order:
      whenever the histogram is non-empty.
   5. Each --require-hist NAME exists and has count >= 1 — the CI smoke
      uses this to prove the daemon actually recorded latency for the
-     probes the smoke sent (a silently disabled registry fails here).
+     probes the smoke sent (a registry that recorded nothing fails here).
 
 Exit status: 0 valid, 1 validation failure, 2 usage/io error.
 """
@@ -56,8 +56,6 @@ def check(doc, require_hist: list[str]) -> None:
         fail("top level is not an object")
     if doc.get("schema") != "kronlab-stats-v1":
         fail(f"schema is {doc.get('schema')!r}, expected 'kronlab-stats-v1'")
-    if not isinstance(doc.get("stats_enabled"), bool):
-        fail("stats_enabled missing or not a bool")
     up = doc.get("uptime_seconds")
     if not is_num(up) or up < 0:
         fail("uptime_seconds missing or negative")

@@ -33,12 +33,6 @@ inline constexpr const char* kThreads = "KRONLAB_THREADS";
 /// Enable the tracing subsystem (spans/instants/counters).
 inline constexpr const char* kTrace = "KRONLAB_TRACE";
 
-/// Per-thread trace ring-buffer capacity (events).
-inline constexpr const char* kTraceBuffer = "KRONLAB_TRACE_BUFFER";
-
-/// Enable the live-telemetry metrics registry (counters/gauges/histograms).
-inline constexpr const char* kStats = "KRONLAB_STATS";
-
 /// Structured-log threshold: debug|info|warn|error|off (default info).
 inline constexpr const char* kLog = "KRONLAB_LOG";
 
@@ -60,9 +54,6 @@ inline constexpr char kSeg1[8] = {'K', 'R', 'N', 'L', 'S', 'E', 'G', '1'};
 
 /// Durable store manifest (io/durable.hpp).
 inline constexpr char kMan1[8] = {'K', 'R', 'N', 'L', 'M', 'A', 'N', '1'};
-
-/// Binary trace file (obs/trace.hpp).
-inline constexpr char kTrc1[8] = {'K', 'R', 'N', 'L', 'T', 'R', 'C', '1'};
 
 // --- wire protocols --------------------------------------------------------
 

@@ -5,31 +5,12 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
-#include "kronlab/common/registry.hpp"
 #include "kronlab/common/sync.hpp"
 #include "kronlab/obs/trace.hpp"
 
 namespace kronlab::obs {
-namespace {
-
-bool env_stats_enabled() {
-  const char* v = std::getenv(env::kStats);
-  if (v == nullptr) return true; // default on
-  const std::string_view s(v);
-  return !(s == "0" || s == "off" || s == "false" || s.empty());
-}
-
-std::atomic<bool> g_enabled{env_stats_enabled()};
-
-} // namespace
-
-bool stats_enabled() { return g_enabled.load(std::memory_order_relaxed); }
-void set_stats_enabled(bool on) {
-  g_enabled.store(on, std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // Registry
@@ -127,19 +108,17 @@ thread_local const char* tl_kernel = nullptr;
 } // namespace
 
 KernelScope::KernelScope(Histogram& h, const char* name)
-    : h_(stats_enabled() ? &h : nullptr),
-      name_(trace::enabled() ? name : nullptr) {
+    : h_(&h), name_(trace::enabled() ? name : nullptr) {
   if (name_ != nullptr) {
     parent_ = tl_kernel;
     tl_kernel = name_;
   }
-  if (h_ != nullptr || name_ != nullptr) begin_ns_ = timer::now_ns();
+  begin_ns_ = timer::now_ns();
 }
 
 KernelScope::~KernelScope() {
-  if (h_ == nullptr && name_ == nullptr) return;
   const std::uint64_t end_ns = timer::now_ns();
-  if (h_ != nullptr) h_->record(end_ns - begin_ns_);
+  h_->record(end_ns - begin_ns_);
   if (name_ != nullptr) {
     tl_kernel = parent_;
     trace::emit_span("kernel", name_, begin_ns_, end_ns);
@@ -190,7 +169,6 @@ Histogram::Shard& Histogram::shard() {
 }
 
 void Histogram::record(std::uint64_t value) {
-  if (!stats_enabled()) return;
   Shard& s = shard();
   // Single writer per shard: plain load+store relaxed beats fetch_add
   // (no lock prefix) and stays race-free for concurrent snapshots.

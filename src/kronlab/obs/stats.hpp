@@ -7,20 +7,15 @@
 // request snapshots on a running daemon, what the bench harness folds
 // into kronlab-bench-v1 counters (p50/p99 per instrumented phase), and
 // what the stall watchdog samples.  Instrumented kernels (KRONLAB_KERNEL)
-// record into "kernel/<name>" histograms here too, under the same switch.
+// record into "kernel/<name>" histograms here too.
 //
-// Hot-path contract (the trace idiom, PR 4):
-//
-//  * Disabled (`KRONLAB_STATS=0`): every record call is one relaxed
-//    atomic load and a branch.  Nothing else — no clock read, no
-//    allocation, no shared-line write.
-//  * Enabled (the default): counters and gauges are single relaxed
-//    atomic RMWs on dedicated cache lines.  Histogram recording writes
-//    only the calling thread's shard — one relaxed load+store on a
-//    bucket the thread owns — so concurrent recorders never contend.
-//    Shards are merged under the registry mutex at snapshot time.  A
-//    thread that exits hands its shards, counts intact, to the next new
-//    recording thread, so shard memory follows the live thread count.
+// Hot-path contract: the registry always records.  Counters and gauges
+// are single relaxed atomic RMWs on dedicated cache lines.  Histogram
+// recording writes only the calling thread's shard — one relaxed
+// load+store on a bucket the thread owns — so concurrent recorders never
+// contend.  Shards are merged under the registry mutex at snapshot time.
+// A thread that exits hands its shards, counts intact, to the next new
+// recording thread, so shard memory follows the live thread count.
 //
 // Histogram buckets are logarithmic with 5 sub-bucket bits (HdrHistogram
 // style): values below 32 are exact, larger values land in one of 32
@@ -53,17 +48,11 @@
 
 namespace kronlab::obs {
 
-/// True when the registry records (default on; KRONLAB_STATS=0 disables).
-[[nodiscard]] bool stats_enabled();
-
-/// Turn recording on or off process-wide.
-void set_stats_enabled(bool on);
-
 /// Monotonically increasing event count.  add() is a relaxed fetch_add.
 class Counter {
 public:
   void add(std::uint64_t delta = 1) {
-    if (stats_enabled()) value_.fetch_add(delta, std::memory_order_relaxed);
+    value_.fetch_add(delta, std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t value() const {
     return value_.load(std::memory_order_relaxed);
@@ -78,11 +67,9 @@ private:
 /// store; add() is a relaxed fetch_add of a signed delta.
 class Gauge {
 public:
-  void set(std::int64_t v) {
-    if (stats_enabled()) value_.store(v, std::memory_order_relaxed);
-  }
+  void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
   void add(std::int64_t delta) {
-    if (stats_enabled()) value_.fetch_add(delta, std::memory_order_relaxed);
+    value_.fetch_add(delta, std::memory_order_relaxed);
   }
   [[nodiscard]] std::int64_t value() const {
     return value_.load(std::memory_order_relaxed);
@@ -147,18 +134,15 @@ private:
 };
 
 /// RAII latency sample: records now()-construction into `h` in ns.
-/// Inert (no clock read) when stats were disabled at construction.
 class LatencyScope {
 public:
-  explicit LatencyScope(Histogram& h)
-      : h_(&h), begin_ns_(stats_enabled() ? timer::now_ns() : 0) {}
+  explicit LatencyScope(Histogram& h) : h_(&h), begin_ns_(timer::now_ns()) {}
   /// Nullable form: pass nullptr for an inert scope (e.g. an unknown
   /// opcode with no per-verb histogram).
   explicit LatencyScope(Histogram* h)
-      : h_(h), begin_ns_(h != nullptr && stats_enabled() ? timer::now_ns()
-                                                         : 0) {}
+      : h_(h), begin_ns_(h != nullptr ? timer::now_ns() : 0) {}
   ~LatencyScope() {
-    if (begin_ns_ != 0) h_->record(timer::now_ns() - begin_ns_);
+    if (h_ != nullptr) h_->record(timer::now_ns() - begin_ns_);
   }
   LatencyScope(const LatencyScope&) = delete;
   LatencyScope& operator=(const LatencyScope&) = delete;
@@ -173,7 +157,7 @@ private:
 /// "kernel/<name>" histogram.  When tracing is on it also emits a
 /// "kernel" span and publishes `name` as this thread's innermost kernel,
 /// which the dynamic dispatchers use to label their per-worker
-/// "parallel" spans.  Inert (no clock read) with stats and tracing off.
+/// "parallel" spans.
 class KernelScope {
 public:
   /// `name` must outlive the trace (a string literal).
@@ -187,7 +171,7 @@ public:
   [[nodiscard]] static const char* current();
 
 private:
-  Histogram* h_;            ///< nullptr when stats were off at entry
+  Histogram* h_;
   const char* name_;        ///< nullptr when tracing was off at entry
   const char* parent_ = nullptr;
   std::uint64_t begin_ns_ = 0;
@@ -215,9 +199,7 @@ public:
   static constexpr std::uint32_t kPeriod = 8;
   /// Nullable: pass nullptr for an inert scope.
   explicit SampledLatencyScope(Histogram* h)
-      : h_(h != nullptr && stats_enabled() && h->tick_sample(kPeriod)
-               ? h
-               : nullptr),
+      : h_(h != nullptr && h->tick_sample(kPeriod) ? h : nullptr),
         begin_ns_(h_ != nullptr ? timer::now_ns() : 0) {}
   ~SampledLatencyScope() {
     if (h_ != nullptr) h_->record(timer::now_ns() - begin_ns_);

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -23,14 +25,6 @@ namespace {
 std::atomic<bool> g_enabled{[] {
   const char* env = std::getenv(kronlab::env::kTrace);
   return env != nullptr && env[0] != '\0' && env[0] != '0';
-}()};
-
-std::atomic<std::size_t> g_capacity{[]() -> std::size_t {
-  if (const char* env = std::getenv(kronlab::env::kTraceBuffer)) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) return static_cast<std::size_t>(n);
-  }
-  return 16384;
 }()};
 
 /// Fixed-size in-ring record.  Strings are stable pointers (literals or
@@ -52,8 +46,7 @@ struct RawEvent {
 struct ThreadBuffer {
   std::uint32_t tid = 0;
   std::string name;                ///< registry mutex guards writes
-  std::unique_ptr<RawEvent[]> ring;
-  std::size_t capacity = 0;
+  std::unique_ptr<RawEvent[]> ring; ///< kRingEvents slots once allocated
   std::atomic<std::uint64_t> head{0};
 };
 
@@ -87,12 +80,10 @@ ThreadBuffer& buffer(bool want_ring) {
     reg.buffers.push_back(std::move(owned));
     tl_buf = b;
   }
-  if (want_ring && b->capacity == 0) {
+  if (want_ring && b->ring == nullptr) {
     auto& reg = registry();
     MutexLock lock(reg.mu);
-    b->capacity = std::max<std::size_t>(
-        std::size_t{16}, g_capacity.load(std::memory_order_relaxed));
-    b->ring = std::make_unique<RawEvent[]>(b->capacity);
+    b->ring = std::make_unique<RawEvent[]>(kRingEvents);
   }
   return *b;
 }
@@ -100,7 +91,7 @@ ThreadBuffer& buffer(bool want_ring) {
 void push(const RawEvent& ev) {
   ThreadBuffer& b = buffer(/*want_ring=*/true);
   const std::uint64_t h = b.head.load(std::memory_order_relaxed);
-  b.ring[h % b.capacity] = ev;
+  b.ring[h % kRingEvents] = ev;
   b.head.store(h + 1, std::memory_order_release);
 }
 
@@ -126,9 +117,19 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// Nanoseconds as microseconds with exactly three decimals: exact for
+/// every 64-bit value.
+std::string micros(std::uint64_t ns) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%llu.%03llu",
+                static_cast<unsigned long long>(ns / 1000),
+                static_cast<unsigned long long>(ns % 1000));
+  return buf;
+}
+
 std::string num(double v) {
   char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
+  std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
 }
 
@@ -138,11 +139,6 @@ bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 void set_enabled(bool on) {
   g_enabled.store(on, std::memory_order_relaxed);
-}
-
-void set_buffer_capacity(std::size_t events) {
-  g_capacity.store(std::max<std::size_t>(std::size_t{16}, events),
-                   std::memory_order_relaxed);
 }
 
 void set_thread_name(std::string name) {
@@ -197,12 +193,11 @@ std::vector<TraceEvent> snapshot() {
   for (const auto& b : reg.buffers) {
     const std::uint64_t h = b->head.load(std::memory_order_acquire);
     if (h == 0) continue;
-    const std::uint64_t kept =
-        std::min<std::uint64_t>(h, static_cast<std::uint64_t>(b->capacity));
+    const std::uint64_t kept = std::min<std::uint64_t>(h, kRingEvents);
     const std::string tname =
         b->name.empty() ? "thread " + std::to_string(b->tid) : b->name;
     for (std::uint64_t k = h - kept; k < h; ++k) {
-      const RawEvent& ev = b->ring[k % b->capacity];
+      const RawEvent& ev = b->ring[k % kRingEvents];
       TraceEvent e;
       e.ts_ns = ev.ts_ns;
       e.dur_ns = ev.dur_ns;
@@ -237,8 +232,7 @@ std::uint64_t dropped_events() {
   MutexLock lock(reg.mu);
   for (const auto& b : reg.buffers) {
     const std::uint64_t h = b->head.load(std::memory_order_acquire);
-    const auto cap = static_cast<std::uint64_t>(b->capacity);
-    if (h > cap) dropped += h - cap;
+    if (h > kRingEvents) dropped += h - kRingEvents;
   }
   return dropped;
 }
@@ -266,14 +260,12 @@ std::string chrome_json(const std::vector<TraceEvent>& events,
   }
   for (const auto& e : events) {
     sep();
-    const double ts_us = static_cast<double>(e.ts_ns) / 1e3;
     out += "{\"pid\":0,\"tid\":" + std::to_string(e.tid) +
-           ",\"ts\":" + num(ts_us) + ",\"cat\":\"" + json_escape(e.cat) +
+           ",\"ts\":" + micros(e.ts_ns) + ",\"cat\":\"" + json_escape(e.cat) +
            "\",\"name\":\"" + json_escape(e.name) + "\"";
     switch (e.kind) {
       case Kind::span:
-        out += ",\"ph\":\"X\",\"dur\":" +
-               num(static_cast<double>(e.dur_ns) / 1e3);
+        out += ",\"ph\":\"X\",\"dur\":" + micros(e.dur_ns);
         if (!e.detail.empty()) {
           out += ",\"args\":{\"detail\":\"" + json_escape(e.detail) + "\"}";
         }
@@ -308,180 +300,295 @@ void write_chrome_file(const std::string& path,
 }
 
 // ---------------------------------------------------------------------------
-// Binary format "KRNLTRC1".
-//
-//   magic[8] version:u32 reserved:u32 epoch_unix_ns:u64
-//   nstrings:u32  { len:u32 bytes[len] } ...        (index 0 is always "")
-//   nthreads:u32  { tid:u32 name_idx:u32 } ...
-//   nevents:u64   { ts:u64 dur:u64 tid:u32 kind:u32
-//                   name_idx:u32 cat_idx:u32 detail_idx:u32 pad:u32
-//                   value:f64 } ...
+// Chrome trace-event JSON reader: the subset chrome_json() writes, read
+// as untrusted bytes.  Every failure is an io_error.
 
 namespace {
 
-constexpr const char (&kMagic)[8] = magic::kTrc1;
-constexpr std::uint32_t kVersion = 1;
-constexpr std::uint64_t kMaxEvents = std::uint64_t{1} << 32;
-constexpr std::uint32_t kMaxStrings = 1u << 24;
-constexpr std::uint32_t kMaxStringLen = 1u << 20;
+/// Deepest nesting accepted; chrome_json() writes 4 levels (root,
+/// traceEvents, event, args).  The cap bounds the parser's recursion.
+constexpr int kMaxDepth = 16;
 
-template <typename T>
-void put(std::ostream& out, T v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof v);
+/// Largest `ts` or `dur` accepted, in ns (2^62, ~146 years), so that
+/// ts + dur and merge shifts stay far from overflow.
+constexpr double kMaxNs = 4611686018427387904.0;
+
+[[noreturn]] void malformed(const std::string& path, const std::string& what) {
+  throw io_error("trace: " + path + ": " + what);
 }
 
-template <typename T>
-T get(std::istream& in, const std::string& path) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!in) throw io_error("trace: truncated trace file " + path);
+struct Json {
+  enum class Type { null, boolean, number, string, array, object } type =
+      Type::null;
+  double n = 0.0;
+  std::string s;
+  std::vector<Json> arr;
+  std::vector<std::pair<std::string, Json>> obj;
+
+  [[nodiscard]] const Json* get(std::string_view key) const {
+    for (const auto& [k, v] : obj) {
+      if (k == key) return &v;
+    }
+    return nullptr;
+  }
+};
+
+struct JsonParser {
+  const char* p;
+  const char* end;
+  const std::string& path;
+
+  [[noreturn]] void fail(const char* what) const { malformed(path, what); }
+
+  void skip_ws() {
+    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
+      ++p;
+    }
+  }
+
+  bool eat(char c) {
+    skip_ws();
+    if (p < end && *p == c) {
+      ++p;
+      return true;
+    }
+    return false;
+  }
+
+  void expect(char c, const char* what) {
+    if (!eat(c)) fail(what);
+  }
+
+  std::string parse_string() {
+    expect('"', "expected string");
+    std::string out;
+    while (p < end && *p != '"') {
+      char c = *p++;
+      if (c == '\\') {
+        if (p >= end) fail("truncated escape");
+        const char e = *p++;
+        switch (e) {
+          case '"': out += '"'; break;
+          case '\\': out += '\\'; break;
+          case '/': out += '/'; break;
+          case 'n': out += '\n'; break;
+          case 't': out += '\t'; break;
+          case 'r': out += '\r'; break;
+          case 'b': out += '\b'; break;
+          case 'f': out += '\f'; break;
+          case 'u': {
+            if (end - p < 4) fail("truncated \\u escape");
+            unsigned v = 0;
+            for (int i = 0; i < 4; ++i) {
+              const char h = *p++;
+              v <<= 4;
+              if (h >= '0' && h <= '9') {
+                v += static_cast<unsigned>(h - '0');
+              } else if (h >= 'a' && h <= 'f') {
+                v += static_cast<unsigned>(h - 'a' + 10);
+              } else if (h >= 'A' && h <= 'F') {
+                v += static_cast<unsigned>(h - 'A' + 10);
+              } else {
+                fail("bad \\u escape");
+              }
+            }
+            // The writer only escapes control characters this way.
+            out += v < 0x80 ? static_cast<char>(v) : '?';
+            break;
+          }
+          default: fail("unknown escape");
+        }
+      } else {
+        out += c;
+      }
+    }
+    if (p >= end) fail("unterminated string");
+    ++p; // closing quote
+    return out;
+  }
+
+  /// JSON number characters only, so strtod never sees "inf", "nan" or
+  /// hex floats.
+  static bool number_char(char c) {
+    return (c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
+           c == 'e' || c == 'E';
+  }
+
+  Json parse_value(int depth) {
+    if (depth > kMaxDepth) fail("nesting too deep");
+    skip_ws();
+    if (p >= end) fail("unexpected end of input");
+    Json v;
+    const char c = *p;
+    if (c == '{') {
+      ++p;
+      v.type = Json::Type::object;
+      if (!eat('}')) {
+        do {
+          std::string key = parse_string();
+          expect(':', "expected ':' in object");
+          v.obj.emplace_back(std::move(key), parse_value(depth + 1));
+        } while (eat(','));
+        expect('}', "expected '}'");
+      }
+    } else if (c == '[') {
+      ++p;
+      v.type = Json::Type::array;
+      if (!eat(']')) {
+        do {
+          v.arr.push_back(parse_value(depth + 1));
+        } while (eat(','));
+        expect(']', "expected ']'");
+      }
+    } else if (c == '"') {
+      v.type = Json::Type::string;
+      v.s = parse_string();
+    } else if (c == 't' && end - p >= 4 && std::memcmp(p, "true", 4) == 0) {
+      v.type = Json::Type::boolean;
+      p += 4;
+    } else if (c == 'f' && end - p >= 5 && std::memcmp(p, "false", 5) == 0) {
+      v.type = Json::Type::boolean;
+      p += 5;
+    } else if (c == 'n' && end - p >= 4 && std::memcmp(p, "null", 4) == 0) {
+      p += 4;
+    } else {
+      const char* start = p;
+      while (p < end && number_char(*p)) ++p;
+      const std::string token(start, p);
+      char* token_end = nullptr;
+      v.type = Json::Type::number;
+      v.n = std::strtod(token.c_str(), &token_end);
+      if (token.empty() || token_end != token.c_str() + token.size()) {
+        fail("bad number");
+      }
+    }
+    return v;
+  }
+};
+
+std::string str_of(const Json* j) {
+  return j != nullptr && j->type == Json::Type::string ? j->s : std::string();
+}
+
+/// A `ts` or `dur` in microseconds, as integer nanoseconds.  Reads back
+/// exactly what chrome_json() wrote for values below 2^53 ns (~104 days).
+std::uint64_t ns_of(const Json* j, const char* key, const std::string& path) {
+  if (j == nullptr || j->type != Json::Type::number) {
+    malformed(path, std::string("missing ") + key);
+  }
+  const double ns = j->n * 1e3;
+  if (!(ns >= 0.0 && ns <= kMaxNs)) {
+    malformed(path, std::string(key) + " negative, non-finite or too large");
+  }
+  return static_cast<std::uint64_t>(std::llround(ns));
+}
+
+std::uint32_t tid_of(const Json* j, const std::string& path) {
+  if (j == nullptr || j->type != Json::Type::number) {
+    malformed(path, "missing tid");
+  }
+  if (!(j->n >= 0.0 && j->n <= 4294967295.0) || j->n != std::floor(j->n)) {
+    malformed(path, "tid is not a 32-bit thread id");
+  }
+  return static_cast<std::uint32_t>(j->n);
+}
+
+std::uint64_t epoch_of(const Json& root, const std::string& path) {
+  const Json* other = root.get("otherData");
+  const Json* epoch =
+      other != nullptr ? other->get("epoch_unix_ns") : nullptr;
+  if (epoch == nullptr || epoch->type != Json::Type::string ||
+      epoch->s.empty()) {
+    malformed(path, "missing otherData.epoch_unix_ns");
+  }
+  std::uint64_t v = 0;
+  for (const char c : epoch->s) {
+    const unsigned d = static_cast<unsigned char>(c) - unsigned{'0'};
+    if (d > 9 || v > (UINT64_MAX - d) / 10) {
+      malformed(path, "epoch_unix_ns is not a 64-bit decimal");
+    }
+    v = v * 10 + d;
+  }
   return v;
 }
 
 } // namespace
 
-void write_binary_file(const std::string& path,
-                       const std::vector<TraceEvent>& events) {
-  std::map<std::string, std::uint32_t> strings{{"", 0}};
-  const auto idx = [&](const std::string& s) {
-    const auto [it, inserted] =
-        strings.emplace(s, static_cast<std::uint32_t>(strings.size()));
-    (void)inserted;
-    return it->second;
-  };
-  std::map<std::uint32_t, std::uint32_t> threads; // tid → name idx
-  struct Rec {
-    std::uint32_t name, cat, detail;
-  };
-  std::vector<Rec> recs;
-  recs.reserve(events.size());
-  for (const auto& e : events) {
-    threads.emplace(e.tid, idx(e.thread_name));
-    recs.push_back({idx(e.name), idx(e.cat), idx(e.detail)});
-  }
-  // The map iterates in key order, not index order: rebuild by index.
-  std::vector<const std::string*> table(strings.size());
-  for (const auto& [s, i] : strings) table[i] = &s;
-
-  std::ofstream f(path, std::ios::trunc | std::ios::binary);
-  if (!f) throw io_error("trace: cannot write " + path);
-  f.write(kMagic, sizeof kMagic);
-  put<std::uint32_t>(f, kVersion);
-  put<std::uint32_t>(f, 0);
-  put<std::uint64_t>(f, timer::epoch_unix_ns());
-  put<std::uint32_t>(f, static_cast<std::uint32_t>(table.size()));
-  for (const auto* s : table) {
-    put<std::uint32_t>(f, static_cast<std::uint32_t>(s->size()));
-    f.write(s->data(), static_cast<std::streamsize>(s->size()));
-  }
-  put<std::uint32_t>(f, static_cast<std::uint32_t>(threads.size()));
-  for (const auto& [tid, name_idx] : threads) {
-    put<std::uint32_t>(f, tid);
-    put<std::uint32_t>(f, name_idx);
-  }
-  put<std::uint64_t>(f, static_cast<std::uint64_t>(events.size()));
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const auto& e = events[i];
-    put<std::uint64_t>(f, e.ts_ns);
-    put<std::uint64_t>(f, e.dur_ns);
-    put<std::uint32_t>(f, e.tid);
-    put<std::uint32_t>(f, static_cast<std::uint32_t>(e.kind));
-    put<std::uint32_t>(f, recs[i].name);
-    put<std::uint32_t>(f, recs[i].cat);
-    put<std::uint32_t>(f, recs[i].detail);
-    put<std::uint32_t>(f, 0);
-    put<double>(f, e.value);
-  }
-  f.close();
-  if (!f) throw io_error("trace: failed writing " + path);
-}
-
-TraceFile read_binary_file(const std::string& path) {
+TraceFile read_chrome_file(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   if (!f) throw io_error("trace: cannot open " + path);
-  char magic[8];
-  f.read(magic, sizeof magic);
-  if (!f || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
-    throw io_error("trace: " + path + " is not a KRNLTRC1 trace file");
+  const std::string text((std::istreambuf_iterator<char>(f)),
+                         std::istreambuf_iterator<char>());
+  if (f.bad()) throw io_error("trace: failed reading " + path);
+
+  JsonParser parser{text.data(), text.data() + text.size(), path};
+  const Json root = parser.parse_value(0);
+  parser.skip_ws();
+  if (parser.p != parser.end) parser.fail("trailing garbage");
+  if (root.type != Json::Type::object) {
+    malformed(path, "top level is not an object");
   }
-  const auto version = get<std::uint32_t>(f, path);
-  if (version != kVersion) {
-    throw io_error("trace: " + path + ": unsupported version " +
-                   std::to_string(version));
+  const Json* events = root.get("traceEvents");
+  if (events == nullptr || events->type != Json::Type::array) {
+    malformed(path, "missing traceEvents array");
   }
-  (void)get<std::uint32_t>(f, path); // reserved
   TraceFile out;
-  out.epoch_unix_ns = get<std::uint64_t>(f, path);
-
-  const auto nstrings = get<std::uint32_t>(f, path);
-  if (nstrings == 0 || nstrings > kMaxStrings) {
-    throw io_error("trace: " + path + ": implausible string table");
-  }
-  std::vector<std::string> table(nstrings);
-  for (auto& s : table) {
-    const auto len = get<std::uint32_t>(f, path);
-    if (len > kMaxStringLen) {
-      throw io_error("trace: " + path + ": implausible string length");
+  out.epoch_unix_ns = epoch_of(root, path);
+  std::map<std::uint32_t, std::string> names;
+  for (const Json& ev : events->arr) {
+    if (ev.type != Json::Type::object) {
+      malformed(path, "event is not an object");
     }
-    s.resize(len);
-    f.read(s.data(), len);
-    if (!f) throw io_error("trace: truncated trace file " + path);
-  }
-  const auto str = [&](std::uint32_t i) -> const std::string& {
-    if (i >= table.size()) {
-      throw io_error("trace: " + path + ": string index out of range");
+    const std::string ph = str_of(ev.get("ph"));
+    const std::uint32_t tid = tid_of(ev.get("tid"), path);
+    const Json* args = ev.get("args");
+    if (ph == "M") {
+      if (args != nullptr) names[tid] = str_of(args->get("name"));
+      continue;
     }
-    return table[i];
-  };
-
-  const auto nthreads = get<std::uint32_t>(f, path);
-  if (nthreads > kMaxStrings) {
-    throw io_error("trace: " + path + ": implausible thread count");
-  }
-  std::map<std::uint32_t, std::string> thread_names;
-  for (std::uint32_t i = 0; i < nthreads; ++i) {
-    const auto tid = get<std::uint32_t>(f, path);
-    const auto name_idx = get<std::uint32_t>(f, path);
-    thread_names[tid] = str(name_idx);
-  }
-
-  const auto nevents = get<std::uint64_t>(f, path);
-  if (nevents > kMaxEvents) {
-    throw io_error("trace: " + path + ": implausible event count");
-  }
-  out.events.reserve(static_cast<std::size_t>(nevents));
-  for (std::uint64_t i = 0; i < nevents; ++i) {
     TraceEvent e;
-    e.ts_ns = get<std::uint64_t>(f, path);
-    e.dur_ns = get<std::uint64_t>(f, path);
-    e.tid = get<std::uint32_t>(f, path);
-    const auto kind = get<std::uint32_t>(f, path);
-    if (kind > static_cast<std::uint32_t>(Kind::counter)) {
-      throw io_error("trace: " + path + ": unknown event kind");
+    if (ph == "X") {
+      e.kind = Kind::span;
+      e.dur_ns = ns_of(ev.get("dur"), "dur", path);
+      if (args != nullptr) e.detail = str_of(args->get("detail"));
+    } else if (ph == "i") {
+      e.kind = Kind::instant;
+      if (args != nullptr) e.detail = str_of(args->get("detail"));
+    } else if (ph == "C") {
+      e.kind = Kind::counter;
+      const Json* value = args != nullptr ? args->get("value") : nullptr;
+      if (value != nullptr && value->type == Json::Type::number) {
+        e.value = value->n;
+      }
+    } else {
+      continue; // phases the writer never emits
     }
-    e.kind = static_cast<Kind>(kind);
-    e.name = str(get<std::uint32_t>(f, path));
-    e.cat = str(get<std::uint32_t>(f, path));
-    e.detail = str(get<std::uint32_t>(f, path));
-    (void)get<std::uint32_t>(f, path); // pad
-    e.value = get<double>(f, path);
-    const auto it = thread_names.find(e.tid);
-    e.thread_name = it != thread_names.end()
-                        ? it->second
-                        : "thread " + std::to_string(e.tid);
+    e.tid = tid;
+    e.ts_ns = ns_of(ev.get("ts"), "ts", path);
+    e.name = str_of(ev.get("name"));
+    e.cat = str_of(ev.get("cat"));
     out.events.push_back(std::move(e));
+  }
+  for (auto& e : out.events) {
+    const auto it = names.find(e.tid);
+    e.thread_name =
+        it != names.end() ? it->second : "thread " + std::to_string(e.tid);
   }
   return out;
 }
 
-std::vector<TraceEvent> merge(const std::vector<TraceFile>& files) {
-  std::vector<TraceEvent> out;
-  if (files.empty()) return out;
-  std::uint64_t base = files.front().epoch_unix_ns;
-  for (const auto& f : files) base = std::min(base, f.epoch_unix_ns);
+TraceFile merge(const std::vector<TraceFile>& files) {
+  TraceFile out;
+  for (const auto& f : files) {
+    if (f.epoch_unix_ns != 0 &&
+        (out.epoch_unix_ns == 0 || f.epoch_unix_ns < out.epoch_unix_ns)) {
+      out.epoch_unix_ns = f.epoch_unix_ns;
+    }
+  }
   std::map<std::pair<std::size_t, std::uint32_t>, std::uint32_t> tids;
   for (std::size_t fi = 0; fi < files.size(); ++fi) {
-    const std::uint64_t shift = files[fi].epoch_unix_ns - base;
+    const std::uint64_t epoch = files[fi].epoch_unix_ns;
+    const std::uint64_t shift = epoch == 0 ? 0 : epoch - out.epoch_unix_ns;
     for (const auto& e : files[fi].events) {
       const auto [it, inserted] = tids.emplace(
           std::make_pair(fi, e.tid), static_cast<std::uint32_t>(tids.size()));
@@ -489,10 +596,10 @@ std::vector<TraceEvent> merge(const std::vector<TraceFile>& files) {
       TraceEvent copy = e;
       copy.ts_ns += shift;
       copy.tid = it->second;
-      out.push_back(std::move(copy));
+      out.events.push_back(std::move(copy));
     }
   }
-  std::stable_sort(out.begin(), out.end(),
+  std::stable_sort(out.events.begin(), out.events.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      return a.ts_ns < b.ts_ns;
                    });

@@ -4,19 +4,19 @@
 // (spans, instants, named counters) captured across the whole pipeline —
 // grb kernels, kron ground-truth phases, counting kernels, io, and the
 // simulated distributed runtime — and exported as Chrome trace-event JSON
-// (loadable in Perfetto / chrome://tracing) or a compact self-describing
-// binary format that `kronlab_trace` converts, merges, summarizes, and
-// diffs.
+// (loadable in Perfetto / chrome://tracing), the one trace file format.
+// read_chrome_file() is its reader, which `kronlab_trace` uses to merge,
+// summarize, and diff.
 //
 // Everything is disabled (one relaxed atomic load per call site) until
 // trace::set_enabled(true) is called or the process starts with
 // KRONLAB_TRACE=1.  When enabled, each thread appends fixed-size events
 // to its own lock-free ring buffer (single writer, no allocation after
 // the ring exists), so recording perturbs the measured code as little as
-// possible.  The ring overwrites its oldest events when full
-// (dropped_events() reports how many); snapshot()/export must only run
-// while instrumented threads are quiescent — after pool joins and
-// dist::run returns — which is when the release-store on each buffer
+// possible.  The ring holds kRingEvents events and overwrites its oldest
+// when full (dropped_events() reports how many); snapshot()/export must
+// only run while instrumented threads are quiescent — after pool joins
+// and dist::run returns — which is when the release-store on each buffer
 // head makes every slot write visible.
 //
 // Timestamps come from timer::now_ns(), the process-wide steady-clock
@@ -38,9 +38,8 @@ namespace kronlab::trace {
 /// Turn recording on or off process-wide.
 void set_enabled(bool on);
 
-/// Ring capacity (events) for buffers created *after* this call; existing
-/// buffers keep their size.  Default 16384, or KRONLAB_TRACE_BUFFER.
-void set_buffer_capacity(std::size_t events);
+/// Per-thread ring capacity (events).
+inline constexpr std::size_t kRingEvents = 16384;
 
 /// Name the calling thread on the exported timeline ("main", "rank 2",
 /// "worker 3", ...).  Cheap; safe to call whether or not tracing is on.
@@ -114,8 +113,11 @@ void reset();
 
 /// Chrome trace-event JSON for `events` (object form, "traceEvents" plus
 /// thread-name metadata; otherData carries the schema tag and the
-/// wall-clock epoch for cross-process alignment).  `epoch_unix_ns` == 0
-/// means this process's own epoch; converters pass the trace file's.
+/// wall-clock epoch for cross-process alignment).  `ts` and `dur` are
+/// microseconds with exactly three decimals, so they keep every
+/// nanosecond; counter values print with 17 significant digits.
+/// `epoch_unix_ns` == 0 means this process's own epoch; converters pass
+/// the trace file's.
 [[nodiscard]] std::string chrome_json(const std::vector<TraceEvent>& events,
                                       std::uint64_t epoch_unix_ns = 0);
 
@@ -124,26 +126,24 @@ void write_chrome_file(const std::string& path,
                        const std::vector<TraceEvent>& events,
                        std::uint64_t epoch_unix_ns = 0);
 
-/// One parsed binary trace file.
+/// One parsed trace file, or a merge of several.
 struct TraceFile {
-  std::uint64_t epoch_unix_ns = 0;
+  std::uint64_t epoch_unix_ns = 0; ///< 0 = unknown
   std::vector<TraceEvent> events;
 };
 
-/// Write `events` as a self-describing binary trace (magic "KRNLTRC1",
-/// string table, per-event records) stamped with this process's epoch.
-void write_binary_file(const std::string& path,
-                       const std::vector<TraceEvent>& events);
-
-/// Read a binary trace file; throws io_error on a missing, truncated, or
-/// corrupt file.
-[[nodiscard]] TraceFile read_binary_file(const std::string& path);
+/// Read a trace file chrome_json() wrote.  Throws io_error on a missing
+/// or unreadable file, malformed JSON, nesting deeper than a small fixed
+/// cap, a `ts`/`dur`/`tid` that is negative, non-finite or out of range,
+/// and a missing otherData.epoch_unix_ns.
+[[nodiscard]] TraceFile read_chrome_file(const std::string& path);
 
 /// Merge traces onto one clock-aligned timeline: timestamps shift onto
-/// the earliest file's epoch and thread ids are re-assigned so tracks
-/// from different files never collide.  Result is sorted by timestamp.
-[[nodiscard]] std::vector<TraceEvent> merge(
-    const std::vector<TraceFile>& files);
+/// the earliest nonzero input epoch, which the result carries (inputs
+/// with an unknown epoch of 0 are not shifted), and thread ids are
+/// re-assigned so tracks from different files never collide.  Events
+/// are sorted by timestamp.
+[[nodiscard]] TraceFile merge(const std::vector<TraceFile>& files);
 
 } // namespace kronlab::trace
 

@@ -48,9 +48,7 @@ void ThreadPool::worker_loop(std::size_t id) {
       seen_epoch = epoch_;
       job = job_;
     }
-    // Live pool-utilization gauge: workers currently inside a job.  A
-    // toggle of stats_enabled mid-region can skew it by ±1 per worker
-    // until the next region — telemetry, not accounting.
+    // Live pool-utilization gauge: workers currently inside a job.
     static obs::Gauge& busy_gauge = obs::gauge("parallel/pool_busy");
     busy_gauge.add(1);
     try {

@@ -450,8 +450,6 @@ std::string Server::stats_text(StatsFormat format) {
   }
 
   std::string out = "{\"schema\":\"kronlab-stats-v1\"";
-  out += ",\"stats_enabled\":";
-  out += obs::stats_enabled() ? "true" : "false";
   char buf[64];
   std::snprintf(buf, sizeof buf, ",\"uptime_seconds\":%.3f", uptime);
   out += buf;

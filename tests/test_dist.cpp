@@ -205,8 +205,6 @@ TEST(DistCount, AgreesWithSerialWedgeCountOnMaterialized) {
 TEST(DistCount, PhaseTimesLandInTheRegistry) {
   // One 4-rank count records each of its three phases per rank: needed-row
   // discovery, the exchange epoch and the wedge count.
-  const bool was_enabled = obs::stats_enabled();
-  obs::set_stats_enabled(true);
   const auto kp = sample_product(98);
   const kron::PartitionedStream ps(kp, 4);
   run(4, [&](Comm& comm) {
@@ -220,7 +218,6 @@ TEST(DistCount, PhaseTimesLandInTheRegistry) {
     ASSERT_NE(it, snap.histograms.end()) << name;
     EXPECT_GE(it->second.count, 4u) << name;
   }
-  obs::set_stats_enabled(was_enabled);
 }
 
 } // namespace

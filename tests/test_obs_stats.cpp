@@ -61,7 +61,6 @@ TEST(ObsHistogram, BucketSchemeIsMonotoneAndSelfConsistent) {
 }
 
 TEST(ObsHistogram, GoldenQuantilesMatchSortedReference) {
-  set_stats_enabled(true);
   stats_reset();
   Histogram& h = histogram("test/golden_quantiles");
 
@@ -107,7 +106,6 @@ TEST(ObsHistogram, GoldenQuantilesMatchSortedReference) {
 }
 
 TEST(ObsHistogram, EmptyHistogramQuantilesAreZero) {
-  set_stats_enabled(true);
   stats_reset();
   (void)histogram("test/empty");
   const auto snap = stats_snapshot().histograms.at("test/empty");
@@ -118,11 +116,10 @@ TEST(ObsHistogram, EmptyHistogramQuantilesAreZero) {
 }
 
 // ---------------------------------------------------------------------
-// Registry basics and the enable gate
+// Registry basics
 // ---------------------------------------------------------------------
 
 TEST(ObsRegistry, CounterGaugeBasics) {
-  set_stats_enabled(true);
   stats_reset();
   Counter& c = counter("test/basics_counter");
   Gauge& g = gauge("test/basics_gauge");
@@ -142,34 +139,7 @@ TEST(ObsRegistry, CounterGaugeBasics) {
   EXPECT_EQ(&gauge("test/basics_gauge"), &g);
 }
 
-TEST(ObsRegistry, DisabledRegistryIsInert) {
-  set_stats_enabled(true);
-  stats_reset();
-  Counter& c = counter("test/gated_counter");
-  Gauge& g = gauge("test/gated_gauge");
-  Histogram& h = histogram("test/gated_hist");
-
-  set_stats_enabled(false);
-  EXPECT_FALSE(stats_enabled());
-  c.add(100);
-  g.set(100);
-  h.record(100);
-  {
-    // A LatencyScope opened while disabled records nothing, even if
-    // stats are re-enabled before it closes.
-    LatencyScope scope(h);
-    set_stats_enabled(true);
-  }
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0);
-  EXPECT_EQ(stats_snapshot().histograms.at("test/gated_hist").count, 0u);
-
-  c.add(1); // re-enabled: records again
-  EXPECT_EQ(c.value(), 1u);
-}
-
 TEST(ObsRegistry, ResetZeroesValuesButKeepsNames) {
-  set_stats_enabled(true);
   Counter& c = counter("test/reset_counter");
   Histogram& h = histogram("test/reset_hist");
   c.add(5);
@@ -186,7 +156,6 @@ TEST(ObsRegistry, ResetZeroesValuesButKeepsNames) {
 // ---------------------------------------------------------------------
 
 TEST(ObsRegistry, ConcurrentRecordersWithLiveSnapshots) {
-  set_stats_enabled(true);
   stats_reset();
   Counter& c = counter("test/soak_counter");
   Gauge& g = gauge("test/soak_gauge");
@@ -244,7 +213,6 @@ TEST(ObsRegistry, ExitedThreadsHandTheirShardsOnWithCountsIntact) {
   // Short-lived threads (a dist::run per op) must not grow one shard per
   // thread ever spawned: the second wave reuses the first wave's shards,
   // and no sample recorded by an exited thread is lost.
-  set_stats_enabled(true);
   stats_reset();
   Histogram& h = histogram("test/short_lived");
   constexpr int kWaves = 3;
@@ -274,7 +242,6 @@ TEST(ObsRegistry, ExitedThreadsHandTheirShardsOnWithCountsIntact) {
 // ---------------------------------------------------------------------
 
 TEST(ObsRender, JsonAndPrometheusCarryTheMetrics) {
-  set_stats_enabled(true);
   stats_reset();
   counter("test/render_counter").add(3);
   gauge("test/render_gauge").set(-2);
@@ -402,7 +369,6 @@ TEST_F(ObsLogTest, ParseLogLevelRoundTrips) {
 class ObsWatchdogTest : public ::testing::Test {
 protected:
   void SetUp() override {
-    set_stats_enabled(true);
     saved_level_ = log_level();
     set_log_level(LogLevel::warn);
   }

@@ -256,28 +256,13 @@ std::uint64_t kernel_samples(const std::string& name) {
 }
 
 TEST(KernelScope, OneScopeAddsOneSample) {
-  const bool was_enabled = obs::stats_enabled();
-  obs::set_stats_enabled(true);
   const auto before = kernel_samples("test/one_sample");
   ThreadPool pool(4);
   {
     KRONLAB_KERNEL("test/one_sample");
     parallel_for_dynamic(0, 5000, [](index_t) {}, pool, /*grain=*/50);
   }
-  obs::set_stats_enabled(was_enabled);
   EXPECT_EQ(kernel_samples("test/one_sample"), before + 1);
-}
-
-TEST(KernelScope, DisabledStatsAddNoSample) {
-  const bool was_enabled = obs::stats_enabled();
-  obs::set_stats_enabled(false);
-  const auto before = kernel_samples("test/disabled");
-  {
-    KRONLAB_KERNEL("test/disabled");
-    parallel_for_dynamic(0, 100, [](index_t) {});
-  }
-  obs::set_stats_enabled(was_enabled);
-  EXPECT_EQ(kernel_samples("test/disabled"), before);
 }
 
 TEST(KernelScope, NestedScopesLabelWorkerSpansWithInnermost) {

@@ -1,8 +1,9 @@
 // Tests for the obs/trace subsystem: disabled-mode inertness, span
-// nesting from pooled workers, ring-buffer wrap accounting, binary
-// round-trips, Chrome JSON export, multi-file merge, and the distributed
-// runtime's fault/retry annotations lining up event-for-event with the
-// runtime's own fault statistics.
+// nesting from pooled workers, ring-buffer wrap accounting, Chrome JSON
+// export and its lossless read-back, the reader's typed errors on hostile
+// and bit-flipped input, multi-file merge, and the distributed runtime's
+// fault/retry annotations lining up event-for-event with the runtime's
+// own fault statistics.
 //
 // CI runs this suite under TSan: concurrent span emission from pool
 // workers and rank threads against a quiescent-snapshot reader is exactly
@@ -12,7 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -23,6 +24,7 @@
 #include "kronlab/gen/random_bipartite.hpp"
 #include "kronlab/kron/ground_truth.hpp"
 #include "kronlab/obs/stats.hpp"
+#include "kronlab/common/timer.hpp"
 #include "kronlab/obs/trace.hpp"
 #include "kronlab/parallel/parallel_for.hpp"
 #include "support/temp_dir.hpp"
@@ -41,7 +43,6 @@ protected:
   void TearDown() override {
     set_enabled(false);
     reset();
-    set_buffer_capacity(16384);
   }
 };
 
@@ -59,6 +60,12 @@ std::size_t count_named(const std::vector<TraceEvent>& evs,
   std::size_t n = 0;
   for (const auto& e : evs) n += e.name == name ? 1 : 0;
   return n;
+}
+
+void write_text(const std::string& path, const std::string& text) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f << text;
+  ASSERT_TRUE(f.good()) << path;
 }
 
 /// Spans on one thread must be properly nested: any two either disjoint
@@ -192,11 +199,11 @@ TEST_F(TraceTest, PooledWorkerSpansAreWellNestedPerThread) {
 }
 
 TEST_F(TraceTest, RingWrapKeepsNewestEventsAndCountsDrops) {
-  set_buffer_capacity(32);
+  constexpr std::size_t kLost = 68;
   std::thread t([] {
     set_thread_name("wrapper");
-    for (int i = 0; i < 100; ++i) {
-      instant("test", i >= 68 ? "kept" : "lost");
+    for (std::size_t i = 0; i < kRingEvents + kLost; ++i) {
+      instant("test", i >= kLost ? "kept" : "lost");
     }
   });
   t.join();
@@ -207,36 +214,42 @@ TEST_F(TraceTest, RingWrapKeepsNewestEventsAndCountsDrops) {
     ++kept;
     EXPECT_EQ(e.name, "kept"); // oldest events were overwritten
   }
-  EXPECT_EQ(kept, 32u);
-  EXPECT_EQ(dropped_events(), 68u);
+  EXPECT_EQ(kept, kRingEvents);
+  EXPECT_EQ(dropped_events(), kLost);
 }
 
 // ---------------------------------------------------------------------------
-// Export formats.
+// Export and read-back.
 
-TEST_F(TraceTest, BinaryRoundTripIsLossless) {
+TEST_F(TraceTest, ChromeRoundTripIsLossless) {
   set_thread_name("main");
   {
-    Span s("cat_a", "span_one", intern("path=/tmp/x"));
+    Span s("cat_a", "span_one", intern("path=/tmp/x\t\"q\""));
     instant("cat_b", "mark");
   }
-  counter("cat_c", "value", 42.5);
-  const auto before = snapshot();
+  counter("cat_c", "value", 1.0 / 3.0);
+  auto before = snapshot();
   ASSERT_EQ(before.size(), 3u);
+  // More than an hour past the process epoch, where a 9-digit format
+  // would round the timestamp to whole seconds.
+  TraceEvent late = before.front();
+  late.ts_ns = 3'600'000'000'123ull;
+  late.dur_ns = 987'654'321ull;
+  before.push_back(late);
 
   const test_support::TempDir dir("trace_roundtrip");
-  const auto path = dir.file("roundtrip.trace");
-  write_binary_file(path, before);
-  const TraceFile after = read_binary_file(path);
+  const auto path = dir.file("roundtrip.json");
+  write_chrome_file(path, before);
+  const TraceFile after = read_chrome_file(path);
 
-  EXPECT_GT(after.epoch_unix_ns, 0u);
+  EXPECT_EQ(after.epoch_unix_ns, timer::epoch_unix_ns());
   ASSERT_EQ(after.events.size(), before.size());
   for (std::size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(after.events[i].ts_ns, before[i].ts_ns);
     EXPECT_EQ(after.events[i].dur_ns, before[i].dur_ns);
     EXPECT_EQ(after.events[i].kind, before[i].kind);
     EXPECT_EQ(after.events[i].tid, before[i].tid);
-    EXPECT_DOUBLE_EQ(after.events[i].value, before[i].value);
+    EXPECT_EQ(after.events[i].value, before[i].value);
     EXPECT_EQ(after.events[i].name, before[i].name);
     EXPECT_EQ(after.events[i].cat, before[i].cat);
     EXPECT_EQ(after.events[i].detail, before[i].detail);
@@ -244,18 +257,81 @@ TEST_F(TraceTest, BinaryRoundTripIsLossless) {
   }
 }
 
-TEST_F(TraceTest, CorruptBinaryFilesAreRejected) {
-  const test_support::TempDir dir("trace_corrupt");
-  EXPECT_THROW(read_binary_file(dir.file("missing.trace")), io_error);
+TEST_F(TraceTest, HostileJsonIsATypedError) {
+  const test_support::TempDir dir("trace_hostile");
+  EXPECT_THROW((void)read_chrome_file(dir.file("missing.json")), io_error);
 
-  const auto bad = dir.file("badmagic.trace");
-  {
-    std::FILE* f = std::fopen(bad.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("definitely not a trace", f);
-    std::fclose(f);
+  const std::string epoch = R"(,"otherData":{"epoch_unix_ns":"5"}})";
+  const auto with_event = [&](const std::string& fields) {
+    return R"({"traceEvents":[{"ph":"X","name":"a","cat":"b",)" + fields +
+           "}]" + epoch;
+  };
+  const std::vector<std::string> hostile = {
+      "",
+      "not json",
+      std::string(2'000'000, '['),
+      R"({"traceEvents":[{"ph":"X","tid":-1e300,"ts":1e300,"dur":-5,)"
+      R"("name":"a","cat":"b"}],"otherData":{"epoch_unix_ns":"5"}})",
+      with_event(R"("tid":0,"ts":-1,"dur":1)"),
+      with_event(R"("tid":0,"ts":1,"dur":-1)"),
+      with_event(R"("tid":0,"ts":1e400,"dur":1)"),
+      with_event(R"("tid":0,"ts":1e300,"dur":1)"),
+      with_event(R"("tid":0,"ts":1,"dur":1e300)"),
+      with_event(R"("tid":-1,"ts":1,"dur":1)"),
+      with_event(R"("tid":4294967296,"ts":1,"dur":1)"),
+      with_event(R"("tid":0.5,"ts":1,"dur":1)"),
+      with_event(R"("tid":0,"dur":1)"),
+      with_event(R"("tid":0,"ts":1)"),
+      with_event(R"("tid":0,"ts":nan,"dur":1)"),
+      with_event(R"("tid":0,"ts":inf,"dur":1)"),
+      with_event(R"("tid":0,"ts":0x10,"dur":1)"),
+      R"({"traceEvents":[]})",
+      R"({"traceEvents":[],"otherData":{}})",
+      R"({"traceEvents":[],"otherData":{"epoch_unix_ns":5}})",
+      R"({"traceEvents":[],"otherData":{"epoch_unix_ns":"-5"}})",
+      R"({"traceEvents":[],)"
+      R"("otherData":{"epoch_unix_ns":"18446744073709551616"}})",
+      R"({"traceEvents":[1])" + epoch,
+      R"({"traceEvents":[])" + epoch + " trailing",
+  };
+  const auto path = dir.file("hostile.json");
+  for (const auto& text : hostile) {
+    write_text(path, text);
+    EXPECT_THROW((void)read_chrome_file(path), io_error)
+        << text.substr(0, 120);
   }
-  EXPECT_THROW(read_binary_file(bad), io_error);
+  // Nesting up to the cap still parses: the cap is on depth, not size.
+  write_text(path, R"({"traceEvents":[],"x":[[[[[[[[1]]]]]]]])" + epoch);
+  EXPECT_NO_THROW((void)read_chrome_file(path));
+}
+
+TEST_F(TraceTest, EveryBitFlipIsTypedOrParses) {
+  set_thread_name("main");
+  { Span s("cat", "span", intern("detail")); }
+  instant("cat", "mark");
+  counter("cat", "value", 2.5);
+  const std::string good = chrome_json(snapshot());
+
+  const test_support::TempDir dir("trace_flip");
+  const auto path = dir.file("flip.json");
+  const auto typed_or_parses = [&](const std::string& text,
+                                   const std::string& what) {
+    write_text(path, text);
+    try {
+      (void)read_chrome_file(path);
+    } catch (const io_error&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": untyped " << e.what();
+    }
+  };
+  for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
+    std::string text = good;
+    text[bit / 8] = static_cast<char>(text[bit / 8] ^ (1 << (bit % 8)));
+    typed_or_parses(text, "bit " + std::to_string(bit));
+  }
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    typed_or_parses(good.substr(0, len), "truncated to " + std::to_string(len));
+  }
 }
 
 TEST_F(TraceTest, ChromeJsonCarriesEventsAndSchema) {
@@ -290,13 +366,23 @@ TEST_F(TraceTest, MergeAlignsEpochsAndSeparatesThreads) {
   eb.thread_name = "rank 1";
   b.events.push_back(eb);
 
-  const auto merged = merge({a, b});
-  ASSERT_EQ(merged.size(), 2u);
-  EXPECT_EQ(merged[0].name, "a");
-  EXPECT_EQ(merged[0].ts_ns, 10u);
-  EXPECT_EQ(merged[1].name, "b");
-  EXPECT_EQ(merged[1].ts_ns, 510u); // shifted onto a's epoch
-  EXPECT_NE(merged[0].tid, merged[1].tid); // tracks never collide
+  TraceFile c; // no epoch: its events stay where they are
+  TraceEvent ec = ea;
+  ec.ts_ns = 20;
+  ec.name = "c";
+  c.events.push_back(ec);
+
+  const TraceFile merged = merge({a, b, c});
+  EXPECT_EQ(merged.epoch_unix_ns, 1000000u); // earliest nonzero epoch
+  ASSERT_EQ(merged.events.size(), 3u);
+  EXPECT_EQ(merged.events[0].name, "a");
+  EXPECT_EQ(merged.events[0].ts_ns, 10u);
+  EXPECT_EQ(merged.events[1].name, "c");
+  EXPECT_EQ(merged.events[1].ts_ns, 20u);
+  EXPECT_EQ(merged.events[2].name, "b");
+  EXPECT_EQ(merged.events[2].ts_ns, 510u); // shifted onto a's epoch
+  EXPECT_NE(merged.events[0].tid, merged.events[2].tid); // never collide
+  EXPECT_NE(merged.events[1].tid, merged.events[2].tid);
 }
 
 // ---------------------------------------------------------------------------

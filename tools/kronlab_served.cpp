@@ -72,8 +72,7 @@ struct Options {
       "               KRONLAB_LOG)\n\n"
       "SIGTERM/SIGINT drain gracefully: admitted requests are answered\n"
       "and drain progress + a final summary are logged to stderr.\n"
-      "Live stats: kronlab_query ... --stats (KRONLAB_STATS=0 disables\n"
-      "histogram recording).\n",
+      "Live stats: kronlab_query ... --stats.\n",
       argv0, gen::graph_spec_help().c_str(),
       static_cast<int>(serve::ServerOptions{}.executors),
       static_cast<int>(serve::ServerOptions{}.queue_depth));
@@ -231,7 +230,6 @@ int main(int argc, char** argv) {
         .field("vertices", static_cast<std::int64_t>(kp.num_vertices()))
         .field("edges", static_cast<std::int64_t>(kp.num_edges()))
         .field("executors", static_cast<std::int64_t>(opt.server.executors))
-        .field("stats_enabled", obs::stats_enabled())
         .field("watchdog_ms", static_cast<std::int64_t>(opt.watchdog_ms));
     server.start(std::move(listener));
 

@@ -2,30 +2,27 @@
 //
 //   convert [-o OUT.json] IN...   merge trace files onto one clock-aligned
 //                                 timeline and write Chrome trace JSON
-//                                 (load in Perfetto / chrome://tracing)
+//                                 (default merged_trace.json; load in
+//                                 Perfetto / chrome://tracing)
 //   summary IN                    per-category span table (count, total,
 //                                 self time) plus the critical path
 //   diff A B                      per-span-name totals of B against A
 //
-// Every command accepts both the compact binary format ("KRNLTRC1",
-// written by --trace dirs and per-rank dist runs) and the Chrome JSON the
-// library itself exports — the JSON reader understands exactly the subset
-// chrome_json() emits.
+// Every command reads the Chrome trace JSON kronlab writes (--trace dirs,
+// per-rank dist runs, and convert's own output) through
+// trace::read_chrome_file.
 //
 // Exit codes: 0 ok, 2 usage, 3 unreadable file, 4 unparsable content.
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "kronlab/common/error.hpp"
-#include "kronlab/common/registry.hpp"
 #include "kronlab/obs/trace.hpp"
 
 using kronlab::trace::Kind;
@@ -41,8 +38,7 @@ namespace {
                "usage: kronlab_trace convert [-o OUT.json] IN...\n"
                "       kronlab_trace summary IN\n"
                "       kronlab_trace diff A B\n\n"
-               "IN/A/B are KRNLTRC1 binaries (.trace/.bin) or the Chrome\n"
-               "trace JSON kronlab writes.\n");
+               "IN/A/B are the Chrome trace JSON files kronlab writes.\n");
   std::exit(code);
 }
 
@@ -54,241 +50,14 @@ namespace {
   std::exit(code);
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader — just enough for the Chrome traces we emit.
-
-struct Json {
-  enum class Type { null, boolean, number, string, array, object } type =
-      Type::null;
-  bool b = false;
-  double n = 0.0;
-  std::string s;
-  std::vector<Json> arr;
-  std::vector<std::pair<std::string, Json>> obj;
-
-  [[nodiscard]] const Json* get(const std::string& key) const {
-    for (const auto& [k, v] : obj) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-struct JsonParser {
-  const char* p;
-  const char* end;
-
-  [[noreturn]] void fail(const char* what) const {
-    throw kronlab::io_error(std::string("trace JSON: ") + what);
-  }
-
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
-      ++p;
-    }
-  }
-
-  bool eat(char c) {
-    skip_ws();
-    if (p < end && *p == c) {
-      ++p;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char c, const char* what) {
-    if (!eat(c)) fail(what);
-  }
-
-  std::string parse_string() {
-    expect('"', "expected string");
-    std::string out;
-    while (p < end && *p != '"') {
-      char c = *p++;
-      if (c == '\\') {
-        if (p >= end) fail("truncated escape");
-        const char e = *p++;
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            if (end - p < 4) fail("truncated \\u escape");
-            unsigned v = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = *p++;
-              v <<= 4;
-              if (h >= '0' && h <= '9') {
-                v += static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                v += static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                v += static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                fail("bad \\u escape");
-              }
-            }
-            // Our writer only escapes control characters this way.
-            out += v < 0x80 ? static_cast<char>(v) : '?';
-            break;
-          }
-          default: fail("unknown escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-    if (p >= end) fail("unterminated string");
-    ++p; // closing quote
-    return out;
-  }
-
-  Json parse_value() {
-    skip_ws();
-    if (p >= end) fail("unexpected end of input");
-    Json v;
-    const char c = *p;
-    if (c == '{') {
-      ++p;
-      v.type = Json::Type::object;
-      if (!eat('}')) {
-        do {
-          std::string key = parse_string();
-          expect(':', "expected ':' in object");
-          v.obj.emplace_back(std::move(key), parse_value());
-        } while (eat(','));
-        expect('}', "expected '}'");
-      }
-    } else if (c == '[') {
-      ++p;
-      v.type = Json::Type::array;
-      if (!eat(']')) {
-        do {
-          v.arr.push_back(parse_value());
-        } while (eat(','));
-        expect(']', "expected ']'");
-      }
-    } else if (c == '"') {
-      v.type = Json::Type::string;
-      v.s = parse_string();
-    } else if (c == 't' && end - p >= 4 && std::memcmp(p, "true", 4) == 0) {
-      v.type = Json::Type::boolean;
-      v.b = true;
-      p += 4;
-    } else if (c == 'f' && end - p >= 5 && std::memcmp(p, "false", 5) == 0) {
-      v.type = Json::Type::boolean;
-      p += 5;
-    } else if (c == 'n' && end - p >= 4 && std::memcmp(p, "null", 4) == 0) {
-      p += 4;
-    } else {
-      char* num_end = nullptr;
-      v.type = Json::Type::number;
-      v.n = std::strtod(p, &num_end);
-      if (num_end == p || num_end > end) fail("bad number");
-      p = num_end;
-    }
-    return v;
-  }
-};
-
-Json parse_json(const std::string& text) {
-  JsonParser parser{text.data(), text.data() + text.size()};
-  Json v = parser.parse_value();
-  parser.skip_ws();
-  if (parser.p != parser.end) parser.fail("trailing garbage");
-  return v;
-}
-
-/// Decode the Chrome trace JSON chrome_json() writes back into events.
-TraceFile from_chrome_json(const std::string& text) {
-  const Json root = parse_json(text);
-  if (root.type != Json::Type::object) {
-    throw kronlab::io_error("trace JSON: top level is not an object");
-  }
-  const Json* events = root.get("traceEvents");
-  if (events == nullptr || events->type != Json::Type::array) {
-    throw kronlab::io_error("trace JSON: missing traceEvents array");
-  }
-  TraceFile out;
-  if (const Json* other = root.get("otherData")) {
-    if (const Json* epoch = other->get("epoch_unix_ns")) {
-      out.epoch_unix_ns = std::strtoull(epoch->s.c_str(), nullptr, 10);
-    }
-  }
-  std::map<std::uint32_t, std::string> names;
-  const auto str_of = [](const Json* j) {
-    return j != nullptr && j->type == Json::Type::string ? j->s
-                                                         : std::string();
-  };
-  const auto num_of = [](const Json* j) {
-    return j != nullptr && j->type == Json::Type::number ? j->n : 0.0;
-  };
-  for (const Json& ev : events->arr) {
-    const std::string ph = str_of(ev.get("ph"));
-    const auto tid = static_cast<std::uint32_t>(num_of(ev.get("tid")));
-    if (ph == "M") {
-      if (const Json* args = ev.get("args")) {
-        names[tid] = str_of(args->get("name"));
-      }
-      continue;
-    }
-    TraceEvent e;
-    e.tid = tid;
-    e.ts_ns = static_cast<std::uint64_t>(
-        std::llround(num_of(ev.get("ts")) * 1e3));
-    e.name = str_of(ev.get("name"));
-    e.cat = str_of(ev.get("cat"));
-    const Json* args = ev.get("args");
-    if (ph == "X") {
-      e.kind = Kind::span;
-      e.dur_ns = static_cast<std::uint64_t>(
-          std::llround(num_of(ev.get("dur")) * 1e3));
-      if (args) e.detail = str_of(args->get("detail"));
-    } else if (ph == "i") {
-      e.kind = Kind::instant;
-      if (args) e.detail = str_of(args->get("detail"));
-    } else if (ph == "C") {
-      e.kind = Kind::counter;
-      if (args) e.value = num_of(args->get("value"));
-    } else {
-      continue; // phases we never write
-    }
-    out.events.push_back(std::move(e));
-  }
-  for (auto& e : out.events) {
-    const auto it = names.find(e.tid);
-    e.thread_name = it != names.end()
-                        ? it->second
-                        : "thread " + std::to_string(e.tid);
-  }
-  return out;
-}
-
-/// Load one trace of either format, sniffing the binary magic.
+/// Load one trace file: exit 3 when it cannot be opened, 4 when its
+/// content does not parse.
 TraceFile load(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) {
-    die(3, "cannot open " + path);
-  }
-  char magic[8] = {};
-  f.read(magic, sizeof magic);
-  f.close();
+  if (!std::ifstream(path)) die(3, "cannot open " + path);
   try {
-    if (std::memcmp(magic, kronlab::magic::kTrc1, 8) == 0) {
-      return kronlab::trace::read_binary_file(path);
-    }
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return from_chrome_json(text.str());
-  } catch (const std::exception& e) {
-    die(4, path + ": " + e.what());
+    return kronlab::trace::read_chrome_file(path);
+  } catch (const kronlab::io_error& e) {
+    die(4, e.what());
   }
 }
 
@@ -314,31 +83,20 @@ int cmd_convert(const std::vector<std::string>& args) {
     }
   }
   if (inputs.empty()) usage(2);
-  if (out_path.empty()) {
-    if (inputs.size() == 1) {
-      out_path = inputs.front();
-      const auto dot = out_path.find_last_of('.');
-      if (dot != std::string::npos) out_path.resize(dot);
-      out_path += ".json";
-    } else {
-      out_path = "merged_trace.json";
-    }
-  }
+  if (out_path.empty()) out_path = "merged_trace.json";
   std::vector<TraceFile> files;
   files.reserve(inputs.size());
   for (const auto& in : inputs) files.push_back(load(in));
-  std::uint64_t epoch = files.front().epoch_unix_ns;
-  for (const auto& f : files) {
-    epoch = epoch == 0 ? f.epoch_unix_ns : std::min(epoch, f.epoch_unix_ns);
-  }
-  const auto merged = kronlab::trace::merge(files);
+  const TraceFile merged = kronlab::trace::merge(files);
   try {
-    kronlab::trace::write_chrome_file(out_path, merged, epoch);
+    kronlab::trace::write_chrome_file(out_path, merged.events,
+                                      merged.epoch_unix_ns);
   } catch (const std::exception& e) {
     die(3, e.what());
   }
   std::printf("wrote %s (%zu events from %zu file%s)\n", out_path.c_str(),
-              merged.size(), files.size(), files.size() == 1 ? "" : "s");
+              merged.events.size(), files.size(),
+              files.size() == 1 ? "" : "s");
   return 0;
 }
 
