@@ -296,9 +296,8 @@ def emit_audit_skeleton(functions: List[ir.Function], root: str) -> str:
 # rule: unchecked-read
 
 NODISCARD_APIS = {
-    "fnv1a64", "fnv1a64_words", "read_binary", "read_binary_file",
-    "read_segment", "read_manifest", "scan_store", "recv", "recv_deadline",
-    "recv_any",
+    "fnv1a64_words", "frame_checksum", "read_segment", "read_manifest",
+    "scan_store", "recv", "recv_deadline", "recv_any",
     "allreduce_sum", "allgather", "alltoall", "decode_request",
     "decode_response", "peek_request_id",
 }

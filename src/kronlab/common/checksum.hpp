@@ -1,18 +1,19 @@
 // kronlab/common/checksum.hpp
 //
-// The FNV-1a checksums every kronlab envelope carries, in one place.
+// The FNV-1a checksum every kronlab envelope carries, in one place.
 //
-// Two folds share the offset basis and prime:
+// One fold, one xor-multiply per little-endian int64 word, serves three
+// formats:
 //
-//   fnv1a64        byte-serial FNV-1a — KRNLCSR2 files
-//                  (grb/binary_io.hpp), KRNLSRV1 serve frames
-//                  (serve/protocol.hpp) and the stream-spec hash.
-//   fnv1a64_words  word-folded FNV-1a — KRNLSEG1 segments, the KRNLMAN1
-//                  manifest and the per-shard chain hashes
-//                  (io/durable.hpp).
+//   KRNLSEG1  durable segments and the per-shard chain hashes
+//             (io/durable.hpp)
+//   KRNLMAN1  the durable manifest and the stream-spec hash it records
+//             (io/durable.hpp, io/stream_gen.hpp)
+//   KRNLSRV2  query-daemon frames (serve/protocol.hpp)
 //
-// Both values are part of on-disk and wire formats: changing either fold
-// changes every stored checksum.
+// The value is part of on-disk and wire formats: changing the fold
+// changes every stored checksum, so it bumps the manifest version and
+// the serve magic's digit.
 
 #pragma once
 
@@ -26,18 +27,11 @@ namespace kronlab {
 inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
-/// 64-bit FNV-1a over a byte range, one xor-multiply per byte.
-[[nodiscard]] std::uint64_t fnv1a64(const void* data, std::size_t nbytes,
-                                    std::uint64_t basis = kFnvBasis);
-
 /// Word-folded FNV-1a: one xor-multiply per little-endian int64 word
-/// instead of per byte.  Every durable-store checksum and chain hash
-/// uses this fold — resume re-verifies the whole committed prefix, so
-/// the hash sits on the restart hot path, where byte-serial FNV would
-/// make every restart pay a large fraction of a cold run just
-/// re-hashing (bench_streaming's `resume_scan` section).  A flipped bit
-/// still cascades through every later word.  `nbytes` must be a
-/// multiple of 8: the formats are whole-word by construction.
+/// instead of per byte.  Both steps are bijections mod 2^64 (xor with a
+/// fixed word, multiply by an odd prime), so changing any one word — a
+/// single flipped bit included — changes the result.  `nbytes` must be a multiple of 8:
+/// the formats are whole-word by construction.
 [[nodiscard]] inline std::uint64_t fnv1a64_words(
     const void* data, std::size_t nbytes,
     std::uint64_t basis = kFnvBasis) {

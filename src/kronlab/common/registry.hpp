@@ -46,9 +46,6 @@ namespace kronlab::magic {
 
 // --- on-disk formats -------------------------------------------------------
 
-/// Checksummed binary CSR (grb/binary_io.hpp).
-inline constexpr char kCsr2[8] = {'K', 'R', 'N', 'L', 'C', 'S', 'R', '2'};
-
 /// Durable edge-stream segment (io/durable.hpp).
 inline constexpr char kSeg1[8] = {'K', 'R', 'N', 'L', 'S', 'E', 'G', '1'};
 
@@ -59,7 +56,7 @@ inline constexpr char kMan1[8] = {'K', 'R', 'N', 'L', 'M', 'A', 'N', '1'};
 
 /// Query-daemon frame envelope (serve/protocol.hpp).  The trailing digit
 /// is the protocol version.
-inline constexpr char kSrv1[8] = {'K', 'R', 'N', 'L', 'S', 'R', 'V', '1'};
+inline constexpr char kSrv2[8] = {'K', 'R', 'N', 'L', 'S', 'R', 'V', '2'};
 
 /// Aggregated ghost-row batch frame header word ("BATC", negated so it
 /// can never collide with a plausible row length — see dist/aggregator).

@@ -16,11 +16,13 @@ namespace {
 
 constexpr const char (&kSegMagic)[8] = magic::kSeg1;
 constexpr const char (&kManMagic)[8] = magic::kMan1;
-constexpr std::int64_t kManifestVersion = 1;
+/// 2: spec_hash moved from the byte-serial to the word-folded FNV-1a, so a
+/// version-1 store records a hash no current spec reproduces.
+constexpr std::int64_t kManifestVersion = 2;
 constexpr const char* kManifestName = "MANIFEST";
 
 /// Hard cap on counts decoded from disk: four corrupt bytes must not
-/// become a terabyte allocation (same posture as grb/binary_io).
+/// become a terabyte allocation.
 constexpr std::int64_t kMaxPlausible = std::int64_t{1} << 40;
 
 void append_words(std::string& out, const std::int64_t* words,

@@ -27,7 +27,7 @@
 //
 // KRNLMAN1 manifest:
 //
-//   "KRNLMAN1" | version | spec_hash | shards | segment_edges
+//   "KRNLMAN1" | version (2) | spec_hash | shards | segment_edges
 //   | total_edges | per shard: (segments, edges, chain_hash)
 //   | fnv1a64_words(all preceding words)
 //

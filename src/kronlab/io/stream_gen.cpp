@@ -17,11 +17,11 @@ namespace {
 
 void hash_factor(std::uint64_t& h, const graph::Adjacency& f) {
   const std::int64_t shape[2] = {f.nrows(), f.ncols()};
-  h = fnv1a64(shape, sizeof shape, h);
-  h = fnv1a64(f.row_ptr().data(),
-              f.row_ptr().size() * sizeof(f.row_ptr()[0]), h);
-  h = fnv1a64(f.col_idx().data(),
-              f.col_idx().size() * sizeof(f.col_idx()[0]), h);
+  h = fnv1a64_words(shape, sizeof shape, h);
+  h = fnv1a64_words(f.row_ptr().data(),
+                    f.row_ptr().size() * sizeof(f.row_ptr()[0]), h);
+  h = fnv1a64_words(f.col_idx().data(),
+                    f.col_idx().size() * sizeof(f.col_idx()[0]), h);
 }
 
 /// Thrown at a shard's next lock acquisition once a sibling has failed;
@@ -157,7 +157,7 @@ std::uint64_t spec_hash(const kron::BipartiteKronecker& kp) {
   hash_factor(h, kp.left());
   hash_factor(h, kp.right());
   const std::int64_t mode = static_cast<std::int64_t>(kp.mode());
-  h = fnv1a64(&mode, sizeof mode, h);
+  h = fnv1a64_words(&mode, sizeof mode, h);
   return h;
 }
 

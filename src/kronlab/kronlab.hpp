@@ -43,7 +43,6 @@
 #include "kronlab/graph/traversal.hpp"
 #include "kronlab/graph/triangles.hpp"
 #include "kronlab/graph/wing.hpp"
-#include "kronlab/grb/binary_io.hpp"
 #include "kronlab/grb/csr.hpp"
 #include "kronlab/grb/io.hpp"
 #include "kronlab/grb/kron.hpp"

@@ -3,7 +3,7 @@
 // Live telemetry: a process-wide registry of named counters, gauges, and
 // log-bucketed latency histograms.  Where obs/trace answers "what
 // happened, in order" after the fact, the stats registry answers "what is
-// happening right now" — it is what the KRNLSRV1 SERVER_STATS admin
+// happening right now" — it is what the KRNLSRV2 SERVER_STATS admin
 // request snapshots on a running daemon, what the bench harness folds
 // into kronlab-bench-v1 counters (p50/p99 per instrumented phase), and
 // what the stall watchdog samples.  Instrumented kernels (KRONLAB_KERNEL)

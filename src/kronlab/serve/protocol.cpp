@@ -330,6 +330,10 @@ std::string decode_stats_text(const std::vector<word_t>& words) {
   return text;
 }
 
+std::uint64_t frame_checksum(std::span<const word_t> payload) {
+  return fnv1a64_words(payload.data(), payload.size_bytes());
+}
+
 std::vector<std::uint8_t> seal_frame(const std::vector<word_t>& payload) {
   const std::size_t body = payload.size() * sizeof(word_t);
   if (body > max_frame_bytes) {
@@ -346,7 +350,7 @@ std::vector<std::uint8_t> seal_frame(const std::vector<word_t>& payload) {
   w += 8;
   if (body > 0) std::memcpy(w, payload.data(), body);
   w += body;
-  const std::uint64_t sum = fnv1a64(payload.data(), body);
+  const std::uint64_t sum = frame_checksum(payload);
   std::memcpy(w, &sum, 8);
   return out;
 }
@@ -375,7 +379,7 @@ std::vector<word_t> unseal_frame(const std::vector<std::uint8_t>& bytes) {
   }
   std::uint64_t stored = 0;
   std::memcpy(&stored, bytes.data() + sizeof frame_magic + 8 + len, 8);
-  if (stored != fnv1a64(payload.data(), len)) {
+  if (stored != frame_checksum(payload)) {
     throw checksum_error("kronlab serve: frame checksum mismatch");
   }
   return payload;

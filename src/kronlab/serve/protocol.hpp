@@ -9,15 +9,16 @@
 // travel in; server.hpp executes them, client.hpp issues them.
 //
 // Frame envelope (all integers little-endian, same discipline as the
-// KRNLCSR2 envelope in grb/binary_io):
+// KRNLSEG1 segments in io/durable):
 //
-//   magic "KRNLSRV1" | u64 payload bytes | payload | u64 fnv1a64(payload)
+//   magic "KRNLSRV2" | u64 payload bytes | payload | u64 frame_checksum
 //
-// The payload is a vector of 64-bit words.  The trailing checksum covers
-// every payload byte, so a corrupt frame is detected before any word of it
-// is interpreted.  The payload length must be a multiple of 8 and at most
-// max_frame_bytes; anything else is unrecoverable (the stream may be
-// unsynchronized) and the connection is closed.
+// The payload is a vector of 64-bit words.  The trailing checksum is the
+// word-folded FNV-1a of common/checksum over every payload word, so a
+// corrupt frame is detected before any word of it is interpreted.  The
+// payload length must be a multiple of 8 and at most max_frame_bytes;
+// anything else is unrecoverable (the stream may be unsynchronized) and
+// the connection is closed.
 //
 // Request payload words:
 //
@@ -42,7 +43,8 @@
 //                           UTF-8 text packed little-endian, zero-padded
 //                           (a live telemetry snapshot — see obs/stats)
 //
-// Versioning rule: the magic carries the protocol version ("KRNLSRV1").
+// Versioning rule: the magic carries the protocol version ("KRNLSRV2";
+// version 1 checksummed the payload byte by byte).
 // Within a version, responses may only grow by appending words to a
 // result (clients must ignore trailing words they do not know); any
 // incompatible change — reordered words, changed semantics, new framing —
@@ -71,7 +73,7 @@ using word_t = std::int64_t;
 /// The protocol magic, version included.
 // Alias into the one-definition registry (common/registry.hpp); keeps
 // sizeof frame_magic == 8 for the memcpy/memcmp framing below.
-inline constexpr const char (&frame_magic)[8] = magic::kSrv1;
+inline constexpr const char (&frame_magic)[8] = magic::kSrv2;
 
 /// Hard cap on one frame's payload (bytes).  Far above any real batch,
 /// far below anything that could turn eight corrupt length bytes into a
@@ -242,6 +244,10 @@ template <typename Record>
 
 // ---------------------------------------------------------------------------
 // Envelope: payload words <-> sealed byte frames.
+
+/// The envelope's checksum word over `payload` — the one place the fold
+/// is named; seal_frame, unseal_frame and read_frame all call it.
+[[nodiscard]] std::uint64_t frame_checksum(std::span<const word_t> payload);
 
 /// magic | length | payload | checksum, as one contiguous byte buffer.
 [[nodiscard]] std::vector<std::uint8_t> seal_frame(

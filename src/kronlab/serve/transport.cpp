@@ -11,7 +11,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "kronlab/common/checksum.hpp"
 #include "kronlab/common/random.hpp"
 
 namespace kronlab::serve {
@@ -328,7 +327,7 @@ std::optional<std::vector<word_t>> read_frame(
   }
   const auto stored = static_cast<std::uint64_t>(payload.back());
   payload.pop_back();
-  if (stored != fnv1a64(payload.data(), len)) {
+  if (stored != frame_checksum(payload)) {
     throw checksum_error("kronlab serve: frame checksum mismatch");
   }
   return payload;

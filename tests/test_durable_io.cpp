@@ -304,6 +304,41 @@ TEST(DurableFormat, ManifestRoundTripAndCorruption) {
   EXPECT_THROW((void)read_manifest(ops, dir), validation_error);
 }
 
+TEST(DurableFormat, OlderManifestVersionIsRefused) {
+  // A version-1 manifest recorded a spec hash of the byte-serial fold, so
+  // it must be refused by its version before any hash is compared —
+  // resealed here with a valid checksum, so only the version word is off.
+  const auto kp = test_product();
+  const TempDir tmp("durable_man_version");
+  const auto& dir = tmp.path();
+  auto opt = test_options(dir);
+  generate_durable(real_file_ops(), kp, opt);
+  FileOps& ops = real_file_ops();
+  std::string bytes = *ops.read_file(dir + "/MANIFEST");
+  const std::int64_t v1 = 1;
+  std::memcpy(bytes.data() + 8, &v1, sizeof v1);
+  const std::uint64_t sum =
+      fnv1a64_words(bytes.data() + 8, bytes.size() - 16);
+  std::memcpy(bytes.data() + bytes.size() - 8, &sum, sizeof sum);
+  auto f = ops.create(dir + "/MANIFEST");
+  write_all(*f, bytes.data(), bytes.size());
+  f->close();
+
+  const auto expect_version_error = [](const std::function<void()>& body) {
+    try {
+      body();
+      ADD_FAILURE() << "version-1 manifest accepted";
+    } catch (const validation_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported manifest version 1"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_version_error([&] { (void)read_manifest(ops, dir); });
+  opt.resume = true;
+  expect_version_error([&] { generate_durable(ops, kp, opt); });
+}
+
 // ---------------------------------------------------------------------------
 // The kill/resume matrix — the heart of the battery.
 

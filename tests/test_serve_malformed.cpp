@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
+#include "kronlab/common/checksum.hpp"
 #include "kronlab/gen/canonical.hpp"
 #include "kronlab/serve/client.hpp"
 #include "kronlab/serve/protocol.hpp"
@@ -85,10 +87,54 @@ protected:
 TEST_F(ServeMalformedTest, BadMagicGetsErrorThenClose) {
   auto t = connect();
   auto frame = good_frame();
-  frame[0] = 'X'; // no longer "KRNLSRV1"
+  frame[0] = 'X'; // no longer "KRNLSRV2"
   t->write_all(frame.data(), frame.size());
   // The stream may be unsynchronized: best-effort malformed answer, then
   // the server must drop the connection.
+  expect_status(*t, Status::malformed);
+  expect_close(*t);
+  assert_still_serving();
+  EXPECT_GE(server_->stats().malformed, 1u);
+}
+
+TEST_F(ServeMalformedTest, Srv1FrameGetsErrorThenClose) {
+  // A well-formed protocol-1 frame: the version-1 magic and the
+  // byte-serial FNV-1a that version checksummed its payload with.  The
+  // server does not speak it, so it answers malformed and drops the
+  // stream, and unseal_frame calls it a framing error, not a checksum one.
+  const std::vector<std::uint8_t> v1 = {
+      0x4b, 0x52, 0x4e, 0x4c, 0x53, 0x52, 0x56, 0x31, // version-1 magic
+      0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // 32 payload bytes
+      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // id = 7
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // 1 probe
+      0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // Op::stats
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // 0 args
+      0x05, 0x4f, 0x3c, 0x48, 0x90, 0xcc, 0x1b, 0xc1, // byte-serial FNV-1a
+  };
+  // The pinned frame is the current frame of the same request but for
+  // the magic digit and the checksum word, and that word is right for
+  // version 1.
+  const auto v2 = good_frame(7);
+  ASSERT_EQ(v1.size(), v2.size());
+  EXPECT_TRUE(std::equal(v1.begin() + 8, v1.end() - 8, v2.begin() + 8));
+  std::uint64_t v1_sum = kFnvBasis;
+  for (auto it = v1.begin() + 16; it != v1.end() - 8; ++it) {
+    v1_sum = (v1_sum ^ *it) * kFnvPrime;
+  }
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, v1.data() + v1.size() - 8, 8);
+  EXPECT_EQ(stored, v1_sum);
+
+  try {
+    (void)unseal_frame(v1);
+    ADD_FAILURE() << "a version-1 frame unsealed";
+  } catch (const checksum_error& e) {
+    ADD_FAILURE() << "version mismatch reported as corruption: " << e.what();
+  } catch (const protocol_error&) {
+  }
+
+  auto t = connect();
+  t->write_all(v1.data(), v1.size());
   expect_status(*t, Status::malformed);
   expect_close(*t);
   assert_still_serving();

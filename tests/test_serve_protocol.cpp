@@ -1,7 +1,7 @@
 // Wire-protocol tests for the query daemon (serve/protocol.hpp): encoder /
 // decoder round trips for every request and response shape, a golden-bytes
-// frame (the literal on-the-wire layout "KRNLSRV1" | length | payload |
-// fnv1a64), and an end-to-end check that records served over a live
+// frame (the literal on-the-wire layout "KRNLSRV2" | length | payload |
+// word-folded FNV-1a), and an end-to-end check that records served over a live
 // in-process connection are byte-for-byte what a direct GroundTruthOracle
 // call returns on the same spec.
 
@@ -132,13 +132,13 @@ TEST(ServeProtocol, GoldenStatsFrameBytes) {
   const Request req{7, {Probe::stats()}};
   const auto frame = seal_frame(encode_request(req));
   const std::uint8_t expected[] = {
-      0x4b, 0x52, 0x4e, 0x4c, 0x53, 0x52, 0x56, 0x31, // "KRNLSRV1"
+      0x4b, 0x52, 0x4e, 0x4c, 0x53, 0x52, 0x56, 0x32, // "KRNLSRV2"
       0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // 32 payload bytes
       0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // id = 7
       0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // 1 probe
       0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // Op::stats
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // 0 args
-      0x05, 0x4f, 0x3c, 0x48, 0x90, 0xcc, 0x1b, 0xc1, // fnv1a64
+      0x9b, 0x16, 0x0f, 0xa0, 0x66, 0x21, 0xd8, 0x75, // fnv1a64_words
   };
   ASSERT_EQ(frame.size(), sizeof expected);
   for (std::size_t i = 0; i < sizeof expected; ++i) {
@@ -157,14 +157,14 @@ TEST(ServeProtocol, GoldenServerStatsFrameBytes) {
   const Request req{9, {Probe::server_stats(StatsFormat::json)}};
   const auto frame = seal_frame(encode_request(req));
   const std::uint8_t expected[] = {
-      0x4b, 0x52, 0x4e, 0x4c, 0x53, 0x52, 0x56, 0x31, // "KRNLSRV1"
+      0x4b, 0x52, 0x4e, 0x4c, 0x53, 0x52, 0x56, 0x32, // "KRNLSRV2"
       0x28, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // 40 payload bytes
       0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // id = 9
       0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // 1 probe
       0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // Op::server_stats
       0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // 1 arg
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // StatsFormat::json
-      0x4b, 0x30, 0x86, 0x92, 0x91, 0xa8, 0x7a, 0x77, // fnv1a64
+      0x11, 0x7b, 0x38, 0xc6, 0x0a, 0x3b, 0xe0, 0xa0, // fnv1a64_words
   };
   ASSERT_EQ(frame.size(), sizeof expected);
   for (std::size_t i = 0; i < sizeof expected; ++i) {
