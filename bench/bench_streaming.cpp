@@ -1,6 +1,6 @@
 // Durable streaming-generation bench — the crash-tolerance backbone in
 // miniature (DESIGN.md §12): stream a Kronecker product's edges into a
-// KRNLSEG1/KRNLMAN1 store with on-the-fly oracle validation, then measure
+// KRNLSEG2/KRNLMAN1 store with on-the-fly oracle validation, then measure
 // what resumability costs.
 //
 // Sections:

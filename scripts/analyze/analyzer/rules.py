@@ -299,7 +299,7 @@ NODISCARD_APIS = {
     "fnv1a64_words", "frame_checksum", "read_segment", "read_manifest",
     "scan_store", "recv", "recv_deadline", "recv_any",
     "allreduce_sum", "allgather", "alltoall", "decode_request",
-    "decode_response", "peek_request_id",
+    "decode_response", "peek_request_id", "has_edge",
 }
 
 _STMT_START = {";", "{", "}"}

@@ -5,7 +5,7 @@
 // One fold, one xor-multiply per little-endian int64 word, serves three
 // formats:
 //
-//   KRNLSEG1  durable segments and the per-shard chain hashes
+//   KRNLSEG2  durable segments and the per-shard chain hashes
 //             (io/durable.hpp)
 //   KRNLMAN1  the durable manifest and the stream-spec hash it records
 //             (io/durable.hpp, io/stream_gen.hpp)

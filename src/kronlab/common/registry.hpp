@@ -47,7 +47,7 @@ namespace kronlab::magic {
 // --- on-disk formats -------------------------------------------------------
 
 /// Durable edge-stream segment (io/durable.hpp).
-inline constexpr char kSeg1[8] = {'K', 'R', 'N', 'L', 'S', 'E', 'G', '1'};
+inline constexpr char kSeg2[8] = {'K', 'R', 'N', 'L', 'S', 'E', 'G', '2'};
 
 /// Durable store manifest (io/durable.hpp).
 inline constexpr char kMan1[8] = {'K', 'R', 'N', 'L', 'M', 'A', 'N', '1'};

@@ -103,7 +103,7 @@ Shard generate_shard(const kron::BipartiteKronecker& kp,
 /// Load rank `rank`'s shard from the complete durable store in `dir`
 /// (generate_durable at ps.parts() shards): row_ptr comes from the factor
 /// degrees, as in generate_shard, and the columns from the committed
-/// KRNLSEG1 records, read through the walk verify_store uses.  Throws
+/// KRNLSEG2 records, read through the walk verify_store uses.  Throws
 /// io_error when the store is missing or unreadable, and validation_error
 /// when it is corrupt or does not fit the partition: a different spec or
 /// shard count, an incomplete shard, a record in the wrong row, or a

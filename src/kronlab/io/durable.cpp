@@ -14,11 +14,13 @@ namespace kronlab::io {
 
 namespace {
 
-constexpr const char (&kSegMagic)[8] = magic::kSeg1;
+constexpr const char (&kSegMagic)[8] = magic::kSeg2;
 constexpr const char (&kManMagic)[8] = magic::kMan1;
 /// 2: spec_hash moved from the byte-serial to the word-folded FNV-1a, so a
 /// version-1 store records a hash no current spec reproduces.
-constexpr std::int64_t kManifestVersion = 2;
+/// 3: segment records moved from two int64 words to two delta varints, so
+/// a version-2 store's segments and chain hashes no longer decode.
+constexpr std::int64_t kManifestVersion = 3;
 constexpr const char* kManifestName = "MANIFEST";
 
 /// Hard cap on counts decoded from disk: four corrupt bytes must not
@@ -104,8 +106,50 @@ void fold_payload(const void* data, std::size_t words, PayloadHashes& h) {
 }
 
 /// Bytes of a segment's header words (between magic and payload).
-constexpr std::size_t kHeaderBytes =
-    (kSegmentHeadWords - 1) * sizeof(std::int64_t);
+constexpr std::size_t kHeaderBytes = kSegmentHeadBytes - sizeof kSegMagic;
+
+constexpr std::size_t round_up_to_word(std::size_t n) {
+  return (n + sizeof(std::int64_t) - 1) & ~(sizeof(std::int64_t) - 1);
+}
+
+/// Cursor over a KRNLSEG2 payload's varints; `path` names the segment in
+/// errors.
+struct VarintReader {
+  const unsigned char* at;
+  const unsigned char* end;
+  const std::string& path;
+
+  [[noreturn]] void fail(const char* what) const {
+    throw validation_error("durable store: " + path + " " + what +
+                           " (corrupt segment)");
+  }
+
+  std::uint64_t next() {
+    if (at != end && *at < 0x80) return *at++;
+    std::uint64_t v = 0;
+    for (unsigned shift = 0;; shift += 7) {
+      if (at == end) fail("ends inside a varint");
+      const unsigned b = *at++;
+      if (shift == 63 && b > 1) {
+        fail(b & 0x80 ? "holds a varint longer than 10 bytes"
+                      : "holds a varint with bits past 64");
+      }
+      v |= std::uint64_t{b & 0x7f} << shift;
+      if ((b & 0x80) == 0) return v;
+    }
+  }
+
+  /// prev plus the next zigzag delta, which must land in [0, kMaxPlausible].
+  index_t next_id(index_t prev) {
+    const std::uint64_t z = next();
+    const std::uint64_t id =
+        static_cast<std::uint64_t>(prev) + ((z >> 1) ^ (0 - (z & 1)));
+    if (id > static_cast<std::uint64_t>(kMaxPlausible)) {
+      fail("holds an id outside [0, 2^40]");
+    }
+    return static_cast<index_t>(id);
+  }
+};
 
 } // namespace
 
@@ -123,30 +167,48 @@ count_t Manifest::total_edges() const {
   return total;
 }
 
-SegmentBuffer::SegmentBuffer(count_t capacity) {
-  words_.reserve(kSegmentHeadWords +
-                 2 * static_cast<std::size_t>(capacity) + 1);
-  words_.resize(kSegmentHeadWords);
-  std::memcpy(words_.data(), kSegMagic, sizeof kSegMagic);
+// Sized for `capacity` worst-case records plus the pad and the trailer,
+// so neither push nor seal grows it in a segment of that many records.
+SegmentBuffer::SegmentBuffer(count_t capacity)
+    : bytes_(kSegmentHeadBytes +
+             kMaxRecordBytes * static_cast<std::size_t>(capacity) +
+             2 * sizeof(std::int64_t)) {
+  std::memcpy(bytes_.data(), kSegMagic, sizeof kSegMagic);
+}
+
+void SegmentBuffer::grow() { bytes_.resize(2 * bytes_.size()); }
+
+void SegmentBuffer::clear() {
+  end_ = kSegmentHeadBytes;
+  num_edges_ = 0;
+  prev_p_ = 0;
+  prev_q_ = 0;
 }
 
 std::uint64_t SegmentBuffer::seal(const SegmentHeader& header,
                                   std::uint64_t& chain) {
   KRONLAB_TRACE_SPAN("io", "seal_segment");
-  KRONLAB_REQUIRE(words_.size() % 2 == 0 && header.num_edges == num_edges(),
+  KRONLAB_REQUIRE(header.num_edges == num_edges_,
                   "segment header/payload edge count mismatch");
   header_ = header;
-  words_[1] = static_cast<std::int64_t>(header.spec_hash);
-  words_[2] = header.shard;
-  words_[3] = header.seg_index;
-  words_[4] = header.first_edge;
-  words_[5] = header.num_edges;
+  const std::size_t payload_bytes = end_ - kSegmentHeadBytes;
+  const std::size_t padded = round_up_to_word(payload_bytes);
+  if (bytes_.size() < kSegmentHeadBytes + padded + sizeof(std::int64_t)) {
+    grow();
+  }
+  unsigned char* payload = bytes_.data() + kSegmentHeadBytes;
+  std::memset(payload + payload_bytes, 0, padded - payload_bytes);
+  const std::int64_t head[kSegmentHeadWords - 1] = {
+      static_cast<std::int64_t>(header.spec_hash), header.shard,
+      header.seg_index, header.first_edge, header.num_edges,
+      static_cast<std::int64_t>(payload_bytes)};
+  std::memcpy(bytes_.data() + sizeof kSegMagic, head, sizeof head);
   PayloadHashes h;
-  h.trailer = fnv1a64_words(&words_[1], kHeaderBytes);
+  h.trailer = fnv1a64_words(head, sizeof head);
   h.chain = chain;
-  fold_payload(&words_[kSegmentHeadWords],
-               words_.size() - kSegmentHeadWords, h);
-  words_.push_back(static_cast<std::int64_t>(h.trailer));
+  fold_payload(payload, padded / sizeof(std::int64_t), h);
+  std::memcpy(payload + padded, &h.trailer, sizeof h.trailer);
+  end_ = kSegmentHeadBytes + padded + sizeof h.trailer;
   chain = h.chain;
   return h.payload;
 }
@@ -158,31 +220,37 @@ void publish_segment(FileOps& ops, const std::string& dir,
                seg.data(), seg.size_bytes());
 }
 
-SegmentData decode_segment(std::string bytes, const std::string& path,
-                           std::uint64_t chain) {
+namespace {
+
+/// decode_segment into `seg`, whose records buffer is reused: a walk over
+/// many segments allocates it once.
+void decode_into(const std::string& bytes, const std::string& path,
+                 std::uint64_t chain, SegmentData& seg) {
   KRONLAB_TRACE_SPAN("io", "decode_segment");
   if (bytes.size() < sizeof kSegMagic ||
       std::memcmp(bytes.data(), kSegMagic, sizeof kSegMagic) != 0) {
     throw validation_error("durable store: " + path +
-                           " is not a KRNLSEG1 segment (bad magic)");
+                           " is not a KRNLSEG2 segment (bad magic)");
   }
   WordReader r{bytes, sizeof kSegMagic, path};
-  SegmentData seg;
   seg.header.spec_hash = static_cast<std::uint64_t>(r.next("spec hash"));
   seg.header.shard = r.next("shard");
   seg.header.seg_index = r.next("segment index");
   seg.header.first_edge = r.next("first edge");
   seg.header.num_edges = r.next("edge count");
+  const std::int64_t payload_bytes = r.next("payload size");
   if (seg.header.shard < 0 || seg.header.seg_index < 0 ||
       seg.header.first_edge < 0 || seg.header.num_edges < 0 ||
-      seg.header.num_edges > kMaxPlausible) {
+      seg.header.num_edges > kMaxPlausible ||
+      payload_bytes < 2 * seg.header.num_edges ||
+      payload_bytes > static_cast<std::int64_t>(kMaxRecordBytes) *
+                          seg.header.num_edges) {
     throw validation_error("durable store: " + path +
                            " has an implausible header (corrupt)");
   }
-  const std::size_t payload_words =
-      2 * static_cast<std::size_t>(seg.header.num_edges);
-  const std::size_t whole =
-      (kSegmentHeadWords + payload_words + 1) * sizeof(std::int64_t);
+  const std::size_t padded =
+      round_up_to_word(static_cast<std::size_t>(payload_bytes));
+  const std::size_t whole = kSegmentHeadBytes + padded + sizeof(std::int64_t);
   if (bytes.size() < whole) {
     throw validation_error("durable store: " + path +
                            " is truncated (torn segment)");
@@ -194,15 +262,38 @@ SegmentData decode_segment(std::string bytes, const std::string& path,
   PayloadHashes h;
   h.trailer = fnv1a64_words(bytes.data() + sizeof kSegMagic, kHeaderBytes);
   h.chain = chain;
-  fold_payload(bytes.data() + r.pos, payload_words, h);
-  r.pos += payload_words * sizeof(std::int64_t);
+  fold_payload(bytes.data() + r.pos, padded / sizeof(std::int64_t), h);
+  r.pos += padded;
   if (static_cast<std::uint64_t>(r.next("checksum")) != h.trailer) {
     throw validation_error("durable store: " + path +
                            " fails its FNV-1a checksum (corrupt segment)");
   }
-  seg.bytes = std::move(bytes);
+  const auto* payload =
+      reinterpret_cast<const unsigned char*>(bytes.data()) + kSegmentHeadBytes;
+  VarintReader in{payload, payload + payload_bytes, path};
+  seg.records.resize(2 * static_cast<std::size_t>(seg.header.num_edges));
+  index_t p = 0;
+  index_t q = 0;
+  for (std::size_t i = 0; i < seg.records.size(); i += 2) {
+    p = in.next_id(p);
+    q = in.next_id(q);
+    seg.records[i] = p;
+    seg.records[i + 1] = q;
+  }
+  if (in.at != in.end) in.fail("has bytes past its last record");
+  for (const unsigned char* pad = in.end; pad != payload + padded; ++pad) {
+    if (*pad != 0) in.fail("has a non-zero pad byte");
+  }
   seg.payload_hash = h.payload;
   seg.chain_hash = h.chain;
+}
+
+} // namespace
+
+SegmentData decode_segment(const std::string& bytes, const std::string& path,
+                           std::uint64_t chain) {
+  SegmentData seg;
+  decode_into(bytes, path, chain, seg);
   return seg;
 }
 
@@ -210,7 +301,7 @@ SegmentData read_segment(FileOps& ops, const std::string& path,
                          std::uint64_t chain) {
   auto bytes = ops.read_file(path);
   if (!bytes) throw io_error("durable store: missing segment " + path);
-  return decode_segment(std::move(*bytes), path, chain);
+  return decode_segment(*bytes, path, chain);
 }
 
 void require_committed_at(const SegmentData& seg, const std::string& path,
@@ -231,14 +322,15 @@ void for_each_committed_segment(
     const std::function<void(const SegmentData&)>& visit) {
   std::uint64_t chain = kFnvBasis;
   count_t edges = 0;
+  SegmentData seg;
   for (count_t g = 0; g < prog.segments; ++g) {
     static obs::Histogram& validate_hist =
         obs::histogram("io/segment_validate");
     obs::LatencyScope validate_latency(validate_hist);
     const std::string path = dir + "/" + segment_name(shard, g);
-    auto bytes = read(path);
+    const auto bytes = read(path);
     if (!bytes) throw io_error("durable store: missing segment " + path);
-    const SegmentData seg = decode_segment(std::move(*bytes), path, chain);
+    decode_into(*bytes, path, chain, seg);
     require_committed_at(seg, path, spec_hash, shard, g, edges);
     visit(seg);
     chain = seg.chain_hash;

@@ -1,21 +1,29 @@
 // kronlab/io/durable.hpp
 //
-// Durable sharded edge output: KRNLSEG1 segments + a KRNLMAN1 manifest.
+// Durable sharded edge output: KRNLSEG2 segments + a KRNLMAN1 manifest.
 //
 // The crash-tolerance backbone of extreme-scale streaming generation
 // (io/stream_gen.hpp): a multi-hour run must survive a kill at any
 // instruction boundary losing at most one uncommitted segment.
 //
-// KRNLSEG1 segment file (little-endian 64-bit words after an 8-byte
-// magic):
+// KRNLSEG2 segment file (little-endian 64-bit words after an 8-byte
+// magic, around a byte payload of varints):
 //
-//   "KRNLSEG1" | spec_hash | shard | seg_index | first_edge | num_edges
-//   | (p, q) * num_edges | fnv1a64_words(header..payload)
+//   "KRNLSEG2" | spec_hash | shard | seg_index | first_edge | num_edges
+//   | payload_bytes | varints, zero-padded to a word
+//   | fnv1a64_words(header..padded payload)
 //
-// Fixed-size binary edge records; the trailing FNV-1a word covers every
-// word between the magic and itself, so a torn or bit-flipped segment is
-// detected on read.  `first_edge` is the edge ordinal within the shard's
-// deterministic stream — segments of one shard tile [0, edges) exactly.
+// Each record is the zigzag LEB128 varint of p − p_prev followed by that
+// of q − q_prev, starting from (0, 0) at every segment, so a segment
+// decodes on its own.  Records arrive row-major with ascending columns,
+// so a record costs ~2 bytes; ids in [0, 2^40] bound it at 12.  The
+// trailing FNV-1a word covers every word between the magic and itself,
+// so a torn or bit-flipped segment is detected before any record is
+// decoded; the decoder then rejects an over-long or overflowing varint,
+// records that do not fill payload_bytes exactly, a non-zero pad byte
+// and any id outside [0, 2^40].  `first_edge` is the edge ordinal within
+// the shard's deterministic stream — segments of one shard tile
+// [0, edges) exactly.
 //
 // Commit protocol (all through io/file_ops.hpp):
 //
@@ -27,11 +35,11 @@
 //
 // KRNLMAN1 manifest:
 //
-//   "KRNLMAN1" | version (2) | spec_hash | shards | segment_edges
+//   "KRNLMAN1" | version (3) | spec_hash | shards | segment_edges
 //   | total_edges | per shard: (segments, edges, chain_hash)
 //   | fnv1a64_words(all preceding words)
 //
-// `chain_hash` is the word-folded FNV-1a of the shard's committed
+// `chain_hash` is the word-folded FNV-1a of the shard's committed padded
 // payload words, folded segment after segment — the checksum over the
 // concatenated committed segments that the kill/resume matrix compares
 // against an uninterrupted run.  The stream cursor of shard s is simply
@@ -52,7 +60,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <utility>
@@ -72,64 +79,86 @@ struct SegmentHeader {
   count_t num_edges = 0;
 };
 
-/// Words before a KRNLSEG1 payload: the magic and the five header words.
-inline constexpr std::size_t kSegmentHeadWords = 6;
+/// Words before a KRNLSEG2 payload: the magic and the six header words.
+inline constexpr std::size_t kSegmentHeadWords = 7;
+inline constexpr std::size_t kSegmentHeadBytes =
+    kSegmentHeadWords * sizeof(std::int64_t);
+
+/// Longest encoded record: two 10-byte varints (any int64 delta).
+inline constexpr std::size_t kMaxRecordBytes = 20;
 
 /// One segment's file image, encoded in place: records go straight into
-/// the words publish_segment writes, and the buffer is reused from seal
+/// the bytes publish_segment writes, and the buffer is reused from seal
 /// to seal.
 class SegmentBuffer {
 public:
   explicit SegmentBuffer(count_t capacity);
 
   void push(index_t p, index_t q) {
-    words_.push_back(p);
-    words_.push_back(q);
+    if (bytes_.size() - end_ < kMaxRecordBytes) grow();
+    unsigned char* at = bytes_.data() + end_;
+    at = put_delta(at, p, prev_p_);
+    at = put_delta(at, q, prev_q_);
+    end_ = static_cast<std::size_t>(at - bytes_.data());
+    prev_p_ = p;
+    prev_q_ = q;
+    ++num_edges_;
   }
 
-  [[nodiscard]] count_t num_edges() const {
-    return static_cast<count_t>(words_.size() - kSegmentHeadWords) / 2;
-  }
+  [[nodiscard]] count_t num_edges() const { return num_edges_; }
 
-  /// Stamp `header` (its num_edges must equal num_edges()) and append
-  /// the trailer.  One pass over the records folds the payload hash
-  /// (returned), the trailer checksum, and `chain` — the shard's running
-  /// chain hash, advanced in place.
+  /// Stamp `header` (its num_edges must equal num_edges()), pad the
+  /// payload to a word and append the trailer.  One pass over the padded
+  /// payload folds the payload hash (returned), the trailer checksum, and
+  /// `chain` — the shard's running chain hash, advanced in place.
   [[nodiscard]] std::uint64_t seal(const SegmentHeader& header,
                                    std::uint64_t& chain);
 
   /// The sealed file image.
-  [[nodiscard]] const void* data() const { return words_.data(); }
-  [[nodiscard]] std::size_t size_bytes() const {
-    return words_.size() * sizeof(std::int64_t);
-  }
+  [[nodiscard]] const void* data() const { return bytes_.data(); }
+  [[nodiscard]] std::size_t size_bytes() const { return end_; }
   [[nodiscard]] const SegmentHeader& header() const { return header_; }
 
   /// Drop the records (and trailer), keeping the allocation.
-  void clear() { words_.resize(kSegmentHeadWords); }
+  void clear();
 
 private:
+  /// Append the zigzag LEB128 varint of v − prev.
+  static unsigned char* put_delta(unsigned char* at, index_t v,
+                                  index_t prev) {
+    const auto d = static_cast<std::uint64_t>(v) -
+                   static_cast<std::uint64_t>(prev);
+    std::uint64_t z = (d << 1) ^ (0 - (d >> 63));
+    while (z >= 0x80) {
+      *at++ = static_cast<unsigned char>(z | 0x80);
+      z >>= 7;
+    }
+    *at++ = static_cast<unsigned char>(z);
+    return at;
+  }
+
+  void grow();
+
   SegmentHeader header_;
-  std::vector<std::int64_t> words_;
+  std::vector<unsigned char> bytes_; ///< file image; [0, end_) is live
+  std::size_t end_ = kSegmentHeadBytes;
+  count_t num_edges_ = 0;
+  index_t prev_p_ = 0;
+  index_t prev_q_ = 0;
 };
 
-/// One decoded segment.  Holds the file bytes it was read from; the
-/// records are read in place.
+/// One decoded segment: its header and its records, decoded once.
 struct SegmentData {
   SegmentHeader header;
-  std::string bytes;
-  std::uint64_t payload_hash = kFnvBasis; ///< FNV-1a over the payload
+  std::vector<index_t> records;           ///< p0, q0, p1, q1, ...
+  std::uint64_t payload_hash = kFnvBasis; ///< FNV-1a over padded payload
   std::uint64_t chain_hash = kFnvBasis;   ///< caller's chain, advanced
 
   /// Visit every record in order as fn(p, q).
   template <typename Fn>
   void for_each_edge(Fn&& fn) const {
-    const char* at = bytes.data() + kSegmentHeadWords * sizeof(std::int64_t);
-    for (count_t e = 0; e < header.num_edges; ++e) {
-      std::int64_t rec[2];
-      std::memcpy(rec, at, sizeof rec);
-      at += sizeof rec;
-      fn(rec[0], rec[1]);
+    for (std::size_t i = 0; i < records.size(); i += 2) {
+      fn(records[i], records[i + 1]);
     }
   }
 };
@@ -145,10 +174,12 @@ void publish_segment(FileOps& ops, const std::string& dir,
                      const SegmentBuffer& seg);
 
 /// Verify and decode one segment file image read from `path` (named in
-/// errors): magic, header plausibility, length and trailer checksum all
-/// checked in one pass that also folds `chain` over the payload.
-/// Throws validation_error when it is torn or fails its checksum.
-[[nodiscard]] SegmentData decode_segment(std::string bytes,
+/// errors): magic, header plausibility, length and trailer checksum are
+/// checked in one pass that also folds `chain` over the payload, and only
+/// then are the records decoded, in one walk.  Throws validation_error
+/// when it is torn, fails its checksum, or holds a malformed record
+/// stream (see file comment).
+[[nodiscard]] SegmentData decode_segment(const std::string& bytes,
                                          const std::string& path,
                                          std::uint64_t chain = kFnvBasis);
 

@@ -221,7 +221,7 @@ void StreamValidator::observe(index_t p, index_t q) {
   const auto key = static_cast<std::uint64_t>(p) * 0x9e3779b97f4a7c15ULL ^
                    static_cast<std::uint64_t>(q);
   if (sampled(key)) {
-    if (!oracle_->try_edge(p, q)) {
+    if (!oracle_->has_edge(p, q)) {
       throw validation_error(
           "stream validation: (" + std::to_string(p) + ", " +
           std::to_string(q) +

@@ -4,7 +4,7 @@
 //
 // generate_durable streams a Kronecker product's edges shard by shard
 // (kron::PartitionedStream row partition) into a durable store of
-// KRNLSEG1 segments + a KRNLMAN1 manifest (io/durable.hpp).  The manifest
+// KRNLSEG2 segments + a KRNLMAN1 manifest (io/durable.hpp).  The manifest
 // commits only at segment boundaries, so after ANY crash the resume path
 // (opt.resume) scans the store, discards torn tails, adopts the one
 // possible sealed-but-uncommitted segment, fast-forwards the entry stream

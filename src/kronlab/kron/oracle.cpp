@@ -77,6 +77,14 @@ std::optional<EdgeRecord> GroundTruthOracle::try_edge(index_t p,
   return r;
 }
 
+bool GroundTruthOracle::has_edge(index_t p, index_t q) const {
+  const auto sh = kp_->shape();
+  if (p < 0 || p >= sh.rows() || q < 0 || q >= sh.cols()) return false;
+  const auto [i, k] = sh.split_row(p);
+  const auto [j, l] = sh.split_col(q);
+  return kp_->left().has(i, j) && kp_->right().has(k, l);
+}
+
 EdgeRecord GroundTruthOracle::edge(index_t p, index_t q) const {
   const auto r = try_edge(p, q);
   KRONLAB_REQUIRE(r.has_value(), "(p,q) is not an edge of the product");

@@ -54,6 +54,10 @@ public:
   [[nodiscard]] std::optional<EdgeRecord> try_edge(index_t p,
                                                    index_t q) const;
 
+  /// Membership alone: try_edge(p, q).has_value(), from the range check
+  /// and the two factor lookups, without building the record.
+  [[nodiscard]] bool has_edge(index_t p, index_t q) const;
+
   /// Exact edge record; throws invalid_argument if (p,q) is not an edge.
   [[nodiscard]] EdgeRecord edge(index_t p, index_t q) const;
 

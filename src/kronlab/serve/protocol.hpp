@@ -9,7 +9,7 @@
 // travel in; server.hpp executes them, client.hpp issues them.
 //
 // Frame envelope (all integers little-endian, same discipline as the
-// KRNLSEG1 segments in io/durable):
+// KRNLSEG2 segments in io/durable):
 //
 //   magic "KRNLSRV2" | u64 payload bytes | payload | u64 frame_checksum
 //

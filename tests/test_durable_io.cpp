@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "kronlab/common/random.hpp"
+#include "kronlab/dist/sharded.hpp"
 #include "kronlab/gen/canonical.hpp"
 #include "kronlab/gen/random_bipartite.hpp"
 #include "kronlab/io/durable.hpp"
@@ -128,44 +129,79 @@ TEST(DurableFormat, SegmentRoundTrip) {
   h.shard = 2;
   h.seg_index = 5;
   h.first_edge = 320;
-  h.num_edges = 3;
+  h.num_edges = 4;
   const std::vector<std::pair<index_t, index_t>> edges = {
-      {1, 2}, {1, 9}, {4, 0}};
+      {1, 2}, {1, 300}, {4, 0}, {5, 1}};
   SegmentBuffer buf(4);
   for (const auto& [p, q] : edges) buf.push(p, q);
   std::uint64_t chain = 0x1234;
   const std::uint64_t payload = buf.seal(h, chain);
   publish_segment(ops, dir, buf);
-  const auto seg =
-      read_segment(ops, dir + "/" + segment_name(2, 5), /*chain=*/0x1234);
+  const std::string path = dir + "/" + segment_name(2, 5);
+  const auto seg = read_segment(ops, path, /*chain=*/0x1234);
   EXPECT_EQ(seg.header.spec_hash, h.spec_hash);
   EXPECT_EQ(seg.header.shard, 2);
   EXPECT_EQ(seg.header.seg_index, 5);
   EXPECT_EQ(seg.header.first_edge, 320);
+  EXPECT_EQ(seg.header.num_edges, 4);
   std::vector<std::pair<index_t, index_t>> back;
   seg.for_each_edge([&](index_t p, index_t q) { back.emplace_back(p, q); });
   EXPECT_EQ(back, edges);
   EXPECT_EQ(seg.payload_hash, payload);
   EXPECT_EQ(seg.chain_hash, chain);
-  // The one-pass fold equals the word-at-a-time fold of each hash.
-  std::vector<std::int64_t> words;
-  for (const auto& [p, q] : edges) {
-    words.push_back(p);
-    words.push_back(q);
-  }
-  const std::size_t nbytes = words.size() * sizeof(std::int64_t);
-  EXPECT_EQ(payload, fnv1a64_words(words.data(), nbytes));
-  EXPECT_EQ(chain, fnv1a64_words(words.data(), nbytes, 0x1234));
-  const std::int64_t head[5] = {0xabcdef, 2, 5, 320, 3};
+  // The payload is the zigzag varints of the deltas from (0, 0): p moves
+  // +1, 0, +3, +1 and q moves +2, +298, -300, +1.  Its 10 bytes are
+  // zero-padded to two words, and all three hashes fold those words.
+  const unsigned char padded[16] = {0x02, 0x04, 0x00, 0xd4, 0x04, 0x06,
+                                    0xd7, 0x04, 0x02, 0x02, 0, 0, 0, 0,
+                                    0, 0};
+  const std::string bytes = *ops.read_file(path);
+  ASSERT_EQ(bytes.size(), kSegmentHeadBytes + sizeof padded + 8);
+  EXPECT_EQ(bytes.substr(0, 8), "KRNLSEG2");
+  EXPECT_EQ(bytes.substr(kSegmentHeadBytes, sizeof padded),
+            std::string(reinterpret_cast<const char*>(padded),
+                        sizeof padded));
+  EXPECT_EQ(payload, fnv1a64_words(padded, sizeof padded));
+  EXPECT_EQ(chain, fnv1a64_words(padded, sizeof padded, 0x1234));
+  const std::int64_t head[6] = {0xabcdef, 2, 5, 320, 4, 10};
+  EXPECT_EQ(bytes.substr(8, sizeof head),
+            std::string(reinterpret_cast<const char*>(head), sizeof head));
   std::uint64_t trailer = 0;
-  std::memcpy(&trailer, seg.bytes.data() + seg.bytes.size() - sizeof trailer,
+  std::memcpy(&trailer, bytes.data() + bytes.size() - sizeof trailer,
               sizeof trailer);
-  EXPECT_EQ(trailer, fnv1a64_words(words.data(), nbytes,
+  EXPECT_EQ(trailer, fnv1a64_words(padded, sizeof padded,
                                    fnv1a64_words(head, sizeof head)));
   // No .tmp remains after a successful seal.
   for (const auto& name : ops.list_dir(dir)) {
     EXPECT_EQ(name.find(".tmp"), std::string::npos) << name;
   }
+}
+
+TEST(DurableFormat, RecordsNeverExceedTwelveBytes) {
+  // Ids in [0, 2^40] give zigzag deltas of at most 2^41, so each varint
+  // takes at most 6 bytes: a record is never larger than two int64 words,
+  // even when every delta jumps across the whole id range.
+  constexpr index_t kTop = index_t{1} << 40;
+  std::vector<std::pair<index_t, index_t>> edges;
+  for (index_t i = 0; i < 64; ++i) {
+    edges.emplace_back(i % 2 ? kTop - i : i, i % 2 ? i : kTop - i);
+  }
+  const auto n = static_cast<count_t>(edges.size());
+  SegmentBuffer buf(n);
+  for (const auto& [p, q] : edges) buf.push(p, q);
+  SegmentHeader h;
+  h.num_edges = n;
+  std::uint64_t chain = kFnvBasis;
+  (void)buf.seal(h, chain);
+  const std::size_t payload = buf.size_bytes() - kSegmentHeadBytes - 8;
+  EXPECT_LE(payload, 12 * edges.size());
+  EXPECT_GT(payload, 11 * edges.size()); // the deltas really are wide
+  const auto seg = decode_segment(
+      std::string(static_cast<const char*>(buf.data()), buf.size_bytes()),
+      "wide");
+  std::vector<std::pair<index_t, index_t>> back;
+  seg.for_each_edge([&](index_t p, index_t q) { back.emplace_back(p, q); });
+  EXPECT_EQ(back, edges);
 }
 
 TEST(DurableFormat, SegmentCorruptionIsTyped) {
@@ -211,7 +247,8 @@ TEST(DurableFormat, SegmentCorruptionIsTyped) {
 
 TEST(DurableFormat, EveryBitFlipIsTypedOrHarmless) {
   // Fuzz parity with the other decoders: every single-bit flip of a
-  // KRNLSEG1 segment and of a KRNLMAN1 manifest raises a typed
+  // KRNLSEG2 segment (holding multi-byte varints of both signs, and pad
+  // bytes) and of a KRNLMAN1 manifest raises a typed
   // validation_error / io_error or reads back the original value.  Any
   // other exception (bad_alloc included) fails the test.
   const TempDir tmp("durable_bit_flips");
@@ -222,10 +259,12 @@ TEST(DurableFormat, EveryBitFlipIsTypedOrHarmless) {
   h.shard = 1;
   h.seg_index = 2;
   h.first_edge = 64;
-  h.num_edges = 2;
-  SegmentBuffer buf(2);
-  buf.push(1, 2);
-  buf.push(3, 4);
+  h.num_edges = 3;
+  const std::vector<index_t> want = {1, 2, 1, 300, 200, 5};
+  SegmentBuffer buf(3);
+  for (std::size_t i = 0; i < want.size(); i += 2) {
+    buf.push(want[i], want[i + 1]);
+  }
   std::uint64_t chain = kFnvBasis;
   (void)buf.seal(h, chain);
   const std::string seg(static_cast<const char*>(buf.data()),
@@ -243,7 +282,7 @@ TEST(DurableFormat, EveryBitFlipIsTypedOrHarmless) {
       back.for_each_edge([&](index_t p, index_t q) {
         words.insert(words.end(), {p, q});
       });
-      EXPECT_EQ(words, (std::vector<index_t>{1, 2, 3, 4})) << "bit " << bit;
+      EXPECT_EQ(words, want) << "bit " << bit;
     } catch (const validation_error&) {
     } catch (const io_error&) {
     }
@@ -277,6 +316,115 @@ TEST(DurableFormat, EveryBitFlipIsTypedOrHarmless) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Hostile record streams: a valid header and trailer checksum around a
+// malformed KRNLSEG2 payload.
+
+/// `v` as a LEB128 varint.
+std::string varint(std::uint64_t v) {
+  std::string out;
+  for (; v >= 0x80; v >>= 7) out += static_cast<char>(v | 0x80);
+  out += static_cast<char>(v);
+  return out;
+}
+
+/// The zigzag varint of the delta `d`.
+std::string delta(std::int64_t d) {
+  const auto u = static_cast<std::uint64_t>(d);
+  return varint((u << 1) ^ (0 - (u >> 63)));
+}
+
+/// The segment image of `h` around `payload`, whose first
+/// `payload_bytes` bytes are the record stream and the rest, zero-filled
+/// to a word, its pad; sealed with a valid trailer checksum.
+std::string seal_raw(const SegmentHeader& h, std::string payload,
+                     std::size_t payload_bytes) {
+  payload.resize((payload.size() + 7) / 8 * 8, '\0');
+  const std::int64_t head[6] = {static_cast<std::int64_t>(h.spec_hash),
+                                h.shard,
+                                h.seg_index,
+                                h.first_edge,
+                                h.num_edges,
+                                static_cast<std::int64_t>(payload_bytes)};
+  std::string out = "KRNLSEG2";
+  out.append(reinterpret_cast<const char*>(head), sizeof head);
+  out += payload;
+  const std::uint64_t sum = fnv1a64_words(out.data() + 8, out.size() - 8);
+  out.append(reinterpret_cast<const char*>(&sum), sizeof sum);
+  return out;
+}
+
+struct HostilePayload {
+  const char* what;
+  count_t num_edges;
+  std::string payload;
+  std::size_t payload_bytes;
+};
+
+std::vector<HostilePayload> hostile_payloads() {
+  const std::string rec = delta(1) + delta(2); // the record (1, 2)
+  const std::string huge = delta((std::int64_t{1} << 40) + 1) + delta(0);
+  return {
+      {"truncated last varint", 2, rec + delta(0) + "\x84", rec.size() + 2},
+      {"11-byte varint", 1, std::string(10, '\x80') + "\x01" + delta(0), 12},
+      {"varint with bits past 64", 1,
+       std::string(9, '\x80') + "\x02" + delta(0), 11},
+      {"one byte past the last record", 1, rec + delta(0), rec.size() + 1},
+      {"non-zero pad byte", 1, rec + std::string("\0\0\x07", 3), rec.size()},
+      {"delta drives p below 0", 2, rec + delta(-2) + delta(0),
+       rec.size() + 2},
+      {"id above 2^40", 1, huge, huge.size()},
+      {"more records than payload bytes", count_t{1} << 40, rec, rec.size()},
+  };
+}
+
+/// body() must throw the decoder's validation_error (not the checksum's).
+void expect_record_error(const std::function<void()>& body) {
+  try {
+    body();
+    ADD_FAILURE() << "hostile payload accepted";
+  } catch (const validation_error& e) {
+    EXPECT_EQ(std::string(e.what()).find("checksum"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(HostileSegment, MalformedRecordStreamsAreTypedEverywhere) {
+  const auto kp = test_product();
+  const TempDir tmp("durable_hostile");
+  const auto& dir = tmp.path();
+  const auto opt = test_options(dir);
+  generate_durable(real_file_ops(), kp, opt);
+  FileOps& ops = real_file_ops();
+  const std::string path = dir + "/" + segment_name(1, 1);
+  const SegmentHeader committed = read_segment(ops, path).header;
+  const kron::PartitionedStream part(kp, opt.shards);
+
+  // The control: seal_raw around a well-formed stream decodes.
+  SegmentHeader one = committed;
+  one.num_edges = 1;
+  const std::string rec = delta(1) + delta(2);
+  std::vector<index_t> back;
+  decode_segment(seal_raw(one, rec, rec.size()), path)
+      .for_each_edge(
+          [&](index_t p, index_t q) { back.insert(back.end(), {p, q}); });
+  EXPECT_EQ(back, (std::vector<index_t>{1, 2}));
+
+  for (const auto& bad : hostile_payloads()) {
+    SCOPED_TRACE(bad.what);
+    SegmentHeader h = committed;
+    h.num_edges = bad.num_edges;
+    const std::string bytes = seal_raw(h, bad.payload, bad.payload_bytes);
+    expect_record_error([&] { (void)decode_segment(bytes, path); });
+    auto f = ops.create(path);
+    write_all(*f, bytes.data(), bytes.size());
+    f->close();
+    expect_record_error([&] { (void)verify_store(ops, kp, opt); });
+    expect_record_error(
+        [&] { (void)dist::load_shard(ops, dir, kp, part, 1); });
+  }
+}
+
 TEST(DurableFormat, ManifestRoundTripAndCorruption) {
   const TempDir tmp("durable_man_roundtrip");
   const auto& dir = tmp.path();
@@ -305,38 +453,43 @@ TEST(DurableFormat, ManifestRoundTripAndCorruption) {
 }
 
 TEST(DurableFormat, OlderManifestVersionIsRefused) {
-  // A version-1 manifest recorded a spec hash of the byte-serial fold, so
-  // it must be refused by its version before any hash is compared —
+  // A version-1 manifest recorded a spec hash of the byte-serial fold,
+  // and a version-2 store holds segments of (p, q) words, so both must be
+  // refused by their version before any hash or segment is read —
   // resealed here with a valid checksum, so only the version word is off.
   const auto kp = test_product();
-  const TempDir tmp("durable_man_version");
-  const auto& dir = tmp.path();
-  auto opt = test_options(dir);
-  generate_durable(real_file_ops(), kp, opt);
-  FileOps& ops = real_file_ops();
-  std::string bytes = *ops.read_file(dir + "/MANIFEST");
-  const std::int64_t v1 = 1;
-  std::memcpy(bytes.data() + 8, &v1, sizeof v1);
-  const std::uint64_t sum =
-      fnv1a64_words(bytes.data() + 8, bytes.size() - 16);
-  std::memcpy(bytes.data() + bytes.size() - 8, &sum, sizeof sum);
-  auto f = ops.create(dir + "/MANIFEST");
-  write_all(*f, bytes.data(), bytes.size());
-  f->close();
+  for (const std::int64_t version : {1, 2}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    const TempDir tmp("durable_man_version");
+    const auto& dir = tmp.path();
+    auto opt = test_options(dir);
+    generate_durable(real_file_ops(), kp, opt);
+    FileOps& ops = real_file_ops();
+    std::string bytes = *ops.read_file(dir + "/MANIFEST");
+    std::memcpy(bytes.data() + 8, &version, sizeof version);
+    const std::uint64_t sum =
+        fnv1a64_words(bytes.data() + 8, bytes.size() - 16);
+    std::memcpy(bytes.data() + bytes.size() - 8, &sum, sizeof sum);
+    auto f = ops.create(dir + "/MANIFEST");
+    write_all(*f, bytes.data(), bytes.size());
+    f->close();
 
-  const auto expect_version_error = [](const std::function<void()>& body) {
-    try {
-      body();
-      ADD_FAILURE() << "version-1 manifest accepted";
-    } catch (const validation_error& e) {
-      EXPECT_NE(std::string(e.what()).find("unsupported manifest version 1"),
-                std::string::npos)
-          << e.what();
-    }
-  };
-  expect_version_error([&] { (void)read_manifest(ops, dir); });
-  opt.resume = true;
-  expect_version_error([&] { generate_durable(ops, kp, opt); });
+    const std::string want =
+        "unsupported manifest version " + std::to_string(version);
+    const auto expect_version_error = [&](const std::function<void()>& body) {
+      try {
+        body();
+        ADD_FAILURE() << "older manifest accepted";
+      } catch (const validation_error& e) {
+        EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+            << e.what();
+      }
+    };
+    expect_version_error([&] { (void)read_manifest(ops, dir); });
+    expect_version_error([&] { (void)verify_store(ops, kp, opt); });
+    opt.resume = true;
+    expect_version_error([&] { generate_durable(ops, kp, opt); });
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -803,10 +956,10 @@ private:
 };
 
 TEST(ShardConcurrency, ChainHashesMatchTheSerialGenerator) {
-  // Per-shard chain hashes of the test product, as the one-shard-at-a-
-  // time generator wrote them before shards ran concurrently.
+  // Per-shard chain hashes of the test product's KRNLSEG2 store, as the
+  // one-shard-at-a-time (pool width 1) generator writes them.
   constexpr std::uint64_t kSerialChains[3] = {
-      0xf214ef8e12dfa5e3ULL, 0x0ac26f749677d8f5ULL, 0x72dc95b610a396cbULL};
+      0x9becbcc25ad3fcbdULL, 0x9c9160d464eca087ULL, 0x0449420f54447159ULL};
   const auto kp = test_product();
   std::vector<VerifyReport> reports;
   at_each_pool_width([&] {

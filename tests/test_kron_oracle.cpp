@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "kronlab/gen/canonical.hpp"
 #include "kronlab/gen/random_bipartite.hpp"
 #include "kronlab/graph/bipartite_clustering.hpp"
@@ -112,6 +114,22 @@ TEST_P(OracleTest, TryEdgeAgreesWithEdgeEverywhere) {
       }
     }
   }
+}
+
+TEST_P(OracleTest, HasEdgeIsTryEdgeMembership) {
+  // has_edge is the membership half of try_edge: equal over the full p×q
+  // grid, and over a border of negative and out-of-range ids.
+  const auto kp = make();
+  const GroundTruthOracle oracle(kp);
+  const index_t n = kp.num_vertices();
+  for (index_t p = -2; p < n + 2; ++p) {
+    for (index_t q = -2; q < n + 2; ++q) {
+      ASSERT_EQ(oracle.has_edge(p, q), oracle.try_edge(p, q).has_value())
+          << p << "," << q;
+    }
+  }
+  EXPECT_FALSE(oracle.has_edge(std::numeric_limits<index_t>::min(), 0));
+  EXPECT_FALSE(oracle.has_edge(0, std::numeric_limits<index_t>::max()));
 }
 
 TEST(Oracle, TryEdgeIsNulloptOutOfRangeNotAnError) {

@@ -66,7 +66,7 @@ struct Options {
       "--summary print exact global statistics\n\n"
       "durable streaming generation:\n"
       "--out DIR      stream edges into a crash-tolerant durable store\n"
-      "               (KRNLSEG1 segments + KRNLMAN1 manifest)\n"
+      "               (KRNLSEG2 segments + KRNLMAN1 manifest)\n"
       "--resume       continue a previously killed run in DIR\n"
       "--verify       re-read and validate a complete store in DIR\n"
       "--scale N      product is left (x) right^(x)N, collapsed into two\n"
