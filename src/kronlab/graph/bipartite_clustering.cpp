@@ -26,7 +26,7 @@ count_t three_paths(const Adjacency& a) {
   require_bipartite_simple(a, "three_paths");
   KRONLAB_KERNEL("graph/three_paths");
   const auto d = degrees(a);
-  const count_t directed = parallel_reduce_dynamic<count_t>(
+  const count_t directed = parallel_reduce<count_t>(
       0, a.nrows(), 0,
       [&](index_t i) {
         count_t acc = 0;
@@ -52,7 +52,7 @@ grb::Vector<double> local_closure(const Adjacency& a) {
   const auto d = degrees(a);
   const auto s = vertex_butterflies(a);
   grb::Vector<double> out(a.nrows(), 0.0);
-  parallel_for_dynamic(0, a.nrows(), [&](index_t v) {
+  parallel_for(0, a.nrows(), [&](index_t v) {
     // 3-paths with v interior: pick the other interior j ∈ N(v); the path
     // is x–v–j–y with x ∈ N(v)\{j}, y ∈ N(j)\{v}.
     count_t paths = 0;

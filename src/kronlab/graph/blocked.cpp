@@ -48,7 +48,7 @@ DegreeOrder::DegreeOrder(const Adjacency& a) {
   // non-increasing degree order, so small fixed chunks keep the hub rows
   // at the head from landing on one worker.
   constexpr index_t grain = 256;
-  parallel_for_range_dynamic(
+  parallel_for_range(
       0, n,
       [&](index_t lo, index_t hi) {
         for (index_t r = lo; r < hi; ++r) {

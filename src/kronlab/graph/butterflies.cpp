@@ -24,7 +24,7 @@ void require_simple(const Adjacency& a, const char* where) {
 /// Add the per-worker partial vectors into `out`, in parallel over slots.
 void sum_partials(const std::vector<std::vector<count_t>>& partials,
                   std::vector<count_t>& out) {
-  parallel_for_range_dynamic(
+  parallel_for_range(
       0, static_cast<index_t>(out.size()), [&](index_t lo, index_t hi) {
         for (const auto& p : partials) {
           if (p.empty()) continue; // worker never ran
@@ -140,7 +140,7 @@ grb::Vector<count_t> vertex_butterflies_reference(const Adjacency& a) {
   require_simple(a, "vertex_butterflies_reference");
   KRONLAB_KERNEL("graph/vertex_butterflies_reference");
   grb::Vector<count_t> s(a.nrows(), 0);
-  parallel_for_range_dynamic_scratch(
+  parallel_for_range_scratch(
       0, a.nrows(), [&](std::size_t) { return VertexWedgeTable(a.nrows()); },
       [&](VertexWedgeTable& t, index_t lo, index_t hi) {
         for (index_t i = lo; i < hi; ++i) {
@@ -163,7 +163,7 @@ grb::Csr<count_t> edge_butterflies_reference(const Adjacency& a) {
   grb::Csr<count_t> out = a;
   auto& vals = out.vals();
   const auto& rp = out.row_ptr();
-  parallel_for_range_dynamic_scratch(
+  parallel_for_range_scratch(
       0, a.nrows(), [&](std::size_t) { return VertexWedgeTable(a.nrows()); },
       [&](VertexWedgeTable& t, index_t lo, index_t hi) {
         for (index_t i = lo; i < hi; ++i) {

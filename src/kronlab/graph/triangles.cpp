@@ -46,9 +46,9 @@ grb::Csr<count_t> edge_triangles(const Adjacency& a) {
   grb::Csr<count_t> out = a;
   auto& vals = out.vals();
   const auto& rp = out.row_ptr();
-  // Row cost is quadratic in degree, so hub rows of heavy-tailed factors
-  // need the dynamic schedule to avoid serializing behind one chunk.
-  parallel_for_dynamic(0, a.nrows(), [&](index_t i) {
+  // Row cost is quadratic in degree; chunks are claimed dynamically, so a
+  // hub row of a heavy-tailed factor does not serialize the loop.
+  parallel_for(0, a.nrows(), [&](index_t i) {
     const auto ni = a.row_cols(i);
     const auto cols = out.row_cols(i);
     for (std::size_t k = 0; k < cols.size(); ++k) {

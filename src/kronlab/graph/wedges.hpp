@@ -20,7 +20,7 @@
 //    is live, with per-worker state from `make_worker(id)` — a scalar sum
 //    (halved_pair_sum), a per-vertex or a per-edge partial vector.
 //
-// Rows are spread over global_pool() with the dynamic schedule; the table
+// Rows are spread over global_pool() in claimed chunks; the table
 // is cleared through its touched list, so a row costs O(its wedges).
 //
 // The reference and naive counters in graph/butterflies.cpp deliberately
@@ -103,7 +103,7 @@ void for_each_halved_wedge_table(index_t n, index_t lo, index_t hi,
     HalvedWedgeTable table;
     Worker worker;
   };
-  parallel_for_range_dynamic_scratch(
+  parallel_for_range_scratch(
       lo, hi,
       [&](std::size_t id) {
         return Scratch{HalvedWedgeTable(n), make_worker(id)};

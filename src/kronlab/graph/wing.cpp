@@ -101,7 +101,7 @@ WingDecomposition wing_decomposition(const Adjacency& a) {
   std::vector<count_t> support(static_cast<std::size_t>(m), 0);
   {
     const auto sq = edge_butterflies(a);
-    parallel_for_dynamic(0, a.nrows(), [&](index_t i) {
+    parallel_for(0, a.nrows(), [&](index_t i) {
       const auto cols = sq.row_cols(i);
       const auto vals = sq.row_vals(i);
       for (std::size_t e = 0; e < cols.size(); ++e) {

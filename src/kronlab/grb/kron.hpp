@@ -23,36 +23,43 @@ Csr<T> kron(const Csr<T>& a, const Csr<T>& b) {
   const index_t n = a.ncols() * b.ncols();
 
   std::vector<offset_t> row_ptr(static_cast<std::size_t>(m) + 1, 0);
-  parallel_for(0, a.nrows(), [&](index_t i) {
-    const offset_t da = a.row_degree(i);
-    for (index_t k = 0; k < b.nrows(); ++k) {
-      const index_t p = i * b.nrows() + k;
-      row_ptr[static_cast<std::size_t>(p) + 1] = da * b.row_degree(k);
-    }
-  });
+  parallel_for(
+      0, a.nrows(),
+      [&](index_t i) {
+        const offset_t da = a.row_degree(i);
+        for (index_t k = 0; k < b.nrows(); ++k) {
+          const index_t p = i * b.nrows() + k;
+          row_ptr[static_cast<std::size_t>(p) + 1] = da * b.row_degree(k);
+        }
+      },
+      global_pool(), parallel_grain);
   for (std::size_t r = 1; r < row_ptr.size(); ++r) row_ptr[r] += row_ptr[r - 1];
 
   const auto total = static_cast<std::size_t>(row_ptr.back());
   std::vector<index_t> col_idx(total);
   std::vector<T> vals(total);
 
-  parallel_for(0, m, [&](index_t p) {
-    const index_t i = p / b.nrows();
-    const index_t k = p % b.nrows();
-    const auto acols = a.row_cols(i);
-    const auto avals = a.row_vals(i);
-    const auto bcols = b.row_cols(k);
-    const auto bvals = b.row_vals(k);
-    auto o = static_cast<std::size_t>(row_ptr[static_cast<std::size_t>(p)]);
-    for (std::size_t ka = 0; ka < acols.size(); ++ka) {
-      const index_t base = acols[ka] * b.ncols();
-      const T va = avals[ka];
-      for (std::size_t kb = 0; kb < bcols.size(); ++kb, ++o) {
-        col_idx[o] = base + bcols[kb];
-        vals[o] = va * bvals[kb];
-      }
-    }
-  });
+  parallel_for(
+      0, m,
+      [&](index_t p) {
+        const index_t i = p / b.nrows();
+        const index_t k = p % b.nrows();
+        const auto acols = a.row_cols(i);
+        const auto avals = a.row_vals(i);
+        const auto bcols = b.row_cols(k);
+        const auto bvals = b.row_vals(k);
+        auto o =
+            static_cast<std::size_t>(row_ptr[static_cast<std::size_t>(p)]);
+        for (std::size_t ka = 0; ka < acols.size(); ++ka) {
+          const index_t base = acols[ka] * b.ncols();
+          const T va = avals[ka];
+          for (std::size_t kb = 0; kb < bcols.size(); ++kb, ++o) {
+            col_idx[o] = base + bcols[kb];
+            vals[o] = va * bvals[kb];
+          }
+        }
+      },
+      global_pool(), parallel_grain);
   return Csr<T>(m, n, std::move(row_ptr), std::move(col_idx),
                 std::move(vals));
 }

@@ -33,8 +33,8 @@ Csr<T> mxm_masked(const Csr<T>& mask, const Csr<T>& a, const Csr<T>& b) {
   const auto& mrp = mask.row_ptr();
 
   // Dense gather over B's columns, one accumulator per worker (not per
-  // chunk); hub rows are load-balanced by the dynamic schedule.
-  parallel_for_range_dynamic_scratch(
+  // chunk); hub rows are load-balanced by claiming chunks dynamically.
+  parallel_for_range_scratch(
       0, mask.nrows(),
       [&](std::size_t) {
         return detail::SpgemmScratch<T>(b.ncols(), S::zero());

@@ -27,7 +27,7 @@ Vector<T> mxv(const Csr<T>& a, const Vector<T>& x) {
   KRONLAB_REQUIRE(a.ncols() == x.size(), "mxv shape mismatch");
   KRONLAB_KERNEL("grb/mxv");
   Vector<T> y(a.nrows(), S::zero());
-  parallel_for_dynamic(0, a.nrows(), [&](index_t i) {
+  parallel_for(0, a.nrows(), [&](index_t i) {
     const auto cols = a.row_cols(i);
     const auto vals = a.row_vals(i);
     T acc = S::zero();
@@ -41,7 +41,7 @@ Vector<T> mxv(const Csr<T>& a, const Vector<T>& x) {
 
 namespace detail {
 /// Worker-local Gustavson accumulator, built once per worker by the
-/// dynamic dispatcher and reused across chunks.
+/// loop dispatcher and reused across chunks.
 template <typename T>
 struct SpgemmScratch {
   SpgemmScratch(index_t n, T zero)
@@ -66,7 +66,7 @@ Csr<T> mxm(const Csr<T>& a, const Csr<T>& b) {
 
   // Row cost is Σ_j∈row deg(B_j): hub rows dominate on heavy-tailed
   // factors, so chunks are claimed dynamically.
-  parallel_for_range_dynamic_scratch(
+  parallel_for_range_scratch(
       0, m,
       [&](std::size_t) { return detail::SpgemmScratch<T>(n, S::zero()); },
       [&](detail::SpgemmScratch<T>& ws, index_t lo, index_t hi) {
@@ -115,7 +115,7 @@ Csr<T> mxm(const Csr<T>& a, const Csr<T>& b) {
   }
   std::vector<index_t> col_idx(static_cast<std::size_t>(row_ptr.back()));
   std::vector<T> vals(static_cast<std::size_t>(row_ptr.back()));
-  parallel_for_dynamic(0, m, [&](index_t i) {
+  parallel_for(0, m, [&](index_t i) {
     auto o = static_cast<std::size_t>(row_ptr[static_cast<std::size_t>(i)]);
     const auto& rc = row_cols[static_cast<std::size_t>(i)];
     const auto& rv = row_vals[static_cast<std::size_t>(i)];
@@ -244,11 +244,14 @@ Vector<T> reduce_cols(const Csr<T>& a) {
 template <typename T>
 Vector<T> reduce_rows(const Csr<T>& a) {
   Vector<T> r(a.nrows(), T{0});
-  parallel_for(0, a.nrows(), [&](index_t i) {
-    T acc{0};
-    for (const T v : a.row_vals(i)) acc += v;
-    r[i] = acc;
-  });
+  parallel_for(
+      0, a.nrows(),
+      [&](index_t i) {
+        T acc{0};
+        for (const T v : a.row_vals(i)) acc += v;
+        r[i] = acc;
+      },
+      global_pool(), parallel_grain);
   return r;
 }
 
@@ -262,7 +265,8 @@ T reduce(const Csr<T>& a) {
         for (const T v : a.row_vals(i)) acc += v;
         return acc;
       },
-      [](T x, T y) { return x + y; });
+      [](T x, T y) { return x + y; }, global_pool(),
+      parallel_grain);
 }
 
 /// diag(A) as a dense vector (Def. 6).
@@ -270,7 +274,9 @@ template <typename T>
 Vector<T> diag_vector(const Csr<T>& a) {
   KRONLAB_REQUIRE(a.nrows() == a.ncols(), "diag requires a square matrix");
   Vector<T> d(a.nrows(), T{0});
-  parallel_for(0, a.nrows(), [&](index_t i) { d[i] = a.at(i, i); });
+  parallel_for(
+      0, a.nrows(), [&](index_t i) { d[i] = a.at(i, i); }, global_pool(),
+      parallel_grain);
   return d;
 }
 
@@ -295,12 +301,15 @@ Csr<T> row_scale(const Csr<T>& a, const Vector<T>& u) {
   Csr<T> out = a;
   auto& vals = out.vals();
   const auto& rp = out.row_ptr();
-  parallel_for(0, out.nrows(), [&](index_t i) {
-    for (auto k = rp[static_cast<std::size_t>(i)];
-         k < rp[static_cast<std::size_t>(i) + 1]; ++k) {
-      vals[static_cast<std::size_t>(k)] *= u[i];
-    }
-  });
+  parallel_for(
+      0, out.nrows(),
+      [&](index_t i) {
+        for (auto k = rp[static_cast<std::size_t>(i)];
+             k < rp[static_cast<std::size_t>(i) + 1]; ++k) {
+          vals[static_cast<std::size_t>(k)] *= u[i];
+        }
+      },
+      global_pool(), parallel_grain);
   return out;
 }
 
@@ -312,13 +321,15 @@ Csr<T> col_scale(const Csr<T>& a, const Vector<T>& v) {
   Csr<T> out = a;
   auto& vals = out.vals();
   const auto& ci = out.col_idx();
-  parallel_for_range(0, static_cast<index_t>(vals.size()),
-                     [&](index_t lo, index_t hi) {
-                       for (index_t k = lo; k < hi; ++k) {
-                         vals[static_cast<std::size_t>(k)] *=
-                             v[ci[static_cast<std::size_t>(k)]];
-                       }
-                     });
+  parallel_for_range(
+      0, static_cast<index_t>(vals.size()),
+      [&](index_t lo, index_t hi) {
+        for (index_t k = lo; k < hi; ++k) {
+          vals[static_cast<std::size_t>(k)] *=
+              v[ci[static_cast<std::size_t>(k)]];
+        }
+      },
+      global_pool(), parallel_grain);
   return out;
 }
 

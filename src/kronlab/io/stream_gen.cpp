@@ -57,7 +57,7 @@ public:
   /// join, rethrows the first failure.
   template <typename Body>
   void for_each_shard(index_t shards, Body&& body) {
-    parallel_for_dynamic(
+    parallel_for(
         0, shards,
         [&](index_t s) {
           try {

@@ -213,7 +213,7 @@ public:
 
     const index_t n = nrows();
     std::vector<offset_t> row_ptr(static_cast<std::size_t>(n) + 1, 0);
-    parallel_for_dynamic(0, n, [&](index_t p) {
+    parallel_for(0, n, [&](index_t p) {
       offset_t count = 0;
       for_each_entry(p, [&](index_t, count_t) { ++count; });
       row_ptr[static_cast<std::size_t>(p) + 1] = count;
@@ -225,7 +225,7 @@ public:
     const auto total = static_cast<std::size_t>(row_ptr.back());
     std::vector<index_t> col_idx(total);
     std::vector<count_t> vals(total);
-    parallel_for_dynamic(0, n, [&](index_t p) {
+    parallel_for(0, n, [&](index_t p) {
       auto o = static_cast<std::size_t>(row_ptr[static_cast<std::size_t>(p)]);
       for_each_entry(p, [&](index_t q, count_t v) {
         KRONLAB_DBG_ASSERT(v % divisor_ == 0,

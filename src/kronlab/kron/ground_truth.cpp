@@ -32,7 +32,7 @@ FactorStats FactorStats::compute(const Adjacency& m) {
   st.d2 = grb::ewise_mult(st.d, st.d);
   // diag(M⁴)_i = Σ_j (M²)_ij · (M²)_ji = Σ_j (M²)_ij² for symmetric M.
   st.diag4 = grb::Vector<count_t>(m.nrows(), 0);
-  parallel_for_dynamic(0, m.nrows(), [&](index_t i) {
+  parallel_for(0, m.nrows(), [&](index_t i) {
     count_t acc = 0;
     for (const count_t v : m2.row_vals(i)) acc += v * v;
     st.diag4[i] = acc;
@@ -48,7 +48,7 @@ grb::Vector<count_t> vertex_squares_formula(const Adjacency& a) {
   KRONLAB_KERNEL("kron/vertex_squares_formula");
   const auto st = FactorStats::compute(a);
   grb::Vector<count_t> s(a.nrows());
-  parallel_for_dynamic(0, a.nrows(), [&](index_t i) {
+  parallel_for(0, a.nrows(), [&](index_t i) {
     const count_t num = st.diag4[i] - st.d2[i] - st.w2[i] + st.d[i];
     KRONLAB_DBG_ASSERT(num % 2 == 0, "Def. 8 numerator must be even");
     s[i] = num / 2;
@@ -68,7 +68,7 @@ grb::Csr<count_t> edge_squares_formula(const Adjacency& a) {
   grb::Csr<count_t> out = a;
   auto& vals = out.vals();
   const auto& rp = out.row_ptr();
-  parallel_for_dynamic(0, a.nrows(), [&](index_t i) {
+  parallel_for(0, a.nrows(), [&](index_t i) {
     const auto cols = out.row_cols(i);
     for (std::size_t k = 0; k < cols.size(); ++k) {
       const index_t j = cols[k];

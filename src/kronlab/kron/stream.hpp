@@ -20,7 +20,6 @@
 
 #include "kronlab/grb/ops.hpp"
 #include "kronlab/kron/product.hpp"
-#include "kronlab/parallel/parallel_for.hpp"
 
 namespace kronlab::kron {
 
@@ -55,26 +54,6 @@ public:
   void for_each_edge(Fn&& fn) const {
     for_each_entry([&](index_t p, index_t q) {
       if (p < q) fn(p, q);
-    });
-  }
-
-  /// Parallel entry visit, partitioned over left-factor rows; fn must be
-  /// safe to call concurrently.
-  template <typename Fn>
-  void for_each_entry_parallel(Fn&& fn) const {
-    const auto& m = kp_->left();
-    const auto& b = kp_->right();
-    const index_t nb = b.nrows();
-    const index_t ncb = b.ncols();
-    parallel_for(0, m.nrows() * nb, [&](index_t p) {
-      const index_t i = p / nb;
-      const index_t k = p % nb;
-      const auto mc = m.row_cols(i);
-      const auto bc = b.row_cols(k);
-      for (const index_t j : mc) {
-        const index_t base = j * ncb;
-        for (const index_t l : bc) fn(p, base + l);
-      }
     });
   }
 
@@ -129,40 +108,6 @@ public:
         }
       }
     }
-  }
-
-  /// Parallel entry visit partitioned over product rows; fn(p, q, squares)
-  /// must be safe to call concurrently.
-  template <typename Fn>
-  void for_each_entry_parallel(Fn&& fn) const {
-    const auto& m = kp_->left();
-    const auto& b = kp_->right();
-    const index_t nb = b.nrows();
-    const index_t ncb = b.ncols();
-    const auto& mrp = m.row_ptr();
-    const auto& brp = b.row_ptr();
-    parallel_for(0, m.nrows() * nb, [&](index_t p) {
-      const index_t i = p / nb;
-      const index_t k = p % nb;
-      const auto mc = m.row_cols(i);
-      const auto m_off =
-          static_cast<std::size_t>(mrp[static_cast<std::size_t>(i)]);
-      const auto bc = b.row_cols(k);
-      const auto b_off =
-          static_cast<std::size_t>(brp[static_cast<std::size_t>(k)]);
-      for (std::size_t em = 0; em < mc.size(); ++em) {
-        const index_t j = mc[em];
-        const count_t m3 = m3_aligned_[m_off + em];
-        const count_t dj = d_m_[j];
-        const index_t base = j * ncb;
-        for (std::size_t eb = 0; eb < bc.size(); ++eb) {
-          const index_t l = bc[eb];
-          const count_t sq = m3 * b3_aligned_[b_off + eb] -
-                             d_m_[i] * d_b_[k] - dj * d_b_[l] + 1;
-          fn(p, base + l, sq);
-        }
-      }
-    });
   }
 
 private:

@@ -156,7 +156,7 @@ private:
 /// KRONLAB_KERNEL.  Records the scope's wall time (ns) into its
 /// "kernel/<name>" histogram.  When tracing is on it also emits a
 /// "kernel" span and publishes `name` as this thread's innermost kernel,
-/// which the dynamic dispatchers use to label their per-worker
+/// which the parallel loop helpers use to label their per-worker
 /// "parallel" spans.
 class KernelScope {
 public:

@@ -1,9 +1,11 @@
 #include "kronlab/parallel/thread_pool.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <string>
 
 #include "kronlab/common/registry.hpp"
+#include "kronlab/obs/log.hpp"
 #include "kronlab/obs/stats.hpp"
 #include "kronlab/obs/trace.hpp"
 
@@ -121,14 +123,25 @@ ScopedPoolOverride::ScopedPoolOverride(ThreadPool& pool)
 
 ScopedPoolOverride::~ScopedPoolOverride() { tl_pool_override = prev_; }
 
+std::optional<std::size_t> parse_thread_count(std::string_view text) {
+  std::size_t n = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+  if (ec != std::errc{} || ptr != end || n == 0) return std::nullopt;
+  return n;
+}
+
 ThreadPool& global_pool() {
   if (tl_pool_override != nullptr) return *tl_pool_override;
   static ThreadPool pool([] {
-    if (const char* env = std::getenv(env::kThreads)) {
-      const long n = std::strtol(env, nullptr, 10);
-      if (n > 0) return static_cast<std::size_t>(n);
-    }
-    return static_cast<std::size_t>(0);
+    const char* env = std::getenv(env::kThreads);
+    if (env == nullptr) return std::size_t{0};
+    if (const auto n = parse_thread_count(env)) return *n;
+    obs::log(obs::LogLevel::warn, "parallel", "bad_thread_count")
+        .field("var", env::kThreads)
+        .field("value", env)
+        .field("fallback", "hardware_concurrency");
+    return std::size_t{0};
   }());
   return pool;
 }

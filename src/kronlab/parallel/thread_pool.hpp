@@ -16,6 +16,8 @@
 #include <cstddef>
 #include <exception>
 #include <functional>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -42,9 +44,10 @@ public:
   ///
   /// Calling run() from inside a parallel region (i.e. from a worker that
   /// is itself executing a job) would deadlock the fork/join protocol, so
-  /// nested calls degrade to executing `fn(0)` inline on the caller.  The
-  /// parallel_for helpers detect nesting themselves and fall back to their
-  /// serial paths, which cover the whole range.
+  /// nested calls degrade to executing `fn(0)` inline on the caller: only
+  /// worker 0's share of the job runs.  The parallel_for helpers never
+  /// reach that path — they detect nesting first and run the whole range
+  /// serially — so library code may call them from any context.
   ///
   /// Concurrent run() calls from *distinct* threads (e.g. simulated
   /// distributed ranks each invoking a parallel kernel) serialize on an
@@ -72,8 +75,15 @@ private:
   std::exception_ptr first_error_ GUARDED_BY(mutex_);
 };
 
+/// Parse a KRONLAB_THREADS value: a whole positive decimal and nothing
+/// else (no sign, space or suffix).  Returns nullopt for anything else.
+[[nodiscard]] std::optional<std::size_t>
+parse_thread_count(std::string_view text);
+
 /// Process-wide pool, sized from the environment variable KRONLAB_THREADS if
-/// set, else hardware concurrency.  Respects ScopedPoolOverride.
+/// set, else hardware concurrency.  A value parse_thread_count rejects logs
+/// one warning and falls back to hardware concurrency.  Respects
+/// ScopedPoolOverride.
 ThreadPool& global_pool();
 
 /// Redirect global_pool() on the current thread to a caller-owned pool for

@@ -192,15 +192,17 @@ void Server::process(WorkItem& item) {
     out.reserve(3 + 8 * probes.size());
     out.insert(out.end(), {payload[0], static_cast<word_t>(Status::ok),
                            static_cast<word_t>(probes.size())});
-    if (probes.size() >= opt_.parallel_batch_threshold) {
-      // Large batches fan out in 32-probe chunks through the dynamic
-      // dispatcher and are joined in order; concurrent executors
-      // serialize on the pool's run mutex, which is the documented
-      // multi-caller discipline of ThreadPool::run.
-      constexpr std::size_t kChunk = 32;
+    // Batches of at least kParallelBatch probes fan out in kChunk-probe
+    // chunks through the parallel runtime and are joined in order;
+    // concurrent executors serialize on the pool's run mutex, which is the
+    // documented multi-caller discipline of ThreadPool::run.  Smaller
+    // batches run on the executor.
+    constexpr std::size_t kParallelBatch = 256;
+    constexpr std::size_t kChunk = 32;
+    if (probes.size() >= kParallelBatch) {
       std::vector<std::vector<word_t>> chunks((probes.size() + kChunk - 1) /
                                               kChunk);
-      parallel_for_dynamic(
+      parallel_for(
           0, static_cast<index_t>(chunks.size()),
           [&](index_t c) {
             const auto first = static_cast<std::size_t>(c) * kChunk;

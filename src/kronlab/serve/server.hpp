@@ -17,7 +17,7 @@
 //     "millions of users" story);
 //   * a fixed pool of executor threads popping frames off the queue,
 //     running every probe in the batch (large batches fan out through the
-//     parallel runtime's dynamic dispatcher), and writing the response
+//     parallel runtime's loop dispatcher), and writing the response
 //     under the connection's write mutex.  An executor parses the
 //     request once into views over the reader's buffer and writes every
 //     result straight into one response word vector; vertex probes go
@@ -60,9 +60,6 @@ struct ServerOptions {
   /// Always 0: the vertex-record cache is gone.  Kept only for the
   /// benchmark's frozen context field; nothing reads or sets it.
   static constexpr std::size_t cache_capacity = 0;
-  /// Batches with at least this many probes fan out through the parallel
-  /// runtime (parallel_for_dynamic); smaller ones run on the executor.
-  std::size_t parallel_batch_threshold = 256;
 };
 
 /// Monotonic counters, snapshotted by stats().  `probes_by_op` is indexed

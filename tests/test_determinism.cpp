@@ -104,8 +104,7 @@ TEST(Determinism, DynamicReduceIdenticalAcrossGrainsAndPools) {
   for (const std::size_t threads : pool_sizes()) {
     ThreadPool pool(threads);
     for (const index_t grain : {index_t{0}, index_t{1}, index_t{97}}) {
-      ASSERT_EQ(parallel_reduce_dynamic<count_t>(0, n, 0, body, combine,
-                                                 pool, grain),
+      ASSERT_EQ(parallel_reduce<count_t>(0, n, 0, body, combine, pool, grain),
                 reference)
           << "pool size " << threads << " grain " << grain;
     }

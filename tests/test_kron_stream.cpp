@@ -3,9 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
-#include <mutex>
 #include <set>
 #include <sstream>
 
@@ -62,25 +59,6 @@ TEST(EdgeStream, CountMatchesFactorArithmetic) {
             kp.left().nnz() * kp.right().nnz());
 }
 
-TEST(EdgeStream, ParallelVisitCoversSameSet) {
-  Rng rng(15);
-  const auto kp = BipartiteKronecker::raw(
-      gen::random_nonbipartite_connected(6, 12, rng),
-      gen::random_bipartite(4, 4, 9, rng));
-  EdgeStream es(kp);
-  std::vector<std::pair<index_t, index_t>> serial;
-  es.for_each_entry([&](index_t p, index_t q) { serial.emplace_back(p, q); });
-  std::mutex mu;
-  std::vector<std::pair<index_t, index_t>> par;
-  es.for_each_entry_parallel([&](index_t p, index_t q) {
-    std::lock_guard lock(mu);
-    par.emplace_back(p, q);
-  });
-  std::sort(par.begin(), par.end());
-  std::sort(serial.begin(), serial.end());
-  EXPECT_EQ(par, serial);
-}
-
 TEST(EdgeStream, WriteEdgeListIsOneBasedAndComplete) {
   const auto kp = BipartiteKronecker::assumption_ii(gen::path_graph(2),
                                                     gen::path_graph(2));
@@ -125,24 +103,6 @@ TEST(GroundTruthStream, SquaresMatchDirectCountingAssumptionII) {
   gts.for_each_entry([&](index_t p, index_t q, count_t sq) {
     ASSERT_EQ(sq, direct.at(p, q)) << "edge (" << p << "," << q << ")";
   });
-}
-
-TEST(GroundTruthStream, ParallelVisitMatchesSerial) {
-  Rng rng(33);
-  const auto kp = BipartiteKronecker::raw(
-      gen::random_nonbipartite_connected(7, 14, rng),
-      gen::random_bipartite(4, 5, 11, rng));
-  GroundTruthStream gts(kp);
-  std::map<std::pair<index_t, index_t>, count_t> serial;
-  gts.for_each_entry(
-      [&](index_t p, index_t q, count_t sq) { serial[{p, q}] = sq; });
-  std::mutex mu;
-  std::map<std::pair<index_t, index_t>, count_t> par;
-  gts.for_each_entry_parallel([&](index_t p, index_t q, count_t sq) {
-    std::lock_guard lock(mu);
-    par[{p, q}] = sq;
-  });
-  EXPECT_EQ(par, serial);
 }
 
 TEST(GroundTruthStream, GlobalAggregationMatches) {

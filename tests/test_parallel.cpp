@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -132,6 +133,15 @@ TEST(ThreadPool, ConcurrentExternalCallersSerialize) {
   for (auto& t : callers) t.join();
   const long long expect = static_cast<long long>(n) * (n - 1) / 2;
   for (const auto r : results) EXPECT_EQ(r, expect);
+}
+
+TEST(GlobalPool, ThreadCountIsAWholePositiveDecimal) {
+  EXPECT_EQ(parse_thread_count("4"), std::optional<std::size_t>(4));
+  EXPECT_EQ(parse_thread_count("16"), std::optional<std::size_t>(16));
+  for (const char* bad : {"4x", "", "0", "-2", "abc", "+4", " 4", "4 ",
+                          "99999999999999999999999"}) {
+    EXPECT_EQ(parse_thread_count(bad), std::nullopt) << '"' << bad << '"';
+  }
 }
 
 TEST(GlobalPool, IsSingletonAndUsable) {

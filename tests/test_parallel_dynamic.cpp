@@ -1,7 +1,8 @@
-// Tests for the dynamically scheduled runtime: atomic-counter chunk
-// dispatch, worker-local scratch reuse, nested-call serialization,
-// exception propagation, skewed reductions, and the kernel scopes that
-// time kernels and label worker spans.
+// Tests for the parallel loop helpers' schedule: atomic-counter chunk
+// dispatch, worker-local scratch reuse, nested-call serialization (down to
+// library kernels called from a loop body), exception propagation, skewed
+// reductions, and the kernel scopes that time kernels and label worker
+// spans.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,10 @@
 #include <string>
 
 #include "kronlab/common/error.hpp"
+#include "kronlab/common/random.hpp"
+#include "kronlab/gen/random_bipartite.hpp"
+#include "kronlab/graph/graph.hpp"
+#include "kronlab/grb/kron.hpp"
 #include "kronlab/obs/stats.hpp"
 #include "kronlab/obs/trace.hpp"
 #include "kronlab/parallel/parallel_for.hpp"
@@ -32,7 +37,7 @@ TEST_P(DynamicCoverageTest, EveryIndexVisitedExactlyOnce) {
   // n + 7 = grain larger than the range.
   for (const index_t grain : {index_t{0}, index_t{1}, n, n + 7}) {
     std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
-    parallel_for_dynamic(
+    parallel_for(
         0, n, [&](index_t i) { ++hits[static_cast<std::size_t>(i)]; }, pool,
         grain);
     for (const auto& h : hits) {
@@ -48,8 +53,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ParallelForDynamic, EmptyRangeRunsNothing) {
   std::atomic<int> count{0};
-  parallel_for_dynamic(5, 5, [&](index_t) { ++count; });
-  parallel_for_dynamic(9, 3, [&](index_t) { ++count; });
+  parallel_for(5, 5, [&](index_t) { ++count; });
+  parallel_for(9, 3, [&](index_t) { ++count; });
   EXPECT_EQ(count.load(), 0);
 }
 
@@ -58,7 +63,7 @@ TEST(ParallelForRangeDynamic, ChunksPartitionTheRangeAtOddGrain) {
   const index_t n = 10000;
   std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
   std::atomic<index_t> chunks{0};
-  parallel_for_range_dynamic(
+  parallel_for_range(
       0, n,
       [&](index_t b, index_t e) {
         ASSERT_LT(b, e);
@@ -79,7 +84,7 @@ TEST(DynamicScratch, AllocatedPerWorkerNotPerChunk) {
   const index_t n = 8192;
   std::atomic<int> constructions{0};
   std::atomic<index_t> total{0};
-  parallel_for_range_dynamic_scratch(
+  parallel_for_range_scratch(
       0, n,
       [&](std::size_t) {
         ++constructions;
@@ -99,13 +104,13 @@ TEST(DynamicScratch, ScratchStateSurvivesAcrossChunks) {
   ThreadPool pool(2);
   const index_t n = 4096;
   std::atomic<index_t> chunks_via_scratch{0};
-  parallel_for_range_dynamic_scratch(
+  parallel_for_range_scratch(
       0, n, [&](std::size_t) { return index_t{0}; },
       [&](index_t& my_chunks, index_t, index_t) { ++my_chunks; }, pool,
       /*grain=*/8);
   // Can't observe the per-worker counters after the fact here; rerun with
   // a scratch that flushes its count on every chunk instead.
-  parallel_for_range_dynamic_scratch(
+  parallel_for_range_scratch(
       0, n, [&](std::size_t) { return index_t{0}; },
       [&](index_t& my_chunks, index_t, index_t) {
         ++my_chunks;
@@ -127,11 +132,11 @@ TEST(DynamicNesting, InnerLoopsCoverTheirRange) {
   const index_t outer = 64;
   const index_t inner = 100;
   std::vector<std::atomic<count_t>> sums(static_cast<std::size_t>(outer));
-  parallel_for_dynamic(
+  parallel_for(
       0, outer,
       [&](index_t o) {
         count_t local = 0;
-        parallel_for_dynamic(
+        parallel_for(
             0, inner, [&](index_t i) { local += i; }, pool,
             /*grain=*/3);
         sums[static_cast<std::size_t>(o)] = local;
@@ -144,10 +149,10 @@ TEST(DynamicNesting, InnerLoopsCoverTheirRange) {
 
 TEST(DynamicNesting, NestedReduceMatchesSerial) {
   ThreadPool pool(3);
-  const auto total = parallel_reduce_dynamic<count_t>(
+  const auto total = parallel_reduce<count_t>(
       0, 32, 0,
       [&](index_t o) {
-        return parallel_reduce_dynamic<count_t>(
+        return parallel_reduce<count_t>(
             0, 50, 0, [&](index_t i) { return o * i; },
             [](count_t x, count_t y) { return x + y; }, pool);
       },
@@ -157,6 +162,55 @@ TEST(DynamicNesting, NestedReduceMatchesSerial) {
     for (index_t i = 0; i < 50; ++i) expected += o * i;
   }
   EXPECT_EQ(total, expected);
+}
+
+TEST(DynamicNesting, EveryHelperCoversItsWholeRange) {
+  // A nested call must not fork: ThreadPool::run would run only worker
+  // 0's share.  Each helper instead covers its whole range inline.
+  ThreadPool pool(4);
+  constexpr index_t kOuter = 4;
+  constexpr index_t kInner = 10000;
+  std::atomic<index_t> visited{0};
+  std::atomic<index_t> ranged{0};
+  std::atomic<count_t> summed{0};
+  parallel_for(
+      0, kOuter,
+      [&](index_t) {
+        parallel_for(0, kInner, [&](index_t) { ++visited; }, pool);
+        parallel_for_range(
+            0, kInner, [&](index_t b, index_t e) { ranged += e - b; }, pool);
+        summed += parallel_reduce<count_t>(
+            0, kInner, 0, [](index_t i) { return i; },
+            [](count_t x, count_t y) { return x + y; }, pool);
+      },
+      pool, /*grain=*/1);
+  EXPECT_EQ(visited.load(), kOuter * kInner);
+  EXPECT_EQ(ranged.load(), kOuter * kInner);
+  EXPECT_EQ(summed.load(), kOuter * (kInner * (kInner - 1) / 2));
+}
+
+TEST(DynamicNesting, KernelsInALoopBodyMatchTopLevel) {
+  // Library kernels parallelize on global_pool() without knowing their
+  // caller; called from a loop body they must return their whole result.
+  ThreadPool pool(4);
+  ScopedPoolOverride use(pool);
+  Rng rng(28);
+  const auto a = gen::random_nonbipartite_connected(50, 120, rng);
+  const auto b = gen::random_bipartite(30, 30, 150, rng);
+  const auto c = grb::kron(a, b);
+  ASSERT_GT(c.nrows(), parallel_grain); // top level forks
+  const auto d = graph::degrees(c);
+  constexpr index_t kOuter = 4;
+  std::vector<std::atomic<int>> same(kOuter);
+  parallel_for(
+      0, kOuter,
+      [&](index_t t) {
+        ScopedPoolOverride inner(pool); // same pool on every worker
+        same[static_cast<std::size_t>(t)] =
+            (grb::kron(a, b) == c) + (graph::degrees(c) == d);
+      },
+      pool, /*grain=*/1);
+  for (const auto& s : same) EXPECT_EQ(s.load(), 2);
 }
 
 TEST(DynamicNesting, PoolRunFromInsideRegionDegradesInline) {
@@ -178,7 +232,7 @@ TEST(DynamicNesting, PoolRunFromInsideRegionDegradesInline) {
 TEST(DynamicExceptions, PropagateToCaller) {
   ThreadPool pool(4);
   EXPECT_THROW(
-      parallel_for_dynamic(
+      parallel_for(
           0, 10000,
           [&](index_t i) {
             if (i == 4321) throw domain_error("dynamic body failed");
@@ -187,13 +241,13 @@ TEST(DynamicExceptions, PropagateToCaller) {
       domain_error);
   // The pool stays usable after the failure.
   std::atomic<index_t> n{0};
-  parallel_for_dynamic(0, 100, [&](index_t) { ++n; }, pool);
+  parallel_for(0, 100, [&](index_t) { ++n; }, pool);
   EXPECT_EQ(n.load(), 100);
 }
 
 TEST(DynamicExceptions, PropagateFromReduce) {
   ThreadPool pool(2);
-  EXPECT_THROW(parallel_reduce_dynamic<count_t>(
+  EXPECT_THROW(parallel_reduce<count_t>(
                    0, 5000, 0,
                    [](index_t i) -> count_t {
                      if (i == 2500) throw domain_error("reduce body failed");
@@ -206,7 +260,7 @@ TEST(DynamicExceptions, PropagateFromReduce) {
 TEST(DynamicExceptions, SerialPathPropagates) {
   ThreadPool pool(1);
   EXPECT_THROW(
-      parallel_for_dynamic(
+      parallel_for(
           0, 10, [&](index_t i) {
             if (i == 3) throw domain_error("serial body failed");
           },
@@ -231,7 +285,7 @@ TEST(DynamicReduce, MatchesSerialOnSkewedWork) {
   count_t serial = 0;
   for (index_t i = 0; i < n; ++i) serial += body(i);
   for (const index_t grain : {index_t{0}, index_t{1}, index_t{64}, n + 7}) {
-    const auto parallel = parallel_reduce_dynamic<count_t>(
+    const auto parallel = parallel_reduce<count_t>(
         0, n, 0, body, [](count_t x, count_t y) { return x + y; }, pool,
         grain);
     EXPECT_EQ(parallel, serial) << "grain=" << grain;
@@ -239,7 +293,7 @@ TEST(DynamicReduce, MatchesSerialOnSkewedWork) {
 }
 
 TEST(DynamicReduce, EmptyRangeReturnsInit) {
-  const auto v = parallel_reduce_dynamic<int>(
+  const auto v = parallel_reduce<int>(
       7, 7, 42, [](index_t) { return 1; },
       [](int x, int y) { return x + y; });
   EXPECT_EQ(v, 42);
@@ -260,7 +314,7 @@ TEST(KernelScope, OneScopeAddsOneSample) {
   ThreadPool pool(4);
   {
     KRONLAB_KERNEL("test/one_sample");
-    parallel_for_dynamic(0, 5000, [](index_t) {}, pool, /*grain=*/50);
+    parallel_for(0, 5000, [](index_t) {}, pool, /*grain=*/50);
   }
   EXPECT_EQ(kernel_samples("test/one_sample"), before + 1);
 }
@@ -270,7 +324,7 @@ TEST(KernelScope, NestedScopesLabelWorkerSpansWithInnermost) {
   trace::set_enabled(true);
   ThreadPool pool(2);
   const auto spin = [&] {
-    parallel_for_dynamic(0, 1000, [](index_t) {}, pool, /*grain=*/10);
+    parallel_for(0, 1000, [](index_t) {}, pool, /*grain=*/10);
   };
   {
     KRONLAB_KERNEL("test/outer");

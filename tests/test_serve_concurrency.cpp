@@ -255,18 +255,16 @@ TEST(ServeConcurrency, ConnectionSlotLimitAnswersOverloaded) {
 }
 
 TEST(ServeConcurrency, ParallelBatchFanOutMatchesSerial) {
-  // A batch past parallel_batch_threshold runs through the parallel
-  // runtime; results must land in probe order regardless.
+  // A batch of at least 256 probes runs through the parallel runtime;
+  // results must land in probe order regardless.
   const auto kp = make_product();
-  ServerOptions opt;
-  opt.parallel_batch_threshold = 64;
-  Server server(kp, opt);
+  Server server(kp, ServerOptions{});
   auto [client_end, server_end] = local_pair();
   server.adopt(std::move(server_end));
   Client client(std::move(client_end));
 
   std::vector<Probe> probes;
-  constexpr int kBatch = 300; // > threshold → dynamic dispatch
+  constexpr int kBatch = 300; // ≥ 256 → fans out in 32-probe chunks
   for (int i = 0; i < kBatch; ++i) {
     probes.push_back(Probe::vertex(i % kp.num_vertices()));
   }

@@ -397,9 +397,10 @@ TEST(ServeEndToEnd, MidFrameErrorsKeepTheirSlots) {
   // One 84-probe frame mixes ok vertex and edge probes, not_an_edge, a
   // wrong arg count, an out-of-range vertex and a sample_edge, which
   // throws inside the oracle on the edgeless product, so its partly
-  // written result must be rolled back.  Below and above the fan-out
-  // threshold (three 32-probe chunks), every probe keeps its own status
-  // in order and every ok record equals the direct oracle's words.
+  // written result must be rolled back.  Sent alone (below the server's
+  // 256-probe fan-out batch) and repeated four times (336 probes, fanned
+  // out in 32-probe chunks), every probe keeps its own status in order
+  // and every ok record equals the direct oracle's words.
   const auto normal = make_product();
   const auto edgeless = kron::BipartiteKronecker::raw(
       graph::from_undirected_edges(3, {}), gen::path_graph(4));
@@ -416,27 +417,29 @@ TEST(ServeEndToEnd, MidFrameErrorsKeepTheirSlots) {
       frame.push_back(Probe::vertex(n + i));
       frame.push_back(Probe::sample_edge(static_cast<std::uint64_t>(i)));
     }
+    std::vector<Probe> fanned;
+    for (int r = 0; r < 4; ++r) {
+      fanned.insert(fanned.end(), frame.begin(), frame.end());
+    }
+    Server server(*kp, ServerOptions{});
+    auto [client_end, server_end] = local_pair();
+    server.adopt(std::move(server_end));
+    Client client(std::move(client_end));
     std::set<std::pair<Op, Status>> seen;
-    for (const std::size_t threshold : {std::size_t{256}, std::size_t{16}}) {
-      ServerOptions opt;
-      opt.parallel_batch_threshold = threshold;
-      Server server(*kp, opt);
-      auto [client_end, server_end] = local_pair();
-      server.adopt(std::move(server_end));
-      Client client(std::move(client_end));
-      const Response resp = client.call(frame);
+    for (const auto* sent : {&frame, &fanned}) {
+      const Response resp = client.call(*sent);
       ASSERT_EQ(resp.status, Status::ok);
-      ASSERT_EQ(resp.results.size(), frame.size());
-      for (std::size_t i = 0; i < frame.size(); ++i) {
-        const ProbeResult want = direct_answer(direct, frame[i]);
+      ASSERT_EQ(resp.results.size(), sent->size());
+      for (std::size_t i = 0; i < sent->size(); ++i) {
+        const ProbeResult want = direct_answer(direct, (*sent)[i]);
         const ProbeResult& got = resp.results[i];
         EXPECT_EQ(got.op, want.op) << "probe " << i;
         EXPECT_EQ(got.status, want.status) << "probe " << i;
         EXPECT_EQ(got.words, want.words) << "probe " << i;
         seen.emplace(got.op, got.status);
       }
-      server.stop();
     }
+    server.stop();
     EXPECT_TRUE(seen.count({Op::vertex, Status::ok}));
     EXPECT_TRUE(seen.count({Op::edge, Status::not_an_edge}));
     EXPECT_TRUE(seen.count({Op::vertex, Status::bad_probe}));

@@ -165,10 +165,9 @@ TEST_F(TraceTest, PooledWorkerSpansAreWellNestedPerThread) {
   {
     KRONLAB_KERNEL("trace_test_kernel");
     std::atomic<long> sink{0};
-    parallel_for_dynamic(0, 200000,
-                         [&](index_t i) {
-                           sink.fetch_add(i % 7, std::memory_order_relaxed);
-                         });
+    parallel_for(0, 200000, [&](index_t i) {
+      sink.fetch_add(i % 7, std::memory_order_relaxed);
+    });
   }
   const auto evs = snapshot(); // pool joined: quiescent
   expect_well_nested(evs);
