@@ -757,15 +757,15 @@ count_t distributed_global_butterflies(Comm& comm, const Shard& shard,
   count_t local_sum = 0;
   {
     KRONLAB_KERNEL("dist/wedge_count");
-    local_sum = graph::halved_pair_sum(
+    local_sum = graph::largest_id_c4_sum(
         shard.n, shard.row_begin, shard.row_end, [&](index_t j) {
           return shard.owns(j) ? shard.rows.row_cols(shard.local(j))
                                : ghost.row(j);
         });
   }
 
-  // Each diagonal pair {v, k < v} is counted by v's owner: Σ = 2 · #C4.
-  return comm.allreduce_sum(local_sum, members) / 2;
+  // Each 4-cycle is counted once, by the owner of its largest id.
+  return comm.allreduce_sum(local_sum, members);
 }
 
 namespace {

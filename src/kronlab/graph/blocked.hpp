@@ -2,8 +2,8 @@
 //
 // Degree-ordered relabeling of an undirected adjacency.
 //
-// No counter uses it any more: the wedge engine (graph/wedges.hpp) halves
-// the pair enumeration by id order, which needs no degree information.
+// No counter uses it any more: the wedge engine (graph/wedges.hpp) orders
+// its wedges by vertex id, which needs no degree information.
 // DegreeOrder stays only because perfbench's `graph.degree_order_ms` layer
 // probe constructs it.
 

@@ -42,23 +42,20 @@ grb::Vector<count_t> vertex_butterflies(const Adjacency& a) {
   require_simple(a, "vertex_butterflies");
   KRONLAB_KERNEL("graph/vertex_butterflies");
   const index_t n = a.nrows();
-  // Pair {i, k} (k < i) is seen once, from i, and credits both endpoints.
+  // Pair {i, k} (k < i) is built once, from i, over every middle; each
+  // wedge credits the count before its bump to both endpoints, which sums
+  // to C(c[k], 2) per pair.
   std::vector<std::vector<count_t>> partials(global_pool().size());
-  for_each_halved_wedge_table(
-      n, 0, n, csr_rows(a),
+  for_each_wedge_row(
+      n, 0, n,
       [&](std::size_t id) {
         partials[id].assign(static_cast<std::size_t>(n), 0);
-        return &partials[id];
+        return partials[id].data();
       },
-      [](std::vector<count_t>* part, index_t i, const HalvedWedgeTable& t) {
-        count_t own = 0;
-        for (const index_t k : t.touched()) {
-          const count_t c = t[k];
-          const count_t pairs = c * (c - 1) / 2;
-          own += pairs;
-          (*part)[static_cast<std::size_t>(k)] += pairs;
-        }
-        (*part)[static_cast<std::size_t>(i)] += own;
+      [&](count_t* part, WedgeTable& t, index_t i) {
+        part[i] += t.fill(csr_rows(a), i, n, [part](index_t k, count_t prev) {
+          part[k] += prev;
+        });
       });
   grb::Vector<count_t> s(n, 0);
   sum_partials(partials, s.data());
@@ -74,25 +71,28 @@ grb::Csr<count_t> edge_butterflies(const Adjacency& a) {
   auto& vals = out.vals();
   std::fill(vals.begin(), vals.end(), count_t{0});
 
-  // Pass A (the engine) builds c[k] for the pairs {i, k < i}; pass B
-  // replays the same wedge prefix and credits the c − 1 butterflies pair
-  // {i, k} closes through wedge i–j–k to both of its edges: entry (i, j)
-  // of row i and entry (j, k) of row j.  Row j is shared across many i, so
-  // workers credit private nnz-sized images, summed at the end.
+  // Pass A (the engine) builds c[k] over the wedges i–j–k whose apex i
+  // is the largest id; pass B replays the same wedges and credits the
+  // c − 1 4-cycles that close wedge i–j–k (each has i as its largest
+  // vertex) to both of its edges: entry (i, j) of row i and entry (j, k)
+  // of row j.  Row j is shared across many i, so workers credit private
+  // nnz-sized images, summed at the end.
   const auto nnz = static_cast<std::size_t>(a.nnz());
   std::vector<std::vector<count_t>> partials(global_pool().size());
-  for_each_halved_wedge_table(
-      n, 0, n, csr_rows(a),
+  for_each_wedge_row(
+      n, 0, n,
       [&](std::size_t id) {
         partials[id].assign(nnz, 0);
-        return &partials[id];
+        return partials[id].data();
       },
-      [&](std::vector<count_t>* part, index_t i, const HalvedWedgeTable& t) {
-        if (t.touched().empty()) return; // no pair has i as upper end
+      [&](count_t* part, WedgeTable& t, index_t i) {
+        // No pair with two middles: every credit below would be 0.
+        if (t.fill(csr_rows(a), i, i) == 0) return;
         const auto cols = a.row_cols(i);
         const auto base = static_cast<std::size_t>(rp[i]);
         for (std::size_t e = 0; e < cols.size(); ++e) {
           const index_t j = cols[e];
+          if (j >= i) break;
           const auto jcols = a.row_cols(j);
           const auto jbase = static_cast<std::size_t>(rp[j]);
           count_t own = 0;
@@ -102,37 +102,33 @@ grb::Csr<count_t> edge_butterflies(const Adjacency& a) {
             // Wedge i–j–k itself put k in the table, so c[k] ≥ 1.
             const count_t c = t[k] - 1;
             own += c;
-            (*part)[jbase + f] += c;
+            part[jbase + f] += c;
           }
-          (*part)[base + e] += own;
+          part[base + e] += own;
         }
       });
   sum_partials(partials, vals);
 
-  // Every 4-cycle through edge {i, j} was credited twice — once per
-  // diagonal pair it contains — split across the edge's two mirror slots.
-  // Fold (slot + mirror)/2 into both with one cursor sweep: for each row
-  // i, upper entries (i, j) appear in ascending j, and sweeping rows j in
-  // ascending order visits i's mirrors in that same order.
-  std::vector<offset_t> cursor(static_cast<std::size_t>(n));
-  for (index_t i = 0; i < n; ++i) {
-    const auto cols = a.row_cols(i);
-    cursor[static_cast<std::size_t>(i)] =
-        rp[i] + (std::upper_bound(cols.begin(), cols.end(), i) - cols.begin());
-  }
-  for (index_t j = 0; j < n; ++j) {
+  // Each 4-cycle credited each of its edges once, in one of the edge's
+  // two mirror slots; the count of edge {i, j} is their sum.  Row j folds
+  // its lower entries (j, i < j) with their mirrors (i, j), so every
+  // unordered edge is folded by exactly one row.
+  parallel_for(0, n, [&](index_t j) {
     const auto cols = a.row_cols(j);
     const auto base = static_cast<std::size_t>(rp[j]);
-    for (std::size_t e = 0; e < cols.size(); ++e) {
+    for (std::size_t e = 0; e < cols.size() && cols[e] < j; ++e) {
       const index_t i = cols[e];
-      if (i >= j) break;
+      const auto icols = a.row_cols(i);
       const auto mirror =
-          static_cast<std::size_t>(cursor[static_cast<std::size_t>(i)]++);
-      const count_t v = (vals[base + e] + vals[mirror]) / 2;
+          static_cast<std::size_t>(rp[i]) +
+          static_cast<std::size_t>(
+              std::lower_bound(icols.begin(), icols.end(), j) -
+              icols.begin());
+      const count_t v = vals[base + e] + vals[mirror];
       vals[base + e] = v;
       vals[mirror] = v;
     }
-  }
+  });
   return out;
 }
 
@@ -188,8 +184,8 @@ grb::Csr<count_t> edge_butterflies_reference(const Adjacency& a) {
 count_t global_butterflies(const Adjacency& a) {
   require_simple(a, "global_butterflies");
   KRONLAB_KERNEL("graph/global_butterflies");
-  // Each 4-cycle has two diagonal pairs, each seen once.
-  return halved_pair_sum(a.nrows(), 0, a.nrows(), csr_rows(a)) / 2;
+  // Each 4-cycle is seen once, from its largest id.
+  return largest_id_c4_sum(a.nrows(), 0, a.nrows(), csr_rows(a));
 }
 
 count_t global_butterflies_naive(const Adjacency& a) {

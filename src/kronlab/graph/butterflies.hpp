@@ -17,11 +17,12 @@
 // for the shortened-BFS-into-second-neighborhood approach.
 //
 // The public counters run the one wedge engine (graph/wedges.hpp), which
-// halves that work by visiting each endpoint pair {i, k} once, from its
-// larger id.  The *_reference and *_naive counters are the independent
-// oracles the tests and the fig3 bench compare the engine against: the
-// reference kernels scan every wedge of every vertex with the full
-// one-vertex table below, the naive ones enumerate 4-tuples.
+// visits each endpoint pair {i, k} once, from its larger id; the global
+// and edge counts also keep only the wedges whose apex is the largest id,
+// so each 4-cycle is seen once.  The *_reference and *_naive counters are
+// the independent oracles the tests and the fig3 bench compare the engine
+// against: the reference kernels scan every wedge of every vertex with the
+// full one-vertex table below, the naive ones enumerate 4-tuples.
 
 #pragma once
 

@@ -4,28 +4,35 @@
 // edge_butterflies and global_butterflies (graph/butterflies.cpp), and
 // phase 3 of dist::distributed_global_butterflies.
 //
-// For each row i the engine builds the wedge table c[k] = |N(i) ∩ N(k)|
-// over the second neighbours k < i only: rows are sorted, so the scan of
-// each N(j) stops at the first k ≥ i.  That is id-order pair halving —
-// every unordered endpoint pair {i, k} is materialized exactly once, from
-// its larger id, in any vertex order and with no degree information — so
-//   Σ_i Σ_{k<i} C(c[k], 2) = 2·#C4   (each 4-cycle has two diagonals).
-// A count c ≤ min(d_i, d_k) < n, so the dense per-worker table holds
-// 32-bit counters.
+// For each row i the engine builds the wedge table c[k] = |{j ∈ N(i) ∩
+// N(k) : j < m}| over the second neighbours k < i only, for a caller's
+// middle bound m.  Rows are sorted, so the scan of N(i) stops at the first
+// j ≥ m and the scan of each N(j) at the first k ≥ i.
+//  * m = n (unbounded): every unordered endpoint pair {i, k} is built
+//    exactly once, from its larger id, with its full count — the vertex
+//    count credits C(c[k], 2) to both ends.
+//  * m = i: only wedges whose apex i is the largest of the three ids.  A
+//    4-cycle has exactly one largest vertex, and both of its wedges from
+//    there have smaller middles, so
+//      Σ_i Σ_{k<i} C(c[k], 2) = #C4
+//    with no division: vertex-priority butterfly counting (Wang et al.,
+//    VLDB 2019) with the id as the priority.
 //
-// A caller supplies two things:
-//  * a row accessor, `rows(j)` → sorted span of N(j): a local CSR, or a
-//    shard's owned-plus-ghost rows;
-//  * a drain, `drain(worker, i, table)`, run once per row while the table
-//    is live, with per-worker state from `make_worker(id)` — a scalar sum
-//    (halved_pair_sum), a per-vertex or a per-edge partial vector.
+// The table is stamped: one uint64 per endpoint holds the row that last
+// wrote it (high 32 bits) and its count (low 32 bits), so a new row needs
+// no clear pass and no touched list — a slot stamped by another row reads
+// as 0.  A count c ≤ min(d_i, d_k) < n fits the low half; row ids < n ≤
+// 2^32 − 1 never collide with the all-ones initial stamp.
 //
-// Rows are spread over global_pool() in claimed chunks; the table
-// is cleared through its touched list, so a row costs O(its wedges).
+// A caller supplies a row accessor, `rows(j)` → sorted span of N(j) (a
+// local CSR, or a shard's owned-plus-ghost rows), and a per-row body
+// `body(worker, table, i)` that calls `table.fill` with its middle bound,
+// with per-worker state from `make_worker(id)` — a scalar sum
+// (largest_id_c4_sum), a per-vertex or a per-edge partial vector.
 //
 // The reference and naive counters in graph/butterflies.cpp deliberately
-// do not use this engine: they scan every wedge, unhalved, so they stay
-// independent oracles for it.
+// do not use this engine: they scan every wedge of every vertex, so they
+// stay independent oracles for it.
 
 #pragma once
 
@@ -40,93 +47,87 @@
 
 namespace kronlab::graph {
 
-/// One row's halved wedge table: dense 32-bit counts over [0, n) plus the
-/// ids touched since the last clear.
-class HalvedWedgeTable {
+/// One row's wedge table: per endpoint, a stamp (the row that last wrote
+/// it) and a 32-bit count.
+class WedgeTable {
 public:
-  explicit HalvedWedgeTable(index_t n)
-      : cnt_(static_cast<std::size_t>(n), 0) {}
+  explicit WedgeTable(index_t n)
+      : slot_(static_cast<std::size_t>(n), ~std::uint64_t{0}) {}
 
-  /// c[k] = |N(i) ∩ N(k)| for every second neighbour k < i.
-  template <typename Rows>
-  void fill(const Rows& rows, index_t i) {
+  /// Build c[k] for row i from the wedges i–j–k with j < middle_end and
+  /// k < i, calling `visit(k, prev)` on each with c[k] before its bump.
+  /// Returns Σ prev = Σ_k C(c[k], 2).
+  template <typename Rows, typename Visit>
+  count_t fill(const Rows& rows, index_t i, index_t middle_end,
+               Visit&& visit) {
+    row_ = i;
+    const auto row = static_cast<std::uint64_t>(i);
+    count_t pairs = 0;
     for (const index_t j : rows(i)) {
+      if (j >= middle_end) break; // sorted row: the rest are middles ≥ m
       for (const index_t k : rows(j)) {
         if (k >= i) break; // sorted row: the rest pair with ids ≥ i
-        auto& c = cnt_[static_cast<std::size_t>(k)];
-        if (c++ == 0) touched_.push_back(k);
+        auto& x = slot_[static_cast<std::size_t>(k)];
+        const std::uint64_t cur = (x >> 32) == row ? x : row << 32;
+        x = cur + 1;
+        const auto prev = static_cast<count_t>(cur & 0xffffffffu);
+        pairs += prev;
+        visit(k, prev);
       }
     }
+    return pairs;
   }
 
+  template <typename Rows>
+  count_t fill(const Rows& rows, index_t i, index_t middle_end) {
+    return fill(rows, i, middle_end, [](index_t, count_t) {});
+  }
+
+  /// c[k] of the last fill; k must be an endpoint that fill bumped.
   [[nodiscard]] count_t operator[](index_t k) const {
-    return static_cast<count_t>(cnt_[static_cast<std::size_t>(k)]);
-  }
-
-  /// Endpoints k with c[k] > 0, in first-touch order.
-  [[nodiscard]] const std::vector<index_t>& touched() const {
-    return touched_;
-  }
-
-  /// Σ_k C(c[k], 2): the butterflies row i shares with lower ids.
-  [[nodiscard]] count_t pairs() const {
-    count_t sum = 0;
-    for (const index_t k : touched_) {
-      const count_t c = (*this)[k];
-      sum += c * (c - 1) / 2;
-    }
-    return sum;
-  }
-
-  void clear() {
-    for (const index_t k : touched_) cnt_[static_cast<std::size_t>(k)] = 0;
-    touched_.clear();
+    const std::uint64_t x = slot_[static_cast<std::size_t>(k)];
+    KRONLAB_DBG_ASSERT((x >> 32) == static_cast<std::uint64_t>(row_),
+                       "wedge table: stale stamp");
+    return static_cast<count_t>(x & 0xffffffffu);
   }
 
 private:
-  std::vector<std::uint32_t> cnt_;
-  std::vector<index_t> touched_;
+  std::vector<std::uint64_t> slot_;
+  index_t row_ = 0;
 };
 
-/// Run `drain(worker, i, table)` for every row i in [lo, hi) of an
-/// n-vertex graph, with `table` filled for i, on global_pool().
+/// Run `body(worker, table, i)` for every row i in [lo, hi) of an
+/// n-vertex graph, on global_pool(); `body` fills `table` for i.
 /// `make_worker(id)` runs once per participating worker (id <
 /// global_pool().size()).
-template <typename Rows, typename MakeWorker, typename Drain>
-void for_each_halved_wedge_table(index_t n, index_t lo, index_t hi,
-                                 const Rows& rows, MakeWorker&& make_worker,
-                                 Drain&& drain) {
+template <typename MakeWorker, typename Body>
+void for_each_wedge_row(index_t n, index_t lo, index_t hi,
+                        MakeWorker&& make_worker, Body&& body) {
   KRONLAB_REQUIRE(n <= std::numeric_limits<std::uint32_t>::max(),
                   "wedge engine: vertex ids exceed 32 bits");
   using Worker = decltype(make_worker(std::size_t{0}));
   struct Scratch {
-    HalvedWedgeTable table;
+    WedgeTable table;
     Worker worker;
   };
   parallel_for_range_scratch(
       lo, hi,
-      [&](std::size_t id) {
-        return Scratch{HalvedWedgeTable(n), make_worker(id)};
-      },
+      [&](std::size_t id) { return Scratch{WedgeTable(n), make_worker(id)}; },
       [&](Scratch& s, index_t b, index_t e) {
-        for (index_t i = b; i < e; ++i) {
-          s.table.fill(rows, i);
-          drain(s.worker, i, s.table);
-          s.table.clear();
-        }
+        for (index_t i = b; i < e; ++i) body(s.worker, s.table, i);
       });
 }
 
-/// Scalar drain: Σ_{i∈[lo,hi)} Σ_{k<i} C(c[k], 2).  Over every row of a
-/// graph that is 2·#C4.
+/// Scalar count: the 4-cycles whose largest id lies in [lo, hi).  Over
+/// every row of a graph that is #C4.
 template <typename Rows>
-count_t halved_pair_sum(index_t n, index_t lo, index_t hi,
-                        const Rows& rows) {
+count_t largest_id_c4_sum(index_t n, index_t lo, index_t hi,
+                          const Rows& rows) {
   std::vector<count_t> sums(global_pool().size(), 0);
-  for_each_halved_wedge_table(
-      n, lo, hi, rows, [&](std::size_t id) { return &sums[id]; },
-      [](count_t* sum, index_t, const HalvedWedgeTable& t) {
-        *sum += t.pairs();
+  for_each_wedge_row(
+      n, lo, hi, [&](std::size_t id) { return &sums[id]; },
+      [&](count_t* sum, WedgeTable& t, index_t i) {
+        *sum += t.fill(rows, i, i);
       });
   return std::accumulate(sums.begin(), sums.end(), count_t{0});
 }

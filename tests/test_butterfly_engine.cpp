@@ -2,11 +2,15 @@
 // every direct 4-cycle count: the public vertex/edge/global counters and
 // the distributed count against the retained reference and naive oracles
 // and the factored ground truth (Thms 3–5), at every pool width the CI
-// sanitizer jobs exercise.  Any halving bug (wrong early break, pair seen
-// twice or never, mirror slot drift) or scheduling bug (scratch leakage
-// between chunks, dropped chunk) breaks bit-exact agreement here.  The
-// DegreeOrder relabel, no longer on any counting path, keeps its own
-// permutation and pool-width checks.
+// sanitizer jobs exercise.  The engine's failure modes all break bit-exact
+// agreement here: a wrong middle bound (a 4-cycle seen from a vertex that
+// is not its largest, or not at all), a stale stamp (a count carried over
+// from another row of the same worker), a credit on the wrong side of the
+// edge fold, and scheduling bugs (scratch leakage between chunks, a
+// dropped chunk).  Complete bipartite graphs under every labeling pin the
+// largest-id rule against closed forms.  The DegreeOrder relabel, no
+// longer on any counting path, keeps its own permutation and pool-width
+// checks.
 
 #include <gtest/gtest.h>
 
@@ -167,8 +171,9 @@ INSTANTIATE_TEST_SUITE_P(PoolWidths, DegreeOrderWidthTest,
 
 
 // -------------------------------------------------------------------------
-// Engine inputs: id-order halving must not care where the hubs sit, nor
-// how large the id space is, nor whether there are any wedges at all.
+// Engine inputs: the largest-id rule must not care where the hubs sit,
+// nor how large the id space is (the stamp shares a word with the count),
+// nor whether there are any wedges at all.
 
 /// `a` with its vertex ids shuffled: the hubs of a preferential graph
 /// land anywhere in the id space, not at its head.
@@ -350,6 +355,76 @@ TEST_P(EngineWidthTest, DistributedMatchesGlobalAtOneToFiveRanks) {
 
 INSTANTIATE_TEST_SUITE_P(PoolWidths, EngineWidthTest,
                          ::testing::Values(1, 2, 4, 8));
+
+// -------------------------------------------------------------------------
+// Largest-id rule: on K_{a,b} every count has a closed form — C(a,2)·C(b,2)
+// 4-cycles, (a−1)·C(b,2) at a vertex on the a side, (a−1)(b−1) on every
+// edge — whatever the labeling.  Running through all labelings moves each
+// 4-cycle's largest vertex to every position, so a wrong middle bound, a
+// stale stamp or a credit on the wrong side of the edge fold moves some
+// count off its closed form.
+
+count_t choose2(index_t x) { return count_t{x} * (x - 1) / 2; }
+
+void expect_closed_forms_under_every_labeling(index_t a, index_t b) {
+  const index_t n = a + b;
+  std::vector<index_t> label(static_cast<std::size_t>(n));
+  std::iota(label.begin(), label.end(), index_t{0});
+  const count_t global = choose2(a) * choose2(b);
+  const count_t edge = count_t{a - 1} * (b - 1);
+  int labelings = 0;
+  do {
+    ++labelings;
+    std::vector<std::pair<index_t, index_t>> edges;
+    for (index_t x = 0; x < a; ++x) {
+      for (index_t y = a; y < n; ++y) edges.emplace_back(label[x], label[y]);
+    }
+    const auto g = graph::from_undirected_edges(n, edges);
+    std::string where = "K_{" + std::to_string(a) + "," + std::to_string(b) +
+                        "} labeling";
+    for (const index_t v : label) where += " " + std::to_string(v);
+
+    ASSERT_EQ(graph::global_butterflies(g), global) << where;
+    const auto s = graph::vertex_butterflies(g);
+    for (index_t x = 0; x < n; ++x) {
+      const count_t want =
+          x < a ? (a - 1) * choose2(b) : (b - 1) * choose2(a);
+      ASSERT_EQ(s[label[x]], want) << where << " vertex " << label[x];
+    }
+    const auto e = graph::edge_butterflies(g);
+    for (index_t i = 0; i < n; ++i) {
+      const auto cols = e.row_cols(i);
+      const auto vals = e.row_vals(i);
+      for (std::size_t f = 0; f < cols.size(); ++f) {
+        ASSERT_EQ(vals[f], edge) << where << " edge (" << i << "," << cols[f]
+                                 << ")";
+      }
+    }
+    for (const index_t ranks : {2, 3}) {
+      dist::run(ranks, [&](dist::Comm& comm) {
+        const index_t r = comm.rank();
+        const auto shard = shard_of(g, n * r / ranks, n * (r + 1) / ranks);
+        EXPECT_EQ(dist::distributed_global_butterflies(comm, shard), global)
+            << where << " ranks " << ranks << " rank " << r;
+      });
+    }
+  } while (std::next_permutation(label.begin(), label.end()));
+  int all = 1;
+  for (index_t v = 2; v <= n; ++v) all *= static_cast<int>(v);
+  EXPECT_EQ(labelings, all);
+}
+
+TEST(LargestIdRule, EveryLabelingOfC4) {
+  expect_closed_forms_under_every_labeling(2, 2); // 24 labelings
+}
+
+TEST(LargestIdRule, EveryLabelingOfK23) {
+  expect_closed_forms_under_every_labeling(2, 3); // 120 labelings
+}
+
+TEST(LargestIdRule, EveryLabelingOfK33) {
+  expect_closed_forms_under_every_labeling(3, 3); // 720 labelings
+}
 
 TEST(EngineInputs, SelfLoopsRaiseDomainError) {
   const auto a =
