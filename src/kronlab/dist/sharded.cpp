@@ -716,16 +716,19 @@ count_t distributed_global_butterflies(Comm& comm, const Shard& shard,
   comm.fault_point("exchange-serve");
 
   // ---- phase 1: figure out which remote rows this rank needs ----------
-  // Wedge counting of owned v walks rows of every neighbor j of v.  One
-  // n-sized mark array over the shard's columns; scanning each owner's
-  // row range then lists its needed rows in ascending order.  The marks
-  // go on to serve as the exchange's waiting table.
+  // Phase 3 walks row j only for a middle j < i of an owned row i, and
+  // every id in [row_begin, i) is owned, so the only rows it reads from
+  // other ranks are columns below row_begin, all owned by lower-ranked
+  // members; the higher-ranked ones get the empty handshake.  One n-sized
+  // mark array over those columns; scanning each owner's row range then
+  // lists its needed rows in ascending order.  The marks go on to serve
+  // as the exchange's waiting table.
   std::vector<std::uint8_t> waiting(static_cast<std::size_t>(shard.n), 0);
   std::vector<std::vector<index_t>> needed(mcount);
   {
     KRONLAB_KERNEL("dist/needed");
     for (const index_t j : shard.rows.col_idx()) {
-      if (!shard.owns(j)) waiting[static_cast<std::size_t>(j)] = 1;
+      if (j < shard.row_begin) waiting[static_cast<std::size_t>(j)] = 1;
     }
     for (std::size_t i = 0; i < mcount; ++i) {
       if (members[i] == comm.rank()) continue;
@@ -753,7 +756,8 @@ count_t distributed_global_butterflies(Comm& comm, const Shard& shard,
   }
 
   // ---- phase 3: the wedge engine over owned rows ---------------------
-  // Owned-plus-ghost rows: every row an owned row's wedges walk.
+  // Owned-plus-ghost rows: every row an owned row's wedges walk (a ghost
+  // row is always below row_begin; see phase 1).
   count_t local_sum = 0;
   {
     KRONLAB_KERNEL("dist/wedge_count");

@@ -21,20 +21,37 @@ void require_simple(const Adjacency& a, const char* where) {
   }
 }
 
-/// Add the per-worker partial vectors into `out`, in parallel over slots.
-void sum_partials(const std::vector<std::vector<count_t>>& partials,
-                  std::vector<count_t>& out) {
-  parallel_for_range(
-      0, static_cast<index_t>(out.size()), [&](index_t lo, index_t hi) {
-        for (const auto& p : partials) {
-          if (p.empty()) continue; // worker never ran
-          for (auto q = static_cast<std::size_t>(lo);
-               q < static_cast<std::size_t>(hi); ++q) {
-            out[q] += p[q];
+/// Per-worker credit images of a zeroed result array: worker 0 (the
+/// calling thread) credits the result itself, and only workers 1..p−1 get
+/// a private image, added into the result by fold().
+class CreditImages {
+public:
+  explicit CreditImages(std::vector<count_t>& out)
+      : out_(out), extra_(global_pool().size()) {}
+
+  count_t* operator()(std::size_t id) {
+    if (id == 0) return out_.data();
+    extra_[id].assign(out_.size(), 0);
+    return extra_[id].data();
+  }
+
+  void fold() {
+    parallel_for_range(
+        0, static_cast<index_t>(out_.size()), [&](index_t lo, index_t hi) {
+          for (const auto& p : extra_) {
+            if (p.empty()) continue; // worker 0, or a worker that never ran
+            for (auto q = static_cast<std::size_t>(lo);
+                 q < static_cast<std::size_t>(hi); ++q) {
+              out_[q] += p[q];
+            }
           }
-        }
-      });
-}
+        });
+  }
+
+private:
+  std::vector<count_t>& out_;
+  std::vector<std::vector<count_t>> extra_;
+};
 
 } // namespace
 
@@ -42,23 +59,33 @@ grb::Vector<count_t> vertex_butterflies(const Adjacency& a) {
   require_simple(a, "vertex_butterflies");
   KRONLAB_KERNEL("graph/vertex_butterflies");
   const index_t n = a.nrows();
-  // Pair {i, k} (k < i) is built once, from i, over every middle; each
-  // wedge credits the count before its bump to both endpoints, which sums
-  // to C(c[k], 2) per pair.
-  std::vector<std::vector<count_t>> partials(global_pool().size());
-  for_each_wedge_row(
-      n, 0, n,
-      [&](std::size_t id) {
-        partials[id].assign(static_cast<std::size_t>(n), 0);
-        return partials[id].data();
-      },
-      [&](count_t* part, WedgeTable& t, index_t i) {
-        part[i] += t.fill(csr_rows(a), i, n, [part](index_t k, count_t prev) {
-          part[k] += prev;
-        });
-      });
+  // Row i fills c[k] from the wedges i–j–k whose apex i is the largest id
+  // and credits each 4-cycle with largest vertex i, middles j, j' and
+  // opposite vertex k to all four: i gets Σ_k C(c[k], 2) (the fill's
+  // return), k gets C(c[k], 2) as the sum of the counts before each of its
+  // bumps, and a replay of the same wedges gives middle j the c[k] − 1
+  // other middles of each wedge i–j–k.
   grb::Vector<count_t> s(n, 0);
-  sum_partials(partials, s.data());
+  CreditImages images(s.data());
+  for_each_wedge_row(
+      n, 0, n, images, [&](count_t* part, WedgeTable& t, index_t i) {
+        const count_t pairs =
+            t.fill(csr_rows(a), i,
+                   [part](index_t k, count_t prev) { part[k] += prev; });
+        // No pair with two middles: every middle credit below would be 0.
+        if (pairs == 0) return;
+        part[i] += pairs;
+        for (const index_t j : a.row_cols(i)) {
+          if (j >= i) break;
+          count_t own = 0;
+          for (const index_t k : a.row_cols(j)) {
+            if (k >= i) break;
+            own += t[k] - 1; // wedge i–j–k itself put k in the table
+          }
+          part[j] += own;
+        }
+      });
+  images.fold();
   return s;
 }
 
@@ -75,19 +102,13 @@ grb::Csr<count_t> edge_butterflies(const Adjacency& a) {
   // is the largest id; pass B replays the same wedges and credits the
   // c − 1 4-cycles that close wedge i–j–k (each has i as its largest
   // vertex) to both of its edges: entry (i, j) of row i and entry (j, k)
-  // of row j.  Row j is shared across many i, so workers credit private
-  // nnz-sized images, summed at the end.
-  const auto nnz = static_cast<std::size_t>(a.nnz());
-  std::vector<std::vector<count_t>> partials(global_pool().size());
+  // of row j.  Row j is shared across many i, so each worker credits its
+  // own nnz-sized image, summed at the end.
+  CreditImages images(vals);
   for_each_wedge_row(
-      n, 0, n,
-      [&](std::size_t id) {
-        partials[id].assign(nnz, 0);
-        return partials[id].data();
-      },
-      [&](count_t* part, WedgeTable& t, index_t i) {
+      n, 0, n, images, [&](count_t* part, WedgeTable& t, index_t i) {
         // No pair with two middles: every credit below would be 0.
-        if (t.fill(csr_rows(a), i, i) == 0) return;
+        if (t.fill(csr_rows(a), i) == 0) return;
         const auto cols = a.row_cols(i);
         const auto base = static_cast<std::size_t>(rp[i]);
         for (std::size_t e = 0; e < cols.size(); ++e) {
@@ -107,7 +128,7 @@ grb::Csr<count_t> edge_butterflies(const Adjacency& a) {
           part[base + e] += own;
         }
       });
-  sum_partials(partials, vals);
+  images.fold();
 
   // Each 4-cycle credited each of its edges once, in one of the edge's
   // two mirror slots; the count of edge {i, j} is their sum.  Row j folds

@@ -16,13 +16,13 @@
 // Work is O(Σ_i Σ_{j∈N(i)} d_j) = O(Σ_j d_j²), the cost the paper quotes
 // for the shortened-BFS-into-second-neighborhood approach.
 //
-// The public counters run the one wedge engine (graph/wedges.hpp), which
-// visits each endpoint pair {i, k} once, from its larger id; the global
-// and edge counts also keep only the wedges whose apex is the largest id,
-// so each 4-cycle is seen once.  The *_reference and *_naive counters are
-// the independent oracles the tests and the fig3 bench compare the engine
-// against: the reference kernels scan every wedge of every vertex with the
-// full one-vertex table below, the naive ones enumerate 4-tuples.
+// The public counters run the one wedge engine (graph/wedges.hpp), which keeps
+// only the wedges whose apex is the largest id, so each 4-cycle is seen once,
+// from its largest vertex, and credited from there.  The *_reference and
+// *_naive counters are the independent oracles the tests and the fig3 bench
+// compare the engine against: the reference kernels scan every wedge of every
+// vertex with the full one-vertex table below, the naive ones enumerate
+// 4-tuples.
 
 #pragma once
 

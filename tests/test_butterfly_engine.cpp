@@ -2,15 +2,18 @@
 // every direct 4-cycle count: the public vertex/edge/global counters and
 // the distributed count against the retained reference and naive oracles
 // and the factored ground truth (Thms 3–5), at every pool width the CI
-// sanitizer jobs exercise.  The engine's failure modes all break bit-exact
-// agreement here: a wrong middle bound (a 4-cycle seen from a vertex that
-// is not its largest, or not at all), a stale stamp (a count carried over
-// from another row of the same worker), a credit on the wrong side of the
-// edge fold, and scheduling bugs (scratch leakage between chunks, a
-// dropped chunk).  Complete bipartite graphs under every labeling pin the
-// largest-id rule against closed forms.  The DegreeOrder relabel, no
-// longer on any counting path, keeps its own permutation and pool-width
-// checks.
+// sanitizer jobs exercise.  Every count runs on the largest-id wedges,
+// and the engine's failure modes all break bit-exact agreement here: a
+// wrong cut of the middles at j < i (a 4-cycle seen from a vertex that is
+// not its largest, or not at all), a stale stamp (a count carried over from
+// another row of the same worker), a vertex count that drops the middle
+// credit or credits a middle c[k] instead of the c[k] − 1 other middles,
+// a credit on the wrong side of the edge fold, a ghost exchange that
+// leaves out a row below a shard's first row that phase 3 reads, and
+// scheduling bugs (scratch leakage between chunks, a dropped chunk).
+// Complete bipartite graphs under every labeling pin the largest-id rule
+// against closed forms.  The DegreeOrder relabel, no longer on any
+// counting path, keeps its own permutation and pool-width checks.
 
 #include <gtest/gtest.h>
 
@@ -360,9 +363,9 @@ INSTANTIATE_TEST_SUITE_P(PoolWidths, EngineWidthTest,
 // Largest-id rule: on K_{a,b} every count has a closed form — C(a,2)·C(b,2)
 // 4-cycles, (a−1)·C(b,2) at a vertex on the a side, (a−1)(b−1) on every
 // edge — whatever the labeling.  Running through all labelings moves each
-// 4-cycle's largest vertex to every position, so a wrong middle bound, a
-// stale stamp or a credit on the wrong side of the edge fold moves some
-// count off its closed form.
+// 4-cycle's largest vertex to every position, so a wrong middle cut, a
+// stale stamp, a wrong middle credit, a credit on the wrong side of the
+// edge fold or a missing ghost row moves some count off its closed form.
 
 count_t choose2(index_t x) { return count_t{x} * (x - 1) / 2; }
 

@@ -343,16 +343,22 @@ TEST(FaultyExchange, RetryExhaustionThrowsTimeoutError) {
 TEST(FaultyExchange, PeerKilledBeforeServingThrowsRankFailed) {
   const auto kp = sample_product(23);
   const kron::PartitionedStream ps(kp, 3);
-  FaultPlan plan;
-  plan.kill_rank = 2;
-  plan.kill_point = "exchange-serve"; // dies after membership agreement
-  EXPECT_THROW(run(3, plan,
-                   [&](Comm& comm) {
-                     const auto shard = generate_shard(kp, ps, comm.rank());
-                     distributed_global_butterflies(comm, shard,
-                                                    fast_retry());
-                   }),
-               rank_failed);
+  // Ranks fetch rows only from lower ranks: every survivor needs rank 0's
+  // rows, and none needs rank 2's, whose death the empty handshake finds.
+  for (const index_t kill : {0, 2}) {
+    SCOPED_TRACE("kill rank " + std::to_string(kill));
+    FaultPlan plan;
+    plan.kill_rank = kill;
+    plan.kill_point = "exchange-serve"; // dies after membership agreement
+    EXPECT_THROW(run(3, plan,
+                     [&](Comm& comm) {
+                       const auto shard =
+                           generate_shard(kp, ps, comm.rank());
+                       distributed_global_butterflies(comm, shard,
+                                                      fast_retry());
+                     }),
+                 rank_failed);
+  }
 }
 
 // ---------------------------------------------------------------------------

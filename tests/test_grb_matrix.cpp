@@ -99,6 +99,10 @@ TEST(Csr, AdoptingRawArraysValidates) {
   // Duplicate column in a row.
   EXPECT_THROW(Csr<count_t>(1, 3, {0, 2}, {1, 1}, {1, 1}),
                invalid_argument);
+  // An interior row_ptr entry past nnz: rejected before any row span is
+  // read out of col_idx.
+  EXPECT_THROW(Csr<count_t>(2, 2, {0, 100, 2}, {0, 1}, {1, 1}),
+               invalid_argument);
   // A valid adoption passes.
   EXPECT_NO_THROW(Csr<count_t>(2, 2, {0, 1, 2}, {1, 0}, {1, 1}));
 }
