@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <vector>
@@ -199,6 +200,52 @@ TEST(DistCount, AgreesWithSerialWedgeCountOnMaterialized) {
   run(3, [&](Comm& comm) {
     const auto shard = generate_shard(kp, ps, comm.rank());
     EXPECT_EQ(distributed_global_butterflies(comm, shard), expect);
+  });
+}
+
+TEST(DistCount, RanksFetchRowsOnlyFromLowerRanks) {
+  // Phase 3 reads a remote row only below the shard's first row, so rank 0
+  // requests no row at all.  It sends each peer the empty handshake,
+  // serves the rows the higher ranks request, and acks each peer's
+  // handshake reply; fetching every column it does not own would add one
+  // request per such column on top.
+  const auto kp = sample_product(97);
+  const index_t parts = 3;
+  const kron::PartitionedStream ps(kp, parts);
+  std::vector<Shard> shards;
+  for (index_t r = 0; r < parts; ++r) {
+    shards.push_back(generate_shard(kp, ps, r));
+  }
+  const index_t end0 = shards[0].row_end;
+  // Distinct columns of shard r in [lo, hi).
+  const auto distinct_cols = [&](index_t r, index_t lo, index_t hi) {
+    std::vector<bool> seen(static_cast<std::size_t>(kp.num_vertices()));
+    count_t k = 0;
+    for (const index_t j : shards[static_cast<std::size_t>(r)].rows.col_idx()) {
+      if (j < lo || j >= hi || seen[static_cast<std::size_t>(j)]) continue;
+      seen[static_cast<std::size_t>(j)] = true;
+      ++k;
+    }
+    return k;
+  };
+  count_t served = 0; // rank 0's rows the higher ranks request
+  for (index_t r = 1; r < parts; ++r) served += distinct_cols(r, 0, end0);
+  const count_t handshakes = 3 * (parts - 1); // REQ, reply, ack per peer
+  ASSERT_GT(distinct_cols(0, end0, kp.num_vertices()), handshakes)
+      << "rank 0 has too few higher columns to tell the rules apart";
+  // Deadlines far above a fault-free exchange: no retry adds a frame.
+  RetryConfig patient;
+  patient.timeout = std::chrono::milliseconds(2000);
+  patient.max_backoff = std::chrono::milliseconds(2000);
+  const count_t expect = kron::global_squares(kp);
+  run(parts, [&](Comm& comm) {
+    const auto& shard = shards[static_cast<std::size_t>(comm.rank())];
+    ExchangeStats stats;
+    EXPECT_EQ(distributed_global_butterflies(comm, shard, patient, &stats),
+              expect);
+    if (comm.rank() == 0) {
+      EXPECT_LE(stats.agg.frames_enqueued, served + handshakes);
+    }
   });
 }
 

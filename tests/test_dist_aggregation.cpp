@@ -552,39 +552,41 @@ TEST(AggregatedExchange, ForgedRowsFramesRaiseTypedError) {
 
 TEST(AggregatedExchange, WrongPeerRowsFrameIsAbsorbed) {
   // A ROWS frame counts only if it comes from the peer the row was
-  // requested from, its owner.  Before joining the exchange, rank 2 sends
-  // rank 0 a well-formed current-epoch ROWS frame for a row rank 1 owns
-  // and rank 0 needs, with wrong columns: rank 0 must absorb it as a
-  // duplicate reply, and every rank's count must stay exact.
+  // requested from, its owner.  Ranks fetch rows from lower ranks only, so
+  // rank 2 requests rows of both rank 0 and rank 1.  Before joining the
+  // exchange, rank 0 sends rank 2 a well-formed current-epoch ROWS frame
+  // for a row rank 1 owns and rank 2 needs, with wrong columns: rank 2
+  // must absorb it as a duplicate reply, wait for rank 1's row, and every
+  // rank's count must stay exact.
   const auto kp = sample_product(37);
   const count_t expect = kron::global_squares(kp);
   const kron::PartitionedStream ps(kp, 3);
   const index_t n = kp.num_vertices();
   constexpr int kExchTag = 10; // exchange wire format, as above
   constexpr word_t kRows = 1;
-  const auto shard0 = generate_shard(kp, ps, 0);
+  const auto shard2 = generate_shard(kp, ps, 2);
   const auto [begin1, end1] = ps.owned_product_rows(1);
-  index_t target = -1; // a row of rank 1's that rank 0 requests
-  for (const index_t j : shard0.rows.col_idx()) {
+  index_t target = -1; // a row of rank 1's that rank 2 requests
+  for (const index_t j : shard2.rows.col_idx()) {
     if (j >= begin1 && j < end1) {
       target = j;
       break;
     }
   }
-  ASSERT_GE(target, 0) << "rank 0 needs no row of rank 1's";
+  ASSERT_GE(target, 0) << "rank 2 needs no row of rank 1's";
   run(3, [&](Comm& comm) {
     const auto shard = generate_shard(kp, ps, comm.rank());
-    if (comm.rank() == 2) {
+    if (comm.rank() == 0) {
       // The first exchange's epoch, which the rank has not advanced yet.
       // The columns are sorted ids in [0, n), so only the sender is wrong.
       const word_t epoch = 1;
-      comm.send(0, kExchTag, {epoch, kRows, target, 2, 0, n - 1});
+      comm.send(2, kExchTag, {epoch, kRows, target, 2, 0, n - 1});
     }
     ExchangeStats stats;
     EXPECT_EQ(distributed_global_butterflies(comm, shard, {}, &stats),
               expect)
         << "rank " << comm.rank();
-    if (comm.rank() == 0) {
+    if (comm.rank() == 2) {
       EXPECT_GE(stats.dup_replies, 1);
     }
   });
