@@ -25,14 +25,14 @@ namespace {
 /// Set `shard`'s n and row range for `rank`, and return the row_ptr the
 /// factor degrees fix: product row (i, k) stores deg_M(i) · deg_B(k)
 /// entries.
-std::vector<offset_t> shard_layout(const kron::BipartiteKronecker& kp,
-                                   const kron::PartitionedStream& ps,
-                                   index_t rank, Shard& shard) {
+grb::Array<offset_t> shard_layout(const kron::BipartiteKronecker& kp,
+                                  const kron::PartitionedStream& ps,
+                                  index_t rank, Shard& shard) {
   shard.n = kp.num_vertices();
   std::tie(shard.row_begin, shard.row_end) = ps.owned_product_rows(rank);
   const auto [llo, lhi] = ps.owned_left_rows(rank);
   const auto& b = kp.right();
-  std::vector<offset_t> row_ptr{0};
+  grb::Array<offset_t> row_ptr{0};
   row_ptr.reserve(static_cast<std::size_t>(shard.row_end - shard.row_begin) +
                   1);
   for (index_t i = llo; i < lhi; ++i) {
@@ -48,10 +48,10 @@ std::vector<offset_t> shard_layout(const kron::BipartiteKronecker& kp,
 /// entry stream is row-major and ascending within a row (M's and B's rows
 /// are sorted), so the columns need no sort; the Csr constructor still
 /// validates every invariant.
-grb::Csr<count_t> shard_csr(index_t n, std::vector<offset_t> row_ptr,
-                            std::vector<index_t> cols) {
+grb::Csr<count_t> shard_csr(index_t n, grb::Array<offset_t> row_ptr,
+                            grb::Array<index_t> cols) {
   const auto nrows = static_cast<index_t>(row_ptr.size()) - 1;
-  std::vector<count_t> vals(cols.size(), 1);
+  grb::Array<count_t> vals(cols.size(), 1);
   return {nrows, n, std::move(row_ptr), std::move(cols), std::move(vals)};
 }
 
@@ -61,7 +61,7 @@ Shard generate_shard(const kron::BipartiteKronecker& kp,
                      const kron::PartitionedStream& ps, index_t rank) {
   Shard shard;
   auto row_ptr = shard_layout(kp, ps, rank, shard);
-  std::vector<index_t> cols;
+  grb::Array<index_t> cols;
   cols.reserve(static_cast<std::size_t>(row_ptr.back()));
   ps.for_each_entry(rank, [&](index_t, index_t q) { cols.push_back(q); });
   shard.rows = shard_csr(shard.n, std::move(row_ptr), std::move(cols));
@@ -103,7 +103,7 @@ Shard load_shard_impl(io::FileOps& ops, const std::string& dir,
   // Records must fill the layout the factor degrees fix, in order: record
   // e lies in the row whose row_ptr range holds e, with columns in range
   // and strictly ascending within the row.
-  std::vector<index_t> cols(static_cast<std::size_t>(total));
+  grb::Array<index_t> cols(static_cast<std::size_t>(total));
   offset_t e = 0;
   std::size_t r = 0; // local row of record e
   io::for_each_committed_segment(
@@ -189,7 +189,7 @@ count_t expected_entries(const kron::BipartiteKronecker& kp, index_t lo,
 
 /// Append `rows` (a validated CSR) after the rows already in
 /// (row_ptr, cols).
-void push_csr_rows(std::vector<offset_t>& row_ptr, std::vector<index_t>& cols,
+void push_csr_rows(grb::Array<offset_t>& row_ptr, grb::Array<index_t>& cols,
                    const grb::Csr<count_t>& rows) {
   const offset_t base = row_ptr.back();
   for (index_t r = 0; r < rows.nrows(); ++r) {
@@ -847,8 +847,8 @@ RecoveryReport supervised_global_butterflies(
             : kp.left().nrows();
     if (new_lhi > my_lhi) {
       KRONLAB_TRACE_SPAN("dist", "reassign_rows");
-      std::vector<offset_t> row_ptr = shard.rows.row_ptr();
-      std::vector<index_t> cols = shard.rows.col_idx();
+      grb::Array<offset_t> row_ptr = shard.rows.row_ptr();
+      grb::Array<index_t> cols = shard.rows.col_idx();
       cols.reserve(static_cast<std::size_t>(
           expected_entries(kp, my_llo, new_lhi)));
       for (index_t d = me + 1; d < comm.size() && !comm.rank_alive(d);

@@ -34,14 +34,14 @@ DegreeOrder::DegreeOrder(const Adjacency& a) {
     rank[static_cast<std::size_t>(v)] = r;
   }
 
-  std::vector<offset_t> row_ptr(un + 1, 0);
+  grb::Array<offset_t> row_ptr(un + 1, 0);
   for (index_t r = 0; r < n; ++r) {
     row_ptr[static_cast<std::size_t>(r) + 1] =
         row_ptr[static_cast<std::size_t>(r)] +
         a.row_degree(orig[static_cast<std::size_t>(r)]);
   }
   const auto nnz = static_cast<std::size_t>(a.nnz());
-  std::vector<index_t> col_idx(nnz);
+  grb::Array<index_t> col_idx(nnz);
 
   // Relabeled row r is N(orig[r]) mapped through rank[] and sorted in its
   // own slice, so rows build independently on the pool.  Rows arrive in
@@ -62,7 +62,7 @@ DegreeOrder::DegreeOrder(const Adjacency& a) {
       },
       global_pool(), grain);
   relabeled = Adjacency(n, n, std::move(row_ptr), std::move(col_idx),
-                        std::vector<count_t>(nnz, 1));
+                        grb::Array<count_t>(nnz, 1));
 }
 
 } // namespace kronlab::graph

@@ -1,6 +1,7 @@
 #include "kronlab/graph/butterflies.hpp"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "kronlab/common/error.hpp"
@@ -26,7 +27,7 @@ void require_simple(const Adjacency& a, const char* where) {
 /// a private image, added into the result by fold().
 class CreditImages {
 public:
-  explicit CreditImages(std::vector<count_t>& out)
+  explicit CreditImages(std::span<count_t> out)
       : out_(out), extra_(global_pool().size()) {}
 
   count_t* operator()(std::size_t id) {
@@ -49,7 +50,7 @@ public:
   }
 
 private:
-  std::vector<count_t>& out_;
+  std::span<count_t> out_;
   std::vector<std::vector<count_t>> extra_;
 };
 
@@ -94,9 +95,12 @@ grb::Csr<count_t> edge_butterflies(const Adjacency& a) {
   KRONLAB_KERNEL("graph/edge_butterflies");
   const index_t n = a.nrows();
   const auto& rp = a.row_ptr();
-  grb::Csr<count_t> out = a;
-  auto& vals = out.vals();
-  std::fill(vals.begin(), vals.end(), count_t{0});
+  // The counts ride on a's pattern; the values are zeroed on the pool, so
+  // their pages are first touched there.
+  grb::Array<count_t> vals(static_cast<std::size_t>(a.nnz()));
+  parallel_for_range(0, a.nnz(), [&](index_t lo, index_t hi) {
+    std::fill(vals.begin() + lo, vals.begin() + hi, count_t{0});
+  });
 
   // Pass A (the engine) builds c[k] over the wedges i–j–k whose apex i
   // is the largest id; pass B replays the same wedges and credits the
@@ -150,7 +154,7 @@ grb::Csr<count_t> edge_butterflies(const Adjacency& a) {
       vals[mirror] = v;
     }
   });
-  return out;
+  return {a, std::move(vals)};
 }
 
 grb::Vector<count_t> vertex_butterflies_reference(const Adjacency& a) {
@@ -177,9 +181,8 @@ grb::Vector<count_t> vertex_butterflies_reference(const Adjacency& a) {
 grb::Csr<count_t> edge_butterflies_reference(const Adjacency& a) {
   require_simple(a, "edge_butterflies_reference");
   KRONLAB_KERNEL("graph/edge_butterflies_reference");
-  grb::Csr<count_t> out = a;
-  auto& vals = out.vals();
-  const auto& rp = out.row_ptr();
+  grb::Array<count_t> vals(static_cast<std::size_t>(a.nnz()));
+  const auto& rp = a.row_ptr();
   parallel_for_range_scratch(
       0, a.nrows(), [&](std::size_t) { return VertexWedgeTable(a.nrows()); },
       [&](VertexWedgeTable& t, index_t lo, index_t hi) {
@@ -199,7 +202,7 @@ grb::Csr<count_t> edge_butterflies_reference(const Adjacency& a) {
           t.clear();
         }
       });
-  return out;
+  return {a, std::move(vals)};
 }
 
 count_t global_butterflies(const Adjacency& a) {
@@ -256,11 +259,10 @@ grb::Csr<count_t> edge_butterflies_naive(const Adjacency& a) {
   require_simple(a, "edge_butterflies_naive");
   const index_t n = a.nrows();
   KRONLAB_REQUIRE(n <= 128, "naive counter is for tiny graphs only");
-  grb::Csr<count_t> out = a;
-  auto& vals = out.vals();
-  const auto& rp = out.row_ptr();
+  grb::Array<count_t> vals(static_cast<std::size_t>(a.nnz()));
+  const auto& rp = a.row_ptr();
   for (index_t i = 0; i < n; ++i) {
-    const auto cols = out.row_cols(i);
+    const auto cols = a.row_cols(i);
     for (std::size_t e = 0; e < cols.size(); ++e) {
       const index_t j = cols[e];
       count_t c = 0;
@@ -276,7 +278,7 @@ grb::Csr<count_t> edge_butterflies_naive(const Adjacency& a) {
           c;
     }
   }
-  return out;
+  return {a, std::move(vals)};
 }
 
 } // namespace kronlab::graph

@@ -43,21 +43,19 @@ void require_loop_free(const Adjacency& a, const char* where) {
 grb::Csr<count_t> edge_triangles(const Adjacency& a) {
   require_loop_free(a, "edge_triangles");
   KRONLAB_KERNEL("graph/edge_triangles");
-  grb::Csr<count_t> out = a;
-  auto& vals = out.vals();
-  const auto& rp = out.row_ptr();
+  grb::Array<count_t> vals(static_cast<std::size_t>(a.nnz()));
+  const auto& rp = a.row_ptr();
   // Row cost is quadratic in degree; chunks are claimed dynamically, so a
   // hub row of a heavy-tailed factor does not serialize the loop.
   parallel_for(0, a.nrows(), [&](index_t i) {
     const auto ni = a.row_cols(i);
-    const auto cols = out.row_cols(i);
-    for (std::size_t k = 0; k < cols.size(); ++k) {
-      const index_t j = cols[k];
+    for (std::size_t k = 0; k < ni.size(); ++k) {
+      const index_t j = ni[k];
       vals[static_cast<std::size_t>(rp[static_cast<std::size_t>(i)]) + k] =
           sorted_intersection_size(ni, a.row_cols(j));
     }
   });
-  return out;
+  return {a, std::move(vals)};
 }
 
 grb::Vector<count_t> vertex_triangles(const Adjacency& a) {

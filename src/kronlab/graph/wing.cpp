@@ -178,12 +178,11 @@ WingDecomposition wing_decomposition(const Adjacency& a) {
 
   // Assemble the result matrix with a's structure.
   WingDecomposition out;
-  std::vector<count_t> vals(static_cast<std::size_t>(a.nnz()));
+  grb::Array<count_t> vals(static_cast<std::size_t>(a.nnz()));
   for (std::size_t k = 0; k < vals.size(); ++k) {
     vals[k] = wing_num[static_cast<std::size_t>(ei.entry_edge[k])];
   }
-  out.wing = grb::Csr<count_t>(a.nrows(), a.ncols(), a.row_ptr(),
-                               a.col_idx(), std::move(vals));
+  out.wing = grb::Csr<count_t>(a, std::move(vals));
   for (const count_t w : out.wing.vals()) {
     out.max_wing = std::max(out.max_wing, w);
   }

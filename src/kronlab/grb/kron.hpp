@@ -7,8 +7,12 @@
 // columns j·n_B + l come out sorted with no extra sorting pass.
 //
 // Materialization is O(nnz(A)·nnz(B)) work and memory, parallelized over
-// product rows.  For products too large to materialize, use
-// kron::EdgeStream (kronlab/kron/stream.hpp) instead.
+// product rows.  The product-sized arrays are allocated untouched
+// (grb::Array): the row-size pass writes every row_ptr slot and the fill
+// pass every col_idx and vals slot, so each page is first touched by the
+// pool worker that fills it, and nothing is zeroed first.  For products
+// too large to materialize, use kron::EdgeStream
+// (kronlab/kron/stream.hpp) instead.
 
 #pragma once
 
@@ -22,7 +26,8 @@ Csr<T> kron(const Csr<T>& a, const Csr<T>& b) {
   const index_t m = a.nrows() * b.nrows();
   const index_t n = a.ncols() * b.ncols();
 
-  std::vector<offset_t> row_ptr(static_cast<std::size_t>(m) + 1, 0);
+  Array<offset_t> row_ptr(static_cast<std::size_t>(m) + 1);
+  row_ptr[0] = 0;
   parallel_for(
       0, a.nrows(),
       [&](index_t i) {
@@ -36,8 +41,8 @@ Csr<T> kron(const Csr<T>& a, const Csr<T>& b) {
   for (std::size_t r = 1; r < row_ptr.size(); ++r) row_ptr[r] += row_ptr[r - 1];
 
   const auto total = static_cast<std::size_t>(row_ptr.back());
-  std::vector<index_t> col_idx(total);
-  std::vector<T> vals(total);
+  Array<index_t> col_idx(total);
+  Array<T> vals(total);
 
   parallel_for(
       0, m,

@@ -22,14 +22,15 @@ namespace kronlab::grb {
 /// structure only; output values are the semiring accumulation.  Entries
 /// whose accumulated value equals S::zero() are kept (with that value) so
 /// the result has exactly the mask's structure restricted to rows/cols in
-/// range — callers that want them dropped can filter.
+/// range — callers that want them dropped can filter.  The result shares
+/// the mask's pattern; every value slot is written by the row pass.
 template <typename T, typename S = PlusTimes<T>>
 Csr<T> mxm_masked(const Csr<T>& mask, const Csr<T>& a, const Csr<T>& b) {
   KRONLAB_REQUIRE(a.ncols() == b.nrows(), "mxm_masked shape mismatch");
   KRONLAB_REQUIRE(mask.nrows() == a.nrows() && mask.ncols() == b.ncols(),
                   "mask shape mismatch");
   KRONLAB_KERNEL("grb/mxm_masked");
-  std::vector<T> vals(static_cast<std::size_t>(mask.nnz()), S::zero());
+  Array<T> vals(static_cast<std::size_t>(mask.nnz()));
   const auto& mrp = mask.row_ptr();
 
   // Dense gather over B's columns, one accumulator per worker (not per
@@ -68,8 +69,7 @@ Csr<T> mxm_masked(const Csr<T>& mask, const Csr<T>& a, const Csr<T>& b) {
       }
     }
   });
-  return Csr<T>(mask.nrows(), mask.ncols(), mask.row_ptr(),
-                mask.col_idx(), std::move(vals));
+  return {mask, std::move(vals)};
 }
 
 /// Structure-only select: keep entries of `a` whose (value) satisfies

@@ -10,6 +10,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "kronlab/common/error.hpp"
@@ -107,14 +108,14 @@ Csr<T> mxm(const Csr<T>& a, const Csr<T>& b) {
         }
       });
 
-  std::vector<offset_t> row_ptr(static_cast<std::size_t>(m) + 1, 0);
+  Array<offset_t> row_ptr(static_cast<std::size_t>(m) + 1, 0);
   for (index_t i = 0; i < m; ++i) {
     row_ptr[static_cast<std::size_t>(i) + 1] =
         row_ptr[static_cast<std::size_t>(i)] +
         static_cast<offset_t>(row_cols[static_cast<std::size_t>(i)].size());
   }
-  std::vector<index_t> col_idx(static_cast<std::size_t>(row_ptr.back()));
-  std::vector<T> vals(static_cast<std::size_t>(row_ptr.back()));
+  Array<index_t> col_idx(static_cast<std::size_t>(row_ptr.back()));
+  Array<T> vals(static_cast<std::size_t>(row_ptr.back()));
   parallel_for(0, m, [&](index_t i) {
     auto o = static_cast<std::size_t>(row_ptr[static_cast<std::size_t>(i)]);
     const auto& rc = row_cols[static_cast<std::size_t>(i)];
@@ -194,13 +195,13 @@ Csr<T> ewise_mult(const Csr<T>& a, const Csr<T>& b) {
 /// Aᵗ.
 template <typename T>
 Csr<T> transpose(const Csr<T>& a) {
-  std::vector<offset_t> row_ptr(static_cast<std::size_t>(a.ncols()) + 1, 0);
+  Array<offset_t> row_ptr(static_cast<std::size_t>(a.ncols()) + 1, 0);
   for (const index_t c : a.col_idx()) {
     ++row_ptr[static_cast<std::size_t>(c) + 1];
   }
   for (std::size_t i = 1; i < row_ptr.size(); ++i) row_ptr[i] += row_ptr[i - 1];
-  std::vector<index_t> col_idx(static_cast<std::size_t>(a.nnz()));
-  std::vector<T> vals(static_cast<std::size_t>(a.nnz()));
+  Array<index_t> col_idx(static_cast<std::size_t>(a.nnz()));
+  Array<T> vals(static_cast<std::size_t>(a.nnz()));
   std::vector<offset_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
   for (index_t i = 0; i < a.nrows(); ++i) {
     const auto cols = a.row_cols(i);
@@ -294,59 +295,58 @@ Csr<T> add_identity(const Csr<T>& a) {
 }
 
 /// diag(u)·A — entry (i,j) becomes u[i]·A_ij.  For 0/1 adjacency A this is
-/// the paper's (u 1ᵗ) ∘ A.
+/// the paper's (u 1ᵗ) ∘ A.  The result shares A's pattern.
 template <typename T>
 Csr<T> row_scale(const Csr<T>& a, const Vector<T>& u) {
   KRONLAB_REQUIRE(u.size() == a.nrows(), "row_scale size mismatch");
-  Csr<T> out = a;
-  auto& vals = out.vals();
-  const auto& rp = out.row_ptr();
+  Array<T> vals(static_cast<std::size_t>(a.nnz()));
+  const auto& in = a.vals();
+  const auto& rp = a.row_ptr();
   parallel_for(
-      0, out.nrows(),
+      0, a.nrows(),
       [&](index_t i) {
-        for (auto k = rp[static_cast<std::size_t>(i)];
-             k < rp[static_cast<std::size_t>(i) + 1]; ++k) {
-          vals[static_cast<std::size_t>(k)] *= u[i];
+        const auto r = static_cast<std::size_t>(i);
+        for (auto k = static_cast<std::size_t>(rp[r]);
+             k < static_cast<std::size_t>(rp[r + 1]); ++k) {
+          vals[k] = in[k] * u[i];
         }
       },
       global_pool(), parallel_grain);
-  return out;
+  return {a, std::move(vals)};
 }
 
 /// A·diag(v) — entry (i,j) becomes A_ij·v[j]; the paper's (1 vᵗ) ∘ A for
-/// 0/1 adjacency A.
+/// 0/1 adjacency A.  The result shares A's pattern.
 template <typename T>
 Csr<T> col_scale(const Csr<T>& a, const Vector<T>& v) {
   KRONLAB_REQUIRE(v.size() == a.ncols(), "col_scale size mismatch");
-  Csr<T> out = a;
-  auto& vals = out.vals();
-  const auto& ci = out.col_idx();
+  Array<T> vals(static_cast<std::size_t>(a.nnz()));
+  const auto& in = a.vals();
+  const auto& ci = a.col_idx();
   parallel_for_range(
-      0, static_cast<index_t>(vals.size()),
+      0, a.nnz(),
       [&](index_t lo, index_t hi) {
-        for (index_t k = lo; k < hi; ++k) {
-          vals[static_cast<std::size_t>(k)] *=
-              v[ci[static_cast<std::size_t>(k)]];
+        for (auto k = static_cast<std::size_t>(lo);
+             k < static_cast<std::size_t>(hi); ++k) {
+          vals[k] = in[k] * v[ci[k]];
         }
       },
       global_pool(), parallel_grain);
-  return out;
+  return {a, std::move(vals)};
 }
 
-/// Scalar multiple s·A.
-template <typename T>
-Csr<T> scale(const Csr<T>& a, T s) {
-  Csr<T> out = a;
-  for (auto& v : out.vals()) v *= s;
-  return out;
-}
-
-/// Apply `fn` to every stored value.
+/// Apply `fn` to every stored value; the result shares A's pattern.
 template <typename T, typename Fn>
 Csr<T> apply(const Csr<T>& a, Fn&& fn) {
-  Csr<T> out = a;
-  for (auto& v : out.vals()) v = fn(v);
-  return out;
+  Array<T> vals(a.vals().size());
+  std::transform(a.vals().begin(), a.vals().end(), vals.begin(), fn);
+  return {a, std::move(vals)};
+}
+
+/// Scalar multiple s·A, on A's pattern.
+template <typename T>
+Csr<T> scale(const Csr<T>& a, T s) {
+  return apply(a, [s](T v) { return v * s; });
 }
 
 /// True iff A == Aᵗ (values included).

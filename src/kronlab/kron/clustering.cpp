@@ -17,10 +17,7 @@ grb::Csr<double> edge_clustering_matrix(const Adjacency& a) {
   KRONLAB_TRACE_SPAN("kron", "edge_clustering_matrix");
   const auto sq = edge_squares_formula(a);
   const auto d = grb::reduce_rows(a);
-  grb::Csr<double> out(
-      a.nrows(), a.ncols(), a.row_ptr(), a.col_idx(),
-      std::vector<double>(static_cast<std::size_t>(a.nnz()), 0.0));
-  auto& vals = out.vals();
+  grb::Array<double> vals(static_cast<std::size_t>(a.nnz()));
   const auto& rp = a.row_ptr();
   for (index_t i = 0; i < a.nrows(); ++i) {
     const auto cols = a.row_cols(i);
@@ -31,7 +28,7 @@ grb::Csr<double> edge_clustering_matrix(const Adjacency& a) {
           g.value_or(0.0);
     }
   }
-  return out;
+  return {a, std::move(vals)};
 }
 
 double psi(count_t d_i, count_t d_j, count_t d_k, count_t d_l) {

@@ -17,7 +17,9 @@
 // FactoredMatrix::materialize builds the product CSR directly, in parallel
 // over product rows, with no product-sized intermediate: its memory is the
 // output arrays plus per-factor-row unions of the term rows, which are
-// factor-sized.
+// factor-sized.  The output arrays are allocated untouched (grb::Array);
+// the count pass writes every row_ptr slot and the fill pass every col_idx
+// and vals slot, so the pool workers that fill the pages fault them in.
 
 #pragma once
 
@@ -212,7 +214,8 @@ public:
     };
 
     const index_t n = nrows();
-    std::vector<offset_t> row_ptr(static_cast<std::size_t>(n) + 1, 0);
+    grb::Array<offset_t> row_ptr(static_cast<std::size_t>(n) + 1);
+    row_ptr[0] = 0;
     parallel_for(0, n, [&](index_t p) {
       offset_t count = 0;
       for_each_entry(p, [&](index_t, count_t) { ++count; });
@@ -223,8 +226,8 @@ public:
     }
 
     const auto total = static_cast<std::size_t>(row_ptr.back());
-    std::vector<index_t> col_idx(total);
-    std::vector<count_t> vals(total);
+    grb::Array<index_t> col_idx(total);
+    grb::Array<count_t> vals(total);
     parallel_for(0, n, [&](index_t p) {
       auto o = static_cast<std::size_t>(row_ptr[static_cast<std::size_t>(p)]);
       for_each_entry(p, [&](index_t q, count_t v) {

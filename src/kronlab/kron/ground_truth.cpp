@@ -60,23 +60,22 @@ grb::Csr<count_t> edge_squares_formula(const Adjacency& a) {
   require_loop_free_undirected(a, "edge_squares_formula");
   KRONLAB_KERNEL("kron/edge_squares_formula");
   // A³ restricted to A's structure — masked, so A³'s fill-in is never
-  // materialized.
+  // materialized, and its values ride on A's pattern entry for entry.
   const auto a3 = grb::mxm_masked(a, grb::mxm(a, a), a);
   const auto d = grb::reduce_rows(a);
-  // ◇ keeps A's structure: fill values edge-by-edge so edges with zero
-  // squares are stored explicitly (ewise arithmetic would drop them).
-  grb::Csr<count_t> out = a;
-  auto& vals = out.vals();
-  const auto& rp = out.row_ptr();
+  // ◇ rides on A's pattern too: fill values edge-by-edge so edges with
+  // zero squares are stored explicitly (ewise arithmetic would drop them).
+  grb::Array<count_t> vals(static_cast<std::size_t>(a.nnz()));
+  const auto& rp = a.row_ptr();
+  const auto& a3v = a3.vals();
   parallel_for(0, a.nrows(), [&](index_t i) {
-    const auto cols = out.row_cols(i);
+    const auto cols = a.row_cols(i);
+    const auto base = static_cast<std::size_t>(rp[static_cast<std::size_t>(i)]);
     for (std::size_t k = 0; k < cols.size(); ++k) {
-      const index_t j = cols[k];
-      vals[static_cast<std::size_t>(rp[static_cast<std::size_t>(i)]) + k] =
-          a3.at(i, j) - d[i] - d[j] + 1;
+      vals[base + k] = a3v[base + k] - d[i] - d[cols[k]] + 1;
     }
   });
-  return out;
+  return {a, std::move(vals)};
 }
 
 FactoredVector degrees(const BipartiteKronecker& kp) {

@@ -153,7 +153,7 @@ TEST(ShardedGeneration, DirectCsrShardsAreSlicesOfTheMaterializedProduct) {
           const auto hi = static_cast<std::size_t>(shard.row_end);
           const auto e_lo = c.row_ptr()[lo];
           const auto e_hi = c.row_ptr()[hi];
-          std::vector<offset_t> row_ptr;
+          grb::Array<offset_t> row_ptr;
           for (std::size_t r = lo; r <= hi; ++r) {
             row_ptr.push_back(c.row_ptr()[r] - e_lo);
           }
@@ -162,11 +162,11 @@ TEST(ShardedGeneration, DirectCsrShardsAreSlicesOfTheMaterializedProduct) {
           EXPECT_EQ(shard.rows.row_ptr(), row_ptr)
               << "seed " << seed << " parts " << parts;
           EXPECT_EQ(shard.rows.col_idx(),
-                    std::vector<index_t>(c.col_idx().begin() + e_lo,
-                                         c.col_idx().begin() + e_hi));
+                    grb::Array<index_t>(c.col_idx().begin() + e_lo,
+                                        c.col_idx().begin() + e_hi));
           EXPECT_EQ(shard.rows.vals(),
-                    std::vector<count_t>(c.vals().begin() + e_lo,
-                                         c.vals().begin() + e_hi));
+                    grb::Array<count_t>(c.vals().begin() + e_lo,
+                                        c.vals().begin() + e_hi));
         }
       }
     }

@@ -3,15 +3,55 @@
 
 #include <gtest/gtest.h>
 
+#include "kronlab/common/random.hpp"
+#include "kronlab/grb/coo.hpp"
 #include "kronlab/grb/kron.hpp"
 #include "kronlab/grb/ops.hpp"
 #include "kronlab/kron/index_map.hpp"
+#include "kronlab/parallel/thread_pool.hpp"
 
 namespace kronlab::grb {
 namespace {
 
 Csr<count_t> dense2(const std::vector<count_t>& v) {
   return Csr<count_t>::from_dense(2, 2, v);
+}
+
+/// A ⊗ B by Def. 4, entry by entry through Coo: shares no code with the
+/// two-pass kernel.
+Csr<count_t> kron_reference(const Csr<count_t>& a, const Csr<count_t>& b) {
+  Coo<count_t> coo(a.nrows() * b.nrows(), a.ncols() * b.ncols());
+  for (index_t i = 0; i < a.nrows(); ++i) {
+    const auto acols = a.row_cols(i);
+    const auto avals = a.row_vals(i);
+    for (index_t k = 0; k < b.nrows(); ++k) {
+      const auto bcols = b.row_cols(k);
+      const auto bvals = b.row_vals(k);
+      for (std::size_t x = 0; x < acols.size(); ++x) {
+        for (std::size_t y = 0; y < bcols.size(); ++y) {
+          coo.push(kron::gamma(i, k, b.nrows()),
+                   kron::gamma(acols[x], bcols[y], b.ncols()),
+                   avals[x] * bvals[y]);
+        }
+      }
+    }
+  }
+  return Csr<count_t>::from_coo(coo);
+}
+
+/// An nrows × ncols matrix with nonzero values, about half of whose rows
+/// (the first and last among them) are empty.
+Csr<count_t> sparse_with_empty_rows(index_t nrows, index_t ncols,
+                                    std::uint64_t seed) {
+  Rng rng(seed);
+  Coo<count_t> coo(nrows, ncols);
+  for (index_t i = 1; i + 1 < nrows; ++i) {
+    if (rng.next_below(2) == 0) continue;
+    for (int e = 0; e < 4; ++e) {
+      coo.push(i, rng.uniform(0, ncols - 1), rng.uniform(1, 9));
+    }
+  }
+  return Csr<count_t>::from_coo(coo);
 }
 
 TEST(Kron, MatchesDefinitionEntrywise) {
@@ -89,6 +129,29 @@ TEST(Kron, DiagonalKroneckerDistributivity) {
   const auto a2 = dense2({2, 0, 1, 7});
   EXPECT_EQ(diag_vector(kron(a1, a2)).data(),
             kron(diag_vector(a1), diag_vector(a2)).data());
+}
+
+TEST(Kron, EmptyRowsMatchCooReference) {
+  // Empty rows first, inside and last in both factors: the size pass and
+  // the fill pass write every slot of the product's arrays, which start
+  // untouched (poisoned when asserts are on), at every pool width.
+  const auto a = Csr<count_t>::from_dense(4, 3, {0, 0, 0,  //
+                                                 1, 2, 0,  //
+                                                 0, 0, 0,  //
+                                                 3, 0, 4});
+  const auto b = Csr<count_t>::from_dense(3, 4, {0, 5, 0, 6,  //
+                                                 0, 0, 0, 0,  //
+                                                 7, 0, 0, 8});
+  const auto big_a = sparse_with_empty_rows(60, 40, 31);
+  const auto big_b = sparse_with_empty_rows(50, 70, 32);
+  for (const std::size_t width : {1, 4}) {
+    ThreadPool pool(width);
+    ScopedPoolOverride guard(pool);
+    EXPECT_EQ(kron(a, b), kron_reference(a, b)) << "width " << width;
+    EXPECT_EQ(kron(b, a), kron_reference(b, a)) << "width " << width;
+    EXPECT_EQ(kron(big_a, big_b), kron_reference(big_a, big_b))
+        << "width " << width;
+  }
 }
 
 TEST(Kron, EmptyFactorGivesEmptyProduct) {

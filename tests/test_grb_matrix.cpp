@@ -119,10 +119,48 @@ TEST(Csr, EqualityIsStructuralAndValued) {
   Coo<count_t> coo(2, 2);
   coo.push(0, 1, 1);
   const auto a = Csr<count_t>::from_coo(coo);
+  // A copy shares a's pattern and carries values of its own.
   auto b = a;
+  EXPECT_EQ(b.row_ptr().data(), a.row_ptr().data());
+  EXPECT_EQ(b.col_idx().data(), a.col_idx().data());
+  EXPECT_NE(b.vals().data(), a.vals().data());
   EXPECT_EQ(a, b);
   b.vals()[0] = 2;
   EXPECT_NE(a, b);
+  EXPECT_EQ(a.at(0, 1), 1);
+  // Two separately built equal matrices: distinct patterns, equal contents.
+  const auto c = Csr<count_t>::from_coo(coo);
+  EXPECT_NE(c.col_idx().data(), a.col_idx().data());
+  EXPECT_EQ(a, c);
+  // One shared pattern carrying different values is unequal.
+  const Csr<count_t> d(a, Array<count_t>{5});
+  EXPECT_EQ(d.col_idx().data(), a.col_idx().data());
+  EXPECT_NE(a, d);
+  // Equal values on patterns with different structure are unequal.
+  Coo<count_t> other(2, 2);
+  other.push(1, 0, 1);
+  EXPECT_NE(a, Csr<count_t>::from_coo(other));
+}
+
+TEST(Csr, SharedPatternChecksOnlyValueLength) {
+  const Csr<count_t> a(2, 3, {0, 2, 3}, {0, 2, 1}, {1, 1, 1});
+  const Csr<double> halves(a, Array<double>{0.5, 1.5, 2.5});
+  EXPECT_EQ(halves.nrows(), 2);
+  EXPECT_EQ(halves.ncols(), 3);
+  EXPECT_EQ(halves.col_idx().data(), a.col_idx().data());
+  EXPECT_DOUBLE_EQ(halves.at(0, 2), 1.5);
+  EXPECT_THROW(Csr<count_t>(a, Array<count_t>{1, 2}), invalid_argument);
+}
+
+TEST(Csr, MovedFromMatrixIsEmpty) {
+  auto a = Csr<count_t>::identity(3);
+  const auto* cols = a.col_idx().data();
+  const auto b = std::move(a);
+  EXPECT_EQ(b.col_idx().data(), cols);
+  EXPECT_EQ(b.nnz(), 3);
+  EXPECT_EQ(a.nrows(), 0); // NOLINT(bugprone-use-after-move): pinned state
+  EXPECT_EQ(a.nnz(), 0);
+  EXPECT_EQ(a, Csr<count_t>());
 }
 
 } // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "kronlab/grb/masked.hpp"
 #include "kronlab/grb/ops.hpp"
 #include "kronlab/grb/semiring.hpp"
 
@@ -188,6 +189,23 @@ TEST(Apply, TransformsValues) {
   const auto sq = apply(a, [](count_t v) { return v * v; });
   EXPECT_EQ(sq.at(2, 2), 25);
   EXPECT_EQ(sq.at(0, 1), 4);
+}
+
+TEST(SharedPattern, ValueOnlyResultsRideOnTheInput) {
+  // Results that only recompute values share the input's pattern rather
+  // than copying it.
+  const auto a = small();
+  const Vector<count_t> u(std::vector<count_t>{2, 3, 4});
+  for (const auto& r : {row_scale(a, u), col_scale(a, u), scale(a, count_t{3}),
+                        apply(a, [](count_t v) { return v + 1; })}) {
+    EXPECT_EQ(r.row_ptr().data(), a.row_ptr().data());
+    EXPECT_EQ(r.col_idx().data(), a.col_idx().data());
+  }
+  EXPECT_EQ(scale(a, count_t{3}).vals(), (Array<count_t>{3, 6, 9, 12, 15}));
+  const auto masked = mxm_masked(a, a, a);
+  EXPECT_EQ(masked.col_idx().data(), a.col_idx().data());
+  // (A·A)∘A entry by entry: A² = [1 2 6; 12 0 15; 24 8 25].
+  EXPECT_EQ(masked.vals(), (Array<count_t>{1, 2, 15, 24, 25}));
 }
 
 TEST(Mxm, CancellationDropsZeroEntries) {

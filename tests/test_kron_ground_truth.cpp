@@ -15,6 +15,7 @@
 #include "kronlab/kron/ground_truth.hpp"
 #include "kronlab/kron/product.hpp"
 #include "kronlab/kron/triangles.hpp"
+#include "kronlab/parallel/thread_pool.hpp"
 
 namespace kronlab {
 namespace {
@@ -35,6 +36,32 @@ grb::Csr<count_t> composed_materialize(const FactoredMatrix& f) {
   }
   for (auto& v : acc.vals()) v /= f.divisor();
   return acc;
+}
+
+/// The nonzero entries of f from point queries, through Coo: shares no
+/// code with materialize's count and fill passes.
+grb::Csr<count_t> pointwise_reference(const FactoredMatrix& f) {
+  grb::Coo<count_t> coo(f.nrows(), f.ncols());
+  for (index_t p = 0; p < f.nrows(); ++p) {
+    for (index_t q = 0; q < f.ncols(); ++q) {
+      if (const count_t v = f.at(p, q); v != 0) coo.push(p, q, v);
+    }
+  }
+  return grb::Csr<count_t>::from_coo(coo);
+}
+
+/// An n × n factor with values in [1, 3], about half of whose rows (the
+/// first and last among them) are empty.
+grb::Csr<count_t> factor_with_empty_rows(index_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  grb::Coo<count_t> coo(n, n);
+  for (index_t i = 1; i + 1 < n; ++i) {
+    if (rng.next_below(2) == 0) continue;
+    for (int e = 0; e < 3; ++e) {
+      coo.push(i, rng.uniform(0, n - 1), rng.uniform(1, 3));
+    }
+  }
+  return grb::Csr<count_t>::from_coo(coo);
 }
 
 // -------------------------------------------------------------------------
@@ -74,7 +101,10 @@ TEST_P(FactorFormulaTest, Def8MatchesWedgeCounting) {
 
 TEST_P(FactorFormulaTest, Def9MatchesWedgeCounting) {
   const auto a = make_graph();
-  EXPECT_EQ(kron::edge_squares_formula(a), graph::edge_butterflies(a));
+  const auto formula = kron::edge_squares_formula(a);
+  EXPECT_EQ(formula, graph::edge_butterflies(a));
+  EXPECT_EQ(formula.col_idx().data(), a.col_idx().data());
+  EXPECT_EQ(graph::edge_triangles(a).col_idx().data(), a.col_idx().data());
 }
 
 TEST_P(FactorFormulaTest, NaiveOracleAgrees) {
@@ -326,6 +356,32 @@ TEST(FusedMaterialize, CancellingTermsAreDropped) {
   const auto zero = all_cancel.materialize();
   EXPECT_EQ(zero, composed_materialize(all_cancel));
   EXPECT_EQ(zero.nnz(), 0);
+}
+
+TEST(FusedMaterialize, EmptyRowsAndCancellationMatchCooReference) {
+  // Factors with empty rows and terms that cancel on part of their union:
+  // the count pass and the fill pass (keep_zeros off) must agree on every
+  // slot of the untouched — poisoned when asserts are on — output arrays,
+  // at every pool width.
+  const auto g = factor_with_empty_rows(30, 41);
+  const auto g2 = factor_with_empty_rows(30, 42);
+  const auto h = factor_with_empty_rows(25, 43);
+  const auto h_part = grb::apply(h, [](count_t v) { return v == 2 ? v : 1; });
+  FactoredMatrix f(30, 25);
+  f.add_term(+1, g, h);
+  f.add_term(-1, g, h_part); // cancels wherever h holds 1 or 2
+  f.add_term(+2, g2, h_part);
+  FactoredMatrix all_cancel(30, 25);
+  all_cancel.add_term(+3, g, h);
+  all_cancel.add_term(-3, g, h);
+  const auto want = pointwise_reference(f);
+  for (const std::size_t width : {1, 4}) {
+    ThreadPool pool(width);
+    ScopedPoolOverride guard(pool);
+    EXPECT_EQ(f.materialize(), want) << "width " << width;
+    EXPECT_EQ(all_cancel.materialize(), pointwise_reference(all_cancel))
+        << "width " << width;
+  }
 }
 
 TEST(FusedMaterialize, SingleTermKeepsKronStructure) {
