@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "kronlab/common/error.hpp"
+#include "kronlab/grb/kron.hpp"
 #include "kronlab/io/stream_gen.hpp"
 #include "kronlab/obs/stats.hpp"
 #include "kronlab/obs/trace.hpp"
@@ -30,17 +31,14 @@ grb::Array<offset_t> shard_layout(const kron::BipartiteKronecker& kp,
                                   index_t rank, Shard& shard) {
   shard.n = kp.num_vertices();
   std::tie(shard.row_begin, shard.row_end) = ps.owned_product_rows(rank);
-  const auto [llo, lhi] = ps.owned_left_rows(rank);
-  const auto& b = kp.right();
   grb::Array<offset_t> row_ptr{0};
   row_ptr.reserve(static_cast<std::size_t>(shard.row_end - shard.row_begin) +
                   1);
-  for (index_t i = llo; i < lhi; ++i) {
-    const offset_t dm = kp.left().row_degree(i);
-    for (index_t k = 0; k < b.nrows(); ++k) {
-      row_ptr.push_back(row_ptr.back() + dm * b.row_degree(k));
-    }
-  }
+  grb::for_each_kron_row(kp.left(), kp.right(), shard.row_begin,
+                         shard.row_end,
+                         [&](index_t, index_t, index_t, offset_t size) {
+                           row_ptr.push_back(row_ptr.back() + size);
+                         });
   return row_ptr;
 }
 

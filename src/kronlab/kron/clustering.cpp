@@ -1,6 +1,7 @@
 #include "kronlab/kron/clustering.hpp"
 
 #include "kronlab/common/error.hpp"
+#include "kronlab/grb/kron.hpp"
 #include "kronlab/grb/ops.hpp"
 #include "kronlab/obs/trace.hpp"
 
@@ -56,45 +57,37 @@ std::vector<ClusteringSample> clustering_samples(
   const auto sq_m = edge_squares_formula(m);
   const auto sq_b = edge_squares_formula(b);
 
+  // One product row at a time, so the walk stops at the row that fills
+  // the sample.
   std::vector<ClusteringSample> samples;
-  const index_t nb = b.nrows();
-  for (index_t i = 0; i < m.nrows(); ++i) {
-    const auto mc = m.row_cols(i);
-    const auto msq = sq_m.row_vals(i);
-    for (index_t k = 0; k < nb; ++k) {
-      const auto bc = b.row_cols(k);
-      const auto bsq = sq_b.row_vals(k);
-      const index_t p = i * nb + k;
-      for (std::size_t em = 0; em < mc.size(); ++em) {
-        const index_t j = mc[em];
-        if (d_m[i] < 2 || d_m[j] < 2) continue;
-        for (std::size_t eb = 0; eb < bc.size(); ++eb) {
-          const index_t l = bc[eb];
-          if (d_b[k] < 2 || d_b[l] < 2) continue;
-          const index_t q = j * nb + l;
-          if (p >= q) continue; // each undirected edge once
-          ClusteringSample s;
-          s.p = p;
-          s.q = q;
-          // ◇_pq from the streaming identity (Def. 9 on the product).
-          const count_t sq_pq =
-              edge_squares_pointwise_thm5(msq[em], d_m[i], d_m[j], bsq[eb],
-                                          d_b[k], d_b[l]);
-          const count_t dp = d_m[i] * d_b[k];
-          const count_t dq = d_m[j] * d_b[l];
-          s.gamma_c = *edge_clustering(sq_pq, dp, dq);
-          s.gamma_a = *edge_clustering(msq[em], d_m[i], d_m[j]);
-          s.gamma_b = *edge_clustering(bsq[eb], d_b[k], d_b[l]);
-          s.psi = psi(d_m[i], d_m[j], d_b[k], d_b[l]);
-          s.bound = s.psi * s.gamma_a * s.gamma_b;
-          samples.push_back(s);
-          if (max_samples > 0 &&
-              static_cast<index_t>(samples.size()) >= max_samples) {
-            return samples;
-          }
-        }
+  const auto full = [&] {
+    return max_samples > 0 &&
+           static_cast<index_t>(samples.size()) >= max_samples;
+  };
+  for (index_t p = 0; p < kp.num_vertices() && !full(); ++p) {
+    grb::for_each_kron_entry(m, b, p, p + 1, 0, [&](const grb::KronEntry& e) {
+      const index_t i = e.i, j = e.j, k = e.k, l = e.l;
+      if (full() || d_m[i] < 2 || d_m[j] < 2 || d_b[k] < 2 || d_b[l] < 2) {
+        return;
       }
-    }
+      if (e.p >= e.q) return; // each undirected edge once
+      ClusteringSample s;
+      s.p = e.p;
+      s.q = e.q;
+      // ◇_pq from the streaming identity (Def. 9 on the product).
+      const count_t msq = sq_m.vals()[e.ea];
+      const count_t bsq = sq_b.vals()[e.eb];
+      const count_t sq_pq = edge_squares_pointwise_thm5(
+          msq, d_m[i], d_m[j], bsq, d_b[k], d_b[l]);
+      const count_t dp = d_m[i] * d_b[k];
+      const count_t dq = d_m[j] * d_b[l];
+      s.gamma_c = *edge_clustering(sq_pq, dp, dq);
+      s.gamma_a = *edge_clustering(msq, d_m[i], d_m[j]);
+      s.gamma_b = *edge_clustering(bsq, d_b[k], d_b[l]);
+      s.psi = psi(d_m[i], d_m[j], d_b[k], d_b[l]);
+      s.bound = s.psi * s.gamma_a * s.gamma_b;
+      samples.push_back(s);
+    });
   }
   return samples;
 }

@@ -17,9 +17,11 @@
 // FactoredMatrix::materialize builds the product CSR directly, in parallel
 // over product rows, with no product-sized intermediate: its memory is the
 // output arrays plus per-factor-row unions of the term rows, which are
-// factor-sized.  The output arrays are allocated untouched (grb::Array);
-// the count pass writes every row_ptr slot and the fill pass every col_idx
-// and vals slot, so the pool workers that fill the pages fault them in.
+// factor-sized.  The unions are CSR structures, so the rows are walked by
+// grb::for_each_kron_entry (grb/kron.hpp) like every other product walk.
+// The output arrays are allocated untouched (grb::Array); the count pass
+// writes every row_ptr slot and the fill pass every col_idx and vals
+// slot, so the pool workers that fill the pages fault them in.
 
 #pragma once
 
@@ -28,6 +30,7 @@
 
 #include "kronlab/common/error.hpp"
 #include "kronlab/grb/csr.hpp"
+#include "kronlab/grb/kron.hpp"
 #include "kronlab/grb/ops.hpp"
 #include "kronlab/grb/vector.hpp"
 #include "kronlab/kron/index_map.hpp"
@@ -181,36 +184,32 @@ public:
 
   /// Materialize as a product-sized CSR (validation only).  Product row
   /// γ(i,k) ranges over U_G(i) × U_H(k), the unions of the term rows of the
-  /// left and right factors: a count pass sizes every row, a prefix sum
-  /// places them, and a fill pass writes columns j·n_B + l in sorted
-  /// order.  The stored structure is that of the term-by-term sum
-  /// Σ_s c_s·(G_s ⊗ H_s) under ewise_add: a single term keeps its kron
-  /// structure, stored zeros included, while two or more terms store only
-  /// the entries whose sum is nonzero.
+  /// left and right factors, walked by grb::for_each_kron_entry: a count
+  /// pass sizes every row, a prefix sum places them, and a fill pass
+  /// writes columns j·n_B + l in sorted order.  The stored structure is
+  /// that of the term-by-term sum Σ_s c_s·(G_s ⊗ H_s) under ewise_add: a
+  /// single term keeps its kron structure, stored zeros included, while
+  /// two or more terms store only the entries whose sum is nonzero.
   [[nodiscard]] grb::Csr<count_t> materialize() const {
     KRONLAB_REQUIRE(!terms_.empty(), "cannot materialize empty sum");
     const RowUnions left = row_unions(&Term::g, /*fold_coeff=*/true);
     const RowUnions right = row_unions(&Term::h, /*fold_coeff=*/false);
+    const grb::KronFactor lf(left.ptr, left.cols, n_left_);
+    const grb::KronFactor rf(right.ptr, right.cols, n_right_);
     const std::size_t nterms = terms_.size();
     const bool keep_zeros = nterms == 1;
 
     // Calls emit(column, value) for each stored entry of product row p, in
     // column order.
     const auto for_each_entry = [&](index_t p, auto&& emit) {
-      const auto i = static_cast<std::size_t>(alpha(p, n_right_));
-      const auto k = static_cast<std::size_t>(beta(p, n_right_));
-      for (auto a = static_cast<std::size_t>(left.ptr[i]);
-           a < static_cast<std::size_t>(left.ptr[i + 1]); ++a) {
-        const count_t* gv = &left.vals[a * nterms];
-        const index_t base = left.cols[a] * n_right_;
-        for (auto b = static_cast<std::size_t>(right.ptr[k]);
-             b < static_cast<std::size_t>(right.ptr[k + 1]); ++b) {
-          const count_t* hv = &right.vals[b * nterms];
-          count_t v = 0;
-          for (std::size_t s = 0; s < nterms; ++s) v += gv[s] * hv[s];
-          if (keep_zeros || v != 0) emit(base + right.cols[b], v);
-        }
-      }
+      grb::for_each_kron_entry(
+          lf, rf, p, p + 1, 0, [&](const grb::KronEntry& e) {
+            const count_t* gv = &left.vals[e.ea * nterms];
+            const count_t* hv = &right.vals[e.eb * nterms];
+            count_t v = 0;
+            for (std::size_t s = 0; s < nterms; ++s) v += gv[s] * hv[s];
+            if (keep_zeros || v != 0) emit(e.q, v);
+          });
     };
 
     const index_t n = nrows();

@@ -44,11 +44,12 @@ std::pair<index_t, index_t> PartitionedStream::owned_product_rows(
 }
 
 count_t PartitionedStream::entries_of(index_t rank) const {
-  const auto [lo, hi] = owned_left_rows(rank);
-  const auto& m = kp_->left();
-  count_t m_entries = 0;
-  for (index_t i = lo; i < hi; ++i) m_entries += m.row_degree(i);
-  return m_entries * kp_->right().nnz();
+  const auto [plo, phi] = owned_product_rows(rank);
+  count_t entries = 0;
+  grb::for_each_kron_row(
+      kp_->left(), kp_->right(), plo, phi,
+      [&](index_t, index_t, index_t, offset_t size) { entries += size; });
+  return entries;
 }
 
 void PartitionedStream::write_shard(index_t rank, std::ostream& out) const {

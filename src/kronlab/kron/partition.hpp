@@ -9,16 +9,18 @@
 // rows [cut_r, cut_{r+1}) of M, i.e. rows [cut_r·n_B, cut_{r+1}·n_B) of C.
 // Each rank streams exactly its own edges from the two (tiny, replicated)
 // factors — no communication, deterministic output, balanced by stored
-// entries of M.  This is precisely how the distributed generator would lay
+// entries of M.  A rank's stream is grb::for_each_kron_entry over its
+// product rows (grb/kron.hpp), which also owns the resume cursor's skip
+// arithmetic.  This is precisely how the distributed generator would lay
 // out work per MPI rank; here the "ranks" are thread-pool workers or
 // separate output files.
 
 #pragma once
 
-#include <algorithm>
 #include <iosfwd>
 #include <vector>
 
+#include "kronlab/grb/kron.hpp"
 #include "kronlab/kron/product.hpp"
 #include "kronlab/kron/stream.hpp"
 
@@ -51,69 +53,21 @@ public:
   /// stream; ranges are disjoint.
   template <typename Fn>
   void for_each_entry(index_t rank, Fn&& fn) const {
-    const auto [lo, hi] = owned_left_rows(rank);
-    const auto& m = kp_->left();
-    const auto& b = kp_->right();
-    const index_t nb = b.nrows();
-    const index_t ncb = b.ncols();
-    for (index_t i = lo; i < hi; ++i) {
-      const auto mc = m.row_cols(i);
-      for (index_t k = 0; k < nb; ++k) {
-        const index_t p = i * nb + k;
-        const auto bc = b.row_cols(k);
-        for (const index_t j : mc) {
-          const index_t base = j * ncb;
-          for (const index_t l : bc) fn(p, base + l);
-        }
-      }
-    }
+    for_each_entry_from(rank, 0, fn);
   }
 
   /// As for_each_entry, but skip the first `skip` entries of the rank's
   /// stream arithmetically — O(owned rows), not O(skipped entries) — so a
   /// durable resume (io/stream_gen.hpp) fast-forwards to its cursor
-  /// without regenerating the committed prefix.  Row i contributes
-  /// deg_M(i)·nnz(B) entries, pair (i,k) contributes deg_M(i)·deg_B(k),
-  /// and within a pair entries run j-major, so the cursor decomposes by
-  /// division alone.
+  /// without regenerating the committed prefix.
   template <typename Fn>
   void for_each_entry_from(index_t rank, count_t skip, Fn&& fn) const {
     KRONLAB_REQUIRE(skip >= 0 && skip <= entries_of(rank),
                     "resume cursor outside the rank's entry range");
-    const auto [lo, hi] = owned_left_rows(rank);
-    const auto& m = kp_->left();
-    const auto& b = kp_->right();
-    const index_t nb = b.nrows();
-    const index_t ncb = b.ncols();
-    const count_t bnnz = b.nnz();
-    index_t i = lo;
-    while (i < hi && skip >= m.row_degree(i) * bnnz) {
-      skip -= m.row_degree(i) * bnnz;
-      ++i;
-    }
-    for (; i < hi; ++i) {
-      const auto mc = m.row_cols(i);
-      const auto dm = static_cast<count_t>(mc.size());
-      for (index_t k = 0; k < nb; ++k) {
-        const index_t p = i * nb + k;
-        const auto bc = b.row_cols(k);
-        const auto db = static_cast<count_t>(bc.size());
-        if (skip >= dm * db) {
-          skip -= dm * db;
-          continue;
-        }
-        // First (possibly partial) pair: j-major within-pair index math.
-        const auto jj0 = static_cast<std::size_t>(skip / std::max<count_t>(db, 1));
-        const auto ll0 = static_cast<std::size_t>(skip % std::max<count_t>(db, 1));
-        skip = 0;
-        for (std::size_t jj = jj0; jj < mc.size(); ++jj) {
-          const index_t base = mc[jj] * ncb;
-          for (std::size_t ll = jj == jj0 ? ll0 : 0; ll < bc.size(); ++ll) {
-            fn(p, base + bc[ll]);
-          }
-        }
-      }
-    }
+    const auto [plo, phi] = owned_product_rows(rank);
+    grb::for_each_kron_entry(
+        kp_->left(), kp_->right(), plo, phi, skip,
+        [&](const grb::KronEntry& e) { fn(e.p, e.q); });
   }
 
   /// Stream rank `rank`'s entries as "p q" lines (1-based) with a rank

@@ -2,15 +2,7 @@
 
 #include <ostream>
 
-#include "kronlab/grb/ops.hpp"
-
 namespace kronlab::kron {
-
-count_t EdgeStream::count_entries() const {
-  count_t n = 0;
-  for_each_entry([&](index_t, index_t) { ++n; });
-  return n;
-}
 
 void EdgeStream::write_edge_list(std::ostream& out) const {
   out << "% kronecker product edge list: " << kp_->num_vertices()
@@ -18,48 +10,6 @@ void EdgeStream::write_edge_list(std::ostream& out) const {
   for_each_edge([&](index_t p, index_t q) {
     out << (p + 1) << ' ' << (q + 1) << '\n';
   });
-}
-
-GroundTruthStream::GroundTruthStream(const BipartiteKronecker& kp)
-    : kp_(&kp) {
-  const auto& m = kp.left();
-  const auto& b = kp.right();
-  d_m_ = grb::reduce_rows(m);
-  d_b_ = grb::reduce_rows(b);
-  // (A³)_ij at stored edges only, via the masked product (A²·A) ∘ A:
-  // value(i,j) = Σ_k (A²)_ik · A_kj, a sorted merge of A² row i with A row
-  // j (A undirected ⇒ column j of A is row j).  This never materializes
-  // A³, so streams over large heavy-tail factors stay cheap.
-  const auto align3 = [](const Adjacency& a) {
-    const auto a2 = grb::mxm(a, a);
-    std::vector<count_t> aligned(static_cast<std::size_t>(a.nnz()));
-    std::size_t o = 0;
-    for (index_t i = 0; i < a.nrows(); ++i) {
-      const auto a2c = a2.row_cols(i);
-      const auto a2v = a2.row_vals(i);
-      for (const index_t j : a.row_cols(i)) {
-        const auto ajc = a.row_cols(j);
-        const auto ajv = a.row_vals(j);
-        count_t acc = 0;
-        std::size_t x = 0, y = 0;
-        while (x < a2c.size() && y < ajc.size()) {
-          if (a2c[x] < ajc[y]) {
-            ++x;
-          } else if (ajc[y] < a2c[x]) {
-            ++y;
-          } else {
-            acc += a2v[x] * ajv[y];
-            ++x;
-            ++y;
-          }
-        }
-        aligned[o++] = acc;
-      }
-    }
-    return aligned;
-  };
-  m3_aligned_ = align3(m);
-  b3_aligned_ = align3(b);
 }
 
 } // namespace kronlab::kron

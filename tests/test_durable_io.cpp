@@ -32,6 +32,7 @@
 #include "kronlab/kron/partition.hpp"
 #include "kronlab/kron/power.hpp"
 #include "kronlab/parallel/thread_pool.hpp"
+#include "support/kron_reference.hpp"
 #include "support/temp_dir.hpp"
 
 namespace kronlab::io {
@@ -865,10 +866,11 @@ TEST(StreamValidation, ResumeAgainstDifferentSpecIsRefused) {
 TEST(ResumeCursor, ForEachEntryFromMatchesSuffixAtEveryOffset) {
   const auto kp = test_product();
   const kron::PartitionedStream part(kp, 3);
+  const auto ref = test_support::kron_reference(kp.left(), kp.right());
   for (index_t r = 0; r < 3; ++r) {
-    std::vector<std::pair<index_t, index_t>> full;
-    part.for_each_entry(
-        r, [&](index_t p, index_t q) { full.emplace_back(p, q); });
+    const auto [plo, phi] = part.owned_product_rows(r);
+    const auto full = test_support::entries_of_rows(ref, plo, phi);
+    ASSERT_EQ(part.entries_of(r), static_cast<count_t>(full.size()));
     // Every offset: boundaries, row interiors, pair interiors, the end.
     for (count_t skip = 0; skip <= static_cast<count_t>(full.size());
          ++skip) {

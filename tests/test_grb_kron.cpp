@@ -9,6 +9,7 @@
 #include "kronlab/grb/ops.hpp"
 #include "kronlab/kron/index_map.hpp"
 #include "kronlab/parallel/thread_pool.hpp"
+#include "support/kron_reference.hpp"
 
 namespace kronlab::grb {
 namespace {
@@ -17,27 +18,7 @@ Csr<count_t> dense2(const std::vector<count_t>& v) {
   return Csr<count_t>::from_dense(2, 2, v);
 }
 
-/// A ⊗ B by Def. 4, entry by entry through Coo: shares no code with the
-/// two-pass kernel.
-Csr<count_t> kron_reference(const Csr<count_t>& a, const Csr<count_t>& b) {
-  Coo<count_t> coo(a.nrows() * b.nrows(), a.ncols() * b.ncols());
-  for (index_t i = 0; i < a.nrows(); ++i) {
-    const auto acols = a.row_cols(i);
-    const auto avals = a.row_vals(i);
-    for (index_t k = 0; k < b.nrows(); ++k) {
-      const auto bcols = b.row_cols(k);
-      const auto bvals = b.row_vals(k);
-      for (std::size_t x = 0; x < acols.size(); ++x) {
-        for (std::size_t y = 0; y < bcols.size(); ++y) {
-          coo.push(kron::gamma(i, k, b.nrows()),
-                   kron::gamma(acols[x], bcols[y], b.ncols()),
-                   avals[x] * bvals[y]);
-        }
-      }
-    }
-  }
-  return Csr<count_t>::from_coo(coo);
-}
+using test_support::kron_reference;
 
 /// An nrows × ncols matrix with nonzero values, about half of whose rows
 /// (the first and last among them) are empty.

@@ -3,11 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "kronlab/gen/canonical.hpp"
 #include "kronlab/gen/random_bipartite.hpp"
 #include "kronlab/graph/butterflies.hpp"
 #include "kronlab/graph/graph.hpp"
 #include "kronlab/kron/clustering.hpp"
+#include "kronlab/kron/index_map.hpp"
+#include "support/kron_reference.hpp"
 
 namespace kronlab::kron {
 namespace {
@@ -75,14 +80,29 @@ TEST_P(Thm6Test, LowerBoundHoldsOnEveryQualifyingEdge) {
 
 TEST_P(Thm6Test, GammaCMatchesDirectComputation) {
   const auto kp = make_product();
-  const auto c = kp.materialize();
+  const auto c = test_support::kron_reference(kp.left(), kp.right());
   const auto sq = graph::edge_butterflies(c);
   const auto d = graph::degrees(c);
-  for (const auto& s : clustering_samples(kp)) {
-    const auto expect = edge_clustering(sq.at(s.p, s.q), d[s.p], d[s.q]);
-    ASSERT_TRUE(expect.has_value());
-    EXPECT_DOUBLE_EQ(s.gamma_c, *expect);
+  // The sampled edges, read off the reference: each edge once (p < q),
+  // in row-major order, where all four factor degrees are ≥ 2.
+  const auto d_m = graph::degrees(kp.left());
+  const auto d_b = graph::degrees(kp.right());
+  const index_t nb = kp.right().nrows();
+  std::vector<std::pair<index_t, index_t>> expect;
+  for (const auto& [p, q] : test_support::entries_of_rows(c, 0, c.nrows())) {
+    if (p < q && d_m[alpha(p, nb)] >= 2 && d_m[alpha(q, nb)] >= 2 &&
+        d_b[beta(p, nb)] >= 2 && d_b[beta(q, nb)] >= 2) {
+      expect.emplace_back(p, q);
+    }
   }
+  std::vector<std::pair<index_t, index_t>> sampled;
+  for (const auto& s : clustering_samples(kp)) {
+    sampled.emplace_back(s.p, s.q);
+    const auto want = edge_clustering(sq.at(s.p, s.q), d[s.p], d[s.q]);
+    ASSERT_TRUE(want.has_value());
+    EXPECT_DOUBLE_EQ(s.gamma_c, *want);
+  }
+  EXPECT_EQ(sampled, expect);
 }
 
 INSTANTIATE_TEST_SUITE_P(Products, Thm6Test, ::testing::Range(0, 5));

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "kronlab/gen/canonical.hpp"
 #include "kronlab/gen/random_bipartite.hpp"
 #include "kronlab/kron/partition.hpp"
+#include "support/kron_reference.hpp"
 
 namespace kronlab::kron {
 namespace {
@@ -35,28 +37,56 @@ TEST(Partition, RanksCoverRowsDisjointly) {
   }
 }
 
+using Entries = std::vector<std::pair<index_t, index_t>>;
+
+/// Rank `r`'s entries, in order, from for_each_entry_from at `skip`.
+Entries rank_entries(const PartitionedStream& ps, index_t r,
+                     count_t skip = 0) {
+  Entries out;
+  ps.for_each_entry_from(
+      r, skip, [&](index_t p, index_t q) { out.emplace_back(p, q); });
+  return out;
+}
+
 TEST(Partition, UnionOfShardsIsTheFullStream) {
   const auto kp = sample();
-  EdgeStream es(kp);
-  std::set<std::pair<index_t, index_t>> full;
-  es.for_each_entry([&](index_t p, index_t q) { full.emplace(p, q); });
+  const auto ref = test_support::kron_reference(kp.left(), kp.right());
+  const Entries full = test_support::entries_of_rows(ref, 0, ref.nrows());
 
   for (const index_t parts : {2, 4, 7}) {
     const PartitionedStream ps(kp, parts);
-    std::set<std::pair<index_t, index_t>> combined;
-    count_t total = 0;
+    Entries combined;
     for (index_t r = 0; r < parts; ++r) {
-      count_t shard_entries = 0;
-      ps.for_each_entry(r, [&](index_t p, index_t q) {
-        EXPECT_TRUE(combined.emplace(p, q).second)
-            << "entry seen by two ranks";
-        ++shard_entries;
-      });
-      EXPECT_EQ(shard_entries, ps.entries_of(r));
-      total += shard_entries;
+      Entries shard;
+      ps.for_each_entry(
+          r, [&](index_t p, index_t q) { shard.emplace_back(p, q); });
+      const auto [plo, phi] = ps.owned_product_rows(r);
+      EXPECT_EQ(shard, test_support::entries_of_rows(ref, plo, phi))
+          << "rank " << r << " of " << parts;
+      EXPECT_EQ(static_cast<count_t>(shard.size()), ps.entries_of(r));
+      combined.insert(combined.end(), shard.begin(), shard.end());
     }
     EXPECT_EQ(combined, full);
-    EXPECT_EQ(total, kp.left().nnz() * kp.right().nnz());
+    EXPECT_EQ(static_cast<count_t>(combined.size()),
+              kp.left().nnz() * kp.right().nnz());
+  }
+}
+
+TEST(Partition, EmptyFactorRowsWalkMatchesReference) {
+  const auto kp = test_support::product_with_isolated_vertices();
+  const auto ref = test_support::kron_reference(kp.left(), kp.right());
+  const PartitionedStream ps(kp, 3);
+  for (index_t r = 0; r < 3; ++r) {
+    const auto [plo, phi] = ps.owned_product_rows(r);
+    const Entries expect = test_support::entries_of_rows(ref, plo, phi);
+    ASSERT_EQ(ps.entries_of(r), static_cast<count_t>(expect.size()));
+    // Every offset: the empty rows a cursor must step over included.
+    for (std::size_t skip = 0; skip <= expect.size(); ++skip) {
+      ASSERT_EQ(rank_entries(ps, r, static_cast<count_t>(skip)),
+                Entries(expect.begin() + static_cast<std::ptrdiff_t>(skip),
+                        expect.end()))
+          << "rank " << r << " skip " << skip;
+    }
   }
 }
 

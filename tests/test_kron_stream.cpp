@@ -3,13 +3,15 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "kronlab/gen/canonical.hpp"
 #include "kronlab/gen/random_bipartite.hpp"
 #include "kronlab/graph/butterflies.hpp"
 #include "kronlab/kron/stream.hpp"
+#include "support/kron_reference.hpp"
 
 namespace kronlab::kron {
 namespace {
@@ -19,16 +21,32 @@ BipartiteKronecker sample_product() {
                                           gen::complete_bipartite(2, 2));
 }
 
+/// Every entry EdgeStream emits, in order.
+std::vector<std::pair<index_t, index_t>> streamed_entries(
+    const BipartiteKronecker& kp) {
+  std::vector<std::pair<index_t, index_t>> out;
+  EdgeStream(kp).for_each_entry(
+      [&](index_t p, index_t q) { out.emplace_back(p, q); });
+  return out;
+}
+
+/// The entries of Def. 4's product, row-major, built without the walk.
+std::vector<std::pair<index_t, index_t>> reference_entries(
+    const BipartiteKronecker& kp) {
+  const auto c = test_support::kron_reference(kp.left(), kp.right());
+  return test_support::entries_of_rows(c, 0, c.nrows());
+}
+
 TEST(EdgeStream, EntriesMatchMaterializedStructure) {
   const auto kp = sample_product();
-  const auto c = kp.materialize();
-  EdgeStream es(kp);
-  std::set<std::pair<index_t, index_t>> streamed;
-  es.for_each_entry([&](index_t p, index_t q) {
-    EXPECT_TRUE(streamed.emplace(p, q).second) << "duplicate entry";
-  });
-  EXPECT_EQ(static_cast<offset_t>(streamed.size()), c.nnz());
-  for (const auto& [p, q] : streamed) EXPECT_TRUE(c.has(p, q));
+  EXPECT_EQ(streamed_entries(kp), reference_entries(kp));
+}
+
+TEST(EdgeStream, EmptyFactorRowsMatchReference) {
+  const auto kp = test_support::product_with_isolated_vertices();
+  const auto expect = reference_entries(kp);
+  ASSERT_FALSE(expect.empty());
+  EXPECT_EQ(streamed_entries(kp), expect);
 }
 
 TEST(EdgeStream, EntriesAreRowMajorSorted) {
@@ -55,8 +73,9 @@ TEST(EdgeStream, UndirectedEdgeVisitSeesEachOnce) {
 
 TEST(EdgeStream, CountMatchesFactorArithmetic) {
   const auto kp = sample_product();
-  EXPECT_EQ(EdgeStream(kp).count_entries(),
-            kp.left().nnz() * kp.right().nnz());
+  count_t n = 0;
+  EdgeStream(kp).for_each_entry([&](index_t, index_t) { ++n; });
+  EXPECT_EQ(n, kp.left().nnz() * kp.right().nnz());
 }
 
 TEST(EdgeStream, WriteEdgeListIsOneBasedAndComplete) {
@@ -79,17 +98,22 @@ TEST(EdgeStream, WriteEdgeListIsOneBasedAndComplete) {
   EXPECT_EQ(edges, kp.num_edges());
 }
 
+/// Direct edge 4-cycle counts of Def. 4's product, built without the walk.
+grb::Csr<count_t> direct_edge_squares(const BipartiteKronecker& kp) {
+  return graph::edge_butterflies(
+      test_support::kron_reference(kp.left(), kp.right()));
+}
+
 TEST(GroundTruthStream, SquaresMatchDirectCountingAssumptionI) {
   const auto kp = sample_product();
-  const auto c = kp.materialize();
-  const auto direct = graph::edge_butterflies(c);
+  const auto direct = direct_edge_squares(kp);
   GroundTruthStream gts(kp);
   count_t entries = 0;
   gts.for_each_entry([&](index_t p, index_t q, count_t sq) {
     EXPECT_EQ(sq, direct.at(p, q)) << "edge (" << p << "," << q << ")";
     ++entries;
   });
-  EXPECT_EQ(entries, c.nnz());
+  EXPECT_EQ(entries, direct.nnz());
 }
 
 TEST(GroundTruthStream, SquaresMatchDirectCountingAssumptionII) {
@@ -97,12 +121,26 @@ TEST(GroundTruthStream, SquaresMatchDirectCountingAssumptionII) {
   const auto kp = BipartiteKronecker::assumption_ii(
       gen::connected_random_bipartite(3, 4, 9, rng),
       gen::connected_random_bipartite(4, 3, 10, rng));
-  const auto c = kp.materialize();
-  const auto direct = graph::edge_butterflies(c);
+  const auto direct = direct_edge_squares(kp);
   GroundTruthStream gts(kp);
   gts.for_each_entry([&](index_t p, index_t q, count_t sq) {
     ASSERT_EQ(sq, direct.at(p, q)) << "edge (" << p << "," << q << ")";
   });
+}
+
+TEST(GroundTruthStream, EmptyFactorRowsMatchDirectCounting) {
+  const auto kp = test_support::product_with_isolated_vertices();
+  const auto direct = direct_edge_squares(kp);
+  std::vector<std::pair<index_t, index_t>> seen;
+  count_t squares = 0;
+  GroundTruthStream(kp).for_each_entry(
+      [&](index_t p, index_t q, count_t sq) {
+        EXPECT_EQ(sq, direct.at(p, q)) << "edge (" << p << "," << q << ")";
+        seen.emplace_back(p, q);
+        squares += sq;
+      });
+  EXPECT_EQ(seen, reference_entries(kp));
+  EXPECT_GT(squares, 0);
 }
 
 TEST(GroundTruthStream, GlobalAggregationMatches) {
