@@ -46,6 +46,8 @@ expect 2 "missing required flags" --summary
 expect 2 "unknown flag" --left tritail:1 --right kbip:2,3 --bogus
 expect 2 "bad mode" --left tritail:1 --right kbip:2,3 --mode x
 expect 2 "bad spec" --left nosuch:1 --right kbip:2,3
+expect 2 "hypercube dimension out of range" \
+  --left hypercube:4294967300 --right kbip:2,3
 expect 2 "--resume without --out" --left tritail:1 --right kbip:2,3 --resume
 expect 2 "--resume with --verify" \
   --left tritail:1 --right kbip:2,3 --out "$WORK/store" --resume --verify

@@ -1,6 +1,8 @@
 #include "kronlab/gen/random_bipartite.hpp"
 
 #include <algorithm>
+#include <initializer_list>
+#include <numeric>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -17,6 +19,38 @@ using EdgeList = std::vector<std::pair<index_t, index_t>>;
 inline std::uint64_t pack(index_t u, index_t w_local, index_t nw) {
   return static_cast<std::uint64_t>(u) * static_cast<std::uint64_t>(nw) +
          static_cast<std::uint64_t>(w_local);
+}
+
+/// Renumber the vertices of each id range `[lo, hi)` in `ranges` by
+/// ascending degree, ties in their current order, and rewrite `edges` to
+/// the new ids.  A random recursive tree makes its oldest, lowest ids the
+/// hubs, the worst numbering for the largest-id wedge rule
+/// (graph/wedges.hpp); the header states the contract this keeps.
+void number_hubs_last(
+    EdgeList& edges, index_t n,
+    std::initializer_list<std::pair<index_t, index_t>> ranges) {
+  const auto at = [](index_t v) { return static_cast<std::size_t>(v); };
+  std::vector<index_t> degree(at(n), 0);
+  for (const auto& [i, j] : edges) {
+    ++degree[at(i)];
+    ++degree[at(j)];
+  }
+  // A counting sort by degree within each range: stable, so ties keep
+  // their order.  Degrees are < n, so n + 1 slots hold every start.
+  std::vector<index_t> id(at(n));
+  std::vector<index_t> next(at(n) + 1);
+  for (const auto& [lo, hi] : ranges) {
+    std::fill(next.begin(), next.end(), index_t{0});
+    for (index_t v = lo; v < hi; ++v) ++next[at(degree[at(v)]) + 1];
+    std::partial_sum(next.begin(), next.end(), next.begin());
+    for (index_t v = lo; v < hi; ++v) {
+      id[at(v)] = lo + next[at(degree[at(v)])]++;
+    }
+  }
+  for (auto& [i, j] : edges) {
+    i = id[at(i)];
+    j = id[at(j)];
+  }
 }
 
 } // namespace
@@ -83,6 +117,7 @@ Adjacency connected_random_bipartite(index_t nu, index_t nw, count_t m,
       edges.emplace_back(u, nu + w);
     }
   }
+  number_hubs_last(edges, nu + nw, {{0, nu}, {nu, nu + nw}});
   return graph::from_undirected_edges(nu + nw, edges);
 }
 
@@ -201,6 +236,7 @@ Adjacency random_nonbipartite_connected(index_t n, count_t m, Rng& rng) {
   while (static_cast<count_t>(edges.size()) < m) {
     add(rng.uniform(0, n - 1), rng.uniform(0, n - 1));
   }
+  number_hubs_last(edges, n, {{0, n}});
   return graph::from_undirected_edges(n, edges);
 }
 

@@ -6,6 +6,16 @@
 // bipartite, and connected non-bipartite graphs (for Assumption 1(i)).
 //
 // All generators are deterministic functions of their Rng.
+//
+// Numbering contract of the two spanning-tree generators
+// (connected_random_bipartite, random_nonbipartite_connected): vertex ids
+// ascend with degree, ties in construction order — over [0, n) for the
+// non-bipartite graph, within each side for the bipartite one (U stays
+// [0, nu), W stays [nu, nu+nw)).  The hubs get the largest ids, so the
+// largest-id wedge engine (graph/wedges.hpp) walks fewer wedges on them
+// and on every product γ(i,k) = i·n_B + k built from them.  The other
+// generators keep their construction ids: theirs carry no id–degree bias,
+// or carry meaning (the planted block, the Chung–Lu weight order).
 
 #pragma once
 
@@ -21,7 +31,8 @@ using graph::Adjacency;
 Adjacency random_bipartite(index_t nu, index_t nw, count_t m, Rng& rng);
 
 /// Connected bipartite graph: a random alternating spanning tree over all
-/// nu + nw vertices plus (m − (nu+nw−1)) uniform extra edges.
+/// nu + nw vertices plus (m − (nu+nw−1)) uniform extra edges, numbered
+/// hubs last within each side (see above).
 /// Requires m ≥ nu + nw − 1 and m ≤ nu·nw.
 Adjacency connected_random_bipartite(index_t nu, index_t nw, count_t m,
                                      Rng& rng);
@@ -52,7 +63,8 @@ struct PlantedCommunity {
 Adjacency planted_community_bipartite(const PlantedCommunity& pc, Rng& rng);
 
 /// Connected non-bipartite graph: random connected graph on n vertices with
-/// m edges, with one triangle forced so an odd cycle always exists.
+/// m edges, with one triangle forced so an odd cycle always exists,
+/// numbered hubs last (see above).
 /// Requires m ≥ n + 2 (spanning tree + full triangle) and n ≥ 3.
 Adjacency random_nonbipartite_connected(index_t n, count_t m, Rng& rng);
 

@@ -1,5 +1,6 @@
 #include "kronlab/gen/spec.hpp"
 
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -56,7 +57,14 @@ graph::Adjacency parse_graph_spec(const std::string& spec) {
   }
   if (name == "crown") return crown_graph(parse_ints(args, 1, spec)[0]);
   if (name == "hypercube") {
-    return hypercube(static_cast<int>(parse_ints(args, 1, spec)[0]));
+    // hypercube() checks its own bound, but only after the narrowing to
+    // int, which would wrap 2^32 + 4 to 4.
+    const index_t d = parse_ints(args, 1, spec)[0];
+    if (d < 0 || d > std::numeric_limits<int>::max()) {
+      throw invalid_argument("hypercube dimension out of range in spec: " +
+                             spec);
+    }
+    return hypercube(static_cast<int>(d));
   }
   if (name == "grid") {
     const auto v = parse_ints(args, 2, spec);

@@ -8,13 +8,16 @@
 #include "kronlab/gen/konect.hpp"
 #include "kronlab/gen/random_bipartite.hpp"
 #include "kronlab/gen/rmat.hpp"
+#include "kronlab/gen/spec.hpp"
 #include "kronlab/gen/unicode_like.hpp"
 #include "kronlab/graph/bipartite.hpp"
+#include "kronlab/graph/butterflies.hpp"
 #include "kronlab/graph/community.hpp"
 #include "kronlab/graph/stats.hpp"
 #include "kronlab/graph/traversal.hpp"
 #include "kronlab/graph/triangles.hpp"
 #include "kronlab/grb/ops.hpp"
+#include "kronlab/kron/product.hpp"
 
 #include <sstream>
 
@@ -56,6 +59,14 @@ TEST(Canonical, ParameterValidation) {
   EXPECT_THROW(grid_graph(0, 3), invalid_argument);
 }
 
+TEST(Canonical, HypercubeSpecChecksItsDimensionBeforeNarrowing) {
+  // 2^32 + 4 and −(2^32 − 4) both narrow to 4 in an int.
+  EXPECT_THROW(parse_graph_spec("hypercube:4294967300"), invalid_argument);
+  EXPECT_THROW(parse_graph_spec("hypercube:-4294967292"), invalid_argument);
+  EXPECT_THROW(parse_graph_spec("hypercube:20"), invalid_argument);
+  EXPECT_EQ(parse_graph_spec("hypercube:4"), hypercube(4));
+}
+
 TEST(Canonical, DisjointUnionBlocks) {
   const auto g = disjoint_union(cycle_graph(3), path_graph(2));
   EXPECT_EQ(g.nrows(), 5);
@@ -82,13 +93,32 @@ TEST(RandomBipartite, RejectsOverfullRequests) {
   EXPECT_THROW(random_bipartite(3, 3, 10, rng), invalid_argument);
 }
 
+/// The numbering contract of the spanning-tree generators: row degrees do
+/// not decrease with id over [lo, hi) (hubs last).
+bool degrees_ascend(const Adjacency& g, index_t lo, index_t hi) {
+  for (index_t v = lo + 1; v < hi; ++v) {
+    if (g.row_degree(v) < g.row_degree(v - 1)) return false;
+  }
+  return true;
+}
+
 TEST(ConnectedRandomBipartite, IsConnectedAndSized) {
+  // Also numbered hubs last within each side, U = [0, 7), W = [7, 16).
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     Rng rng(seed);
     const auto g = connected_random_bipartite(7, 9, 30, rng);
     EXPECT_TRUE(graph::is_connected(g)) << "seed " << seed;
     EXPECT_TRUE(graph::is_bipartite(g));
     EXPECT_EQ(graph::num_edges(g), 30);
+    EXPECT_TRUE(degrees_ascend(g, 0, 7)) << "seed " << seed;
+    EXPECT_TRUE(degrees_ascend(g, 7, 16)) << "seed " << seed;
+    for (index_t v = 0; v < 16; ++v) {
+      for (const index_t x : g.row_cols(v)) {
+        EXPECT_NE(v < 7, x < 7) << "seed " << seed << ": " << v << "-" << x;
+      }
+    }
+    Rng again(seed);
+    EXPECT_EQ(connected_random_bipartite(7, 9, 30, again), g);
   }
 }
 
@@ -150,12 +180,92 @@ TEST(PlantedCommunity, DenseBlockIsDense) {
 }
 
 TEST(RandomNonbipartite, ConnectedWithOddCycle) {
+  // Also numbered hubs last over all ids.
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     Rng rng(seed);
     const auto g = random_nonbipartite_connected(9, 16, rng);
     EXPECT_TRUE(graph::is_connected(g)) << "seed " << seed;
     EXPECT_FALSE(graph::is_bipartite(g)) << "seed " << seed;
     EXPECT_TRUE(grb::has_no_self_loops(g));
+    EXPECT_TRUE(degrees_ascend(g, 0, 9)) << "seed " << seed;
+    EXPECT_LT(g.row_degree(0), g.row_degree(8)) << "seed " << seed;
+    Rng again(seed);
+    EXPECT_EQ(random_nonbipartite_connected(9, 16, again), g);
+  }
+}
+
+/// `g` with each vertex v renamed `pi[v]`.
+Adjacency renumbered(const Adjacency& g, const std::vector<index_t>& pi) {
+  std::vector<std::pair<index_t, index_t>> edges;
+  for (index_t v = 0; v < g.nrows(); ++v) {
+    for (const index_t x : g.row_cols(v)) {
+      if (v < x) edges.emplace_back(pi[static_cast<std::size_t>(v)],
+                                    pi[static_cast<std::size_t>(x)]);
+    }
+  }
+  return graph::from_undirected_edges(g.nrows(), edges);
+}
+
+/// The wedges the largest-id engine (graph/wedges.hpp) walks:
+/// Σ_i Σ_{j ∈ N(i), j < i} |N(j) ∩ [0, i)|.
+count_t largest_id_wedges(const Adjacency& g) {
+  count_t wedges = 0;
+  for (index_t i = 0; i < g.nrows(); ++i) {
+    for (const index_t j : g.row_cols(i)) {
+      if (j >= i) break;
+      for (const index_t k : g.row_cols(j)) {
+        if (k >= i) break;
+        ++wedges;
+      }
+    }
+  }
+  return wedges;
+}
+
+TEST(HubsLastNumbering, ProductWalksFewerWedgesThanHubsFirstAndIsIsomorphic) {
+  // The same product with each factor's numbering reversed (hubs first,
+  // within each side of B) walks more wedges and has the same counts
+  // through γ(π_M(i), π_B(k)).
+  constexpr index_t nm = 40, nu = 30, nw = 30, nb = nu + nw;
+  std::vector<index_t> pi_m(nm), pi_b(nb);
+  for (index_t i = 0; i < nm; ++i) {
+    pi_m[static_cast<std::size_t>(i)] = nm - 1 - i;
+  }
+  for (index_t k = 0; k < nb; ++k) {
+    pi_b[static_cast<std::size_t>(k)] = k < nu ? nu - 1 - k : nu + nb - 1 - k;
+  }
+  for (const std::uint64_t seed : {1u, 7u, 11u}) {
+    Rng rng(seed);
+    auto m = random_nonbipartite_connected(nm, 100, rng);
+    auto b = connected_random_bipartite(nu, nw, 120, rng);
+    auto m_rev = renumbered(m, pi_m);
+    auto b_rev = renumbered(b, pi_b);
+    const auto c =
+        kron::BipartiteKronecker::raw(std::move(m), std::move(b)).materialize();
+    const auto c_rev = kron::BipartiteKronecker::raw(std::move(m_rev),
+                                                     std::move(b_rev))
+                           .materialize();
+    EXPECT_LT(largest_id_wedges(c), largest_id_wedges(c_rev))
+        << "seed " << seed;
+
+    const auto gamma = [&](index_t p) {
+      return pi_m[static_cast<std::size_t>(p / nb)] * nb +
+             pi_b[static_cast<std::size_t>(p % nb)];
+    };
+    EXPECT_EQ(graph::global_butterflies(c), graph::global_butterflies(c_rev));
+    const auto s = graph::vertex_butterflies(c);
+    const auto s_rev = graph::vertex_butterflies(c_rev);
+    const auto e = graph::edge_butterflies(c);
+    const auto e_rev = graph::edge_butterflies(c_rev);
+    for (index_t p = 0; p < c.nrows(); ++p) {
+      ASSERT_EQ(s[p], s_rev[gamma(p)]) << "seed " << seed << " vertex " << p;
+      const auto cols = e.row_cols(p);
+      const auto vals = e.row_vals(p);
+      for (std::size_t t = 0; t < cols.size(); ++t) {
+        ASSERT_EQ(vals[t], e_rev.at(gamma(p), gamma(cols[t])))
+            << "seed " << seed << " edge " << p << "-" << cols[t];
+      }
+    }
   }
 }
 
